@@ -32,8 +32,10 @@ from .legendre import LagrangianModel, LegendreResult, ModelBuilder, analyze
 from .dirac import (
     ConstraintRecord,
     DiracAnalysis,
+    Surface,
     constraint_matrix,
     dirac_bracket,
+    dirac_bracket_table,
     invert_supermatrix,
     run_dirac,
     weak_reduce,

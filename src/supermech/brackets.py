@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from .superalgebra import (
     Generator,
     Parity,
-    ZERO,
+    SuperPoly,
+    accumulate,
     derive_left,
     derive_right,
     parity_of,
@@ -63,12 +64,11 @@ def berezin(f, g, basis):
     pf = parity_of(f)
     pg = parity_of(g)
     flip = pf == Parity.ODD and pg == Parity.ODD
-    total = ZERO
+    acc = {}
     for q, p in basis.pairs:
-        first = derive_right(f, q) * derive_left(g, p)
-        second = derive_right(g, q) * derive_left(f, p)
-        total = total + first + second if flip else total + first - second
-    return total
+        accumulate(acc, derive_right(f, q) * derive_left(g, p))
+        accumulate(acc, derive_right(g, q) * derive_left(f, p), 1 if flip else -1)
+    return SuperPoly._from_map(acc)
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ def simpletic_bracket(f, g, metric):
     """Bracket via d_r F/d eta^I E^{IJ} d_l G/d eta^J; equals berezin exactly."""
     parity_of(f)
     parity_of(g)
-    total = ZERO
+    acc = {}
     for gi, gj, sign in metric.entries:
-        part = derive_right(f, gi) * derive_left(g, gj)
-        total = total + part if sign > 0 else total - part
-    return total
+        accumulate(acc, derive_right(f, gi) * derive_left(g, gj), sign)
+    return SuperPoly._from_map(acc)

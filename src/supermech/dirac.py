@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .brackets import berezin
-from .errors import Inconsistent, UnsolvableConstraint, UnsupportedLagrangian
+from .errors import (
+    Inconsistent,
+    NonNumericBody,
+    SingularBody,
+    UnsolvableConstraint,
+    UnsupportedLagrangian,
+)
 from .smatrix import (
     SpanReducer,
     body_nullspace,
@@ -38,9 +44,11 @@ from .superalgebra import (
 __all__ = [
     "ConstraintRecord",
     "DiracAnalysis",
+    "Surface",
     "consistency_step",
     "constraint_matrix",
     "dirac_bracket",
+    "dirac_bracket_table",
     "first_class_recombination",
     "invert_supermatrix",
     "run_dirac",
@@ -93,20 +101,31 @@ def try_solve(expr, basis):
     return None
 
 
-def weak_reduce(p, records, extra_span=(), on_unsolved="raise"):
-    """Canonical representative of p on the constraint surface.
+class Surface:
+    """The constraint surface of one record set, built once and reused.
 
-    Substitutes solved constraint forms to a fixpoint, then eliminates
-    exact constant-coefficient combinations of the constraint expressions.
-    With on_unsolved="raise", an unsolvable constraint whose generators
-    survive in the result raises UnsolvableConstraint instead of being
-    silently ignored.
+    Holds the solved-form bindings of the active records and the span over
+    the residuals the records leave once those bindings reach a fixpoint.
+    A surface belongs to the analysis or closure round that built it:
+    build a new one whenever the active record set changes.
     """
-    p = as_poly(p)
-    active = [rec for rec in records if not rec.superseded]
-    bindings = {rec.solved[0]: rec.solved[1] for rec in active if rec.solved}
 
-    def to_fixpoint(expr):
+    def __init__(self, records):
+        active = [rec for rec in records if not rec.superseded]
+        self.bindings = {rec.solved[0]: rec.solved[1]
+                         for rec in active if rec.solved}
+        self.unsolved = [(rec.name, set(rec.expr.generators()))
+                         for rec in active if rec.solved is None]
+        # the residuals still vanish on the surface, and they are what
+        # unsolvable constraints (secondaries, recombinations) reduce to
+        self.span = SpanReducer()
+        for rec in active:
+            residual = self._to_fixpoint(rec.expr)
+            if not residual.is_zero:
+                self.span.add(residual)
+
+    def _to_fixpoint(self, expr):
+        bindings = self.bindings
         if not bindings:
             return expr
         for _ in range(len(bindings) + 2):
@@ -116,36 +135,39 @@ def weak_reduce(p, records, extra_span=(), on_unsolved="raise"):
             expr = reduced
         raise UnsolvableConstraint("solved forms do not reach a fixpoint")
 
-    p = to_fixpoint(p)
-    # span over the residuals the solved forms leave behind: those still
-    # vanish on the surface, and they are what unsolvable constraints
-    # (secondaries, recombinations) reduce to
-    span = SpanReducer()
-    for rec in active:
-        residual = to_fixpoint(rec.expr)
-        if not residual.is_zero:
-            span.add(residual)
-    for expr in extra_span:
-        span.add(to_fixpoint(expr))
-    p = span.reduce(p)
-    if on_unsolved == "raise" and not p.is_zero:
-        support = set(p.generators())
-        for rec in active:
-            if rec.solved is None and support & set(rec.expr.generators()):
-                raise UnsolvableConstraint(
-                    f"{rec.name} has no solved form but touches the expression")
-    return p
+    def reduce(self, p, on_unsolved="raise"):
+        """Canonical representative of p on the surface.
+
+        Substitutes solved constraint forms to a fixpoint, then eliminates
+        exact constant-coefficient combinations of the constraint
+        residuals.  With on_unsolved="raise", an unsolvable constraint
+        whose generators survive in the result raises UnsolvableConstraint
+        instead of being silently ignored.
+        """
+        p = self.span.reduce(self._to_fixpoint(as_poly(p)))
+        if on_unsolved == "raise" and not p.is_zero:
+            support = set(p.generators())
+            for name, generators in self.unsolved:
+                if support & generators:
+                    raise UnsolvableConstraint(
+                        f"{name} has no solved form but touches the expression")
+        return p
 
 
-def constraint_matrix(constraints, basis, records=()):
-    """Delta_st = {Phi_s, Phi_t}, weakly reduced against the given records."""
+def weak_reduce(p, records, on_unsolved="raise"):
+    """Canonical representative of p on the surface of records (see Surface)."""
+    return Surface(records).reduce(p, on_unsolved)
+
+
+def constraint_matrix(constraints, basis, surface=None):
+    """Delta_st = {Phi_s, Phi_t}, weakly reduced on surface when given."""
     exprs = [c.expr if isinstance(c, ConstraintRecord) else as_poly(c)
              for c in constraints]
-    return [
-        [weak_reduce(berezin(es, et, basis), records, on_unsolved="ignore")
-         for et in exprs]
-        for es in exprs
-    ]
+    rows = [[berezin(es, et, basis) for et in exprs] for es in exprs]
+    if surface is None:
+        return rows
+    return [[surface.reduce(entry, on_unsolved="ignore") for entry in row]
+            for row in rows]
 
 
 @dataclass
@@ -162,6 +184,24 @@ class DiracAnalysis:
     delta: list[list[SuperPoly]] = field(default_factory=list)
     second_class: tuple[int, ...] = ()
     delta_inverse: list[list[SuperPoly]] = field(default_factory=list)
+    _surface: Surface | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _surface_key: tuple = field(
+        default=(), init=False, repr=False, compare=False)
+
+    @property
+    def surface(self):
+        """The constraint surface of the current records.
+
+        Built on first use and rebuilt whenever a record is added, edited
+        or superseded, so it always matches records.
+        """
+        key = tuple((rec.name, rec.expr, rec.solved, rec.superseded)
+                    for rec in self.records)
+        if self._surface is None or key != self._surface_key:
+            self._surface = Surface(self.records)
+            self._surface_key = key
+        return self._surface
 
     def active(self):
         return [rec for rec in self.records if not rec.superseded]
@@ -188,11 +228,12 @@ def consistency_step(analysis, h0, basis):
                     if val is not None}
     outcomes = []
     symbols = list(analysis.multiplier_symbols.values())
+    surface = analysis.surface
     for rec in analysis.active():
         r = berezin(rec.expr, analysis.hp, basis)
         if solved_mults:
             r = substitute(r, solved_mults)
-        r = weak_reduce(r, analysis.records, on_unsolved="ignore")
+        r = surface.reduce(r, on_unsolved="ignore")
         if r.is_zero:
             outcomes.append((rec, "zero", r))
         elif _multiplier_terms(r, symbols):
@@ -204,7 +245,7 @@ def consistency_step(analysis, h0, basis):
     return outcomes
 
 
-def _solve_multiplier_rows(rows, symbols, records):
+def _solve_multiplier_rows(rows, symbols, surface):
     """Jointly eliminate multiplier symbols from consistency rows.
 
     Returns (solved map, leftover v-free expressions).  Rows that keep a
@@ -212,7 +253,7 @@ def _solve_multiplier_rows(rows, symbols, records):
     """
 
     def reduce_fn(p):
-        return weak_reduce(p, records, on_unsolved="ignore")
+        return surface.reduce(p, on_unsolved="ignore")
 
     prepared = []
     for i, r in enumerate(rows):
@@ -260,6 +301,8 @@ def first_class_recombination(delta, records, basis):
             for i in remaining:
                 active[i].cls = "second"
             break
+        # the active set loses a record with every supersede below
+        surface = Surface(records)
         lifted = None
         for target in (Parity.EVEN, Parity.ODD):
             cols = [i for i in remaining if active[i].parity == target]
@@ -273,7 +316,7 @@ def first_class_recombination(delta, records, basis):
             v0 = null[0]
             support = [cols[k] for k, c in enumerate(v0) if not c.is_zero]
             lifted = _lift_null_vector(delta, active, remaining, cols, v0,
-                                       support, target, records)
+                                       support, target, surface)
             if lifted is not None:
                 break
         if lifted is None:
@@ -299,7 +342,7 @@ def first_class_recombination(delta, records, basis):
     return new_records
 
 
-def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, records):
+def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, surface):
     """Extend a body null vector with soul corrections; None when it fails."""
     from .superalgebra import const_poly
 
@@ -314,7 +357,7 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, record
             bodies = [[entry.body for entry in row] for row in block]
             if body_rank(bodies) != len(rest):
                 continue
-        except Exception:
+        except (SingularBody, NonNumericBody):
             continue
         fixed = {s: const_poly(v0[cols.index(s)]) for s in support}
         rhs = []
@@ -327,11 +370,11 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, record
             rhs.append(-acc)
         try:
             correction = solve_left(block, rhs)
-        except Exception:
+        except (SingularBody, NonNumericBody):
             continue
         vector = dict(fixed)
         for s, w in zip(rest, correction):
-            w = weak_reduce(w, records, on_unsolved="ignore")
+            w = surface.reduce(w, on_unsolved="ignore")
             if not w.is_zero:
                 vector[s] = w
         # verify the lifted row closes weakly over every remaining direction
@@ -342,7 +385,7 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, record
                 acc = acc + const_poly(
                     sign(p_phi, active[t].parity, active[s].parity)) \
                     * delta[s][t] * vs
-            if not weak_reduce(acc, records, on_unsolved="ignore").is_zero:
+            if not surface.reduce(acc, on_unsolved="ignore").is_zero:
                 ok = False
                 break
         if ok:
@@ -386,14 +429,14 @@ def run_dirac(legres, max_rounds=None):
         candidates = [r for _, kind, r in outcomes if kind == "new"]
         if mult_rows:
             solved, leftovers = _solve_multiplier_rows(
-                mult_rows, symbols, analysis.records)
+                mult_rows, symbols, analysis.surface)
             for q, v in analysis.multiplier_symbols.items():
                 if v in solved and analysis.multipliers[q] != solved[v]:
                     analysis.multipliers[q] = solved[v]
                     changed = True
             candidates.extend(leftovers)
         for expr in candidates:
-            expr = weak_reduce(expr, analysis.records, on_unsolved="ignore")
+            expr = analysis.surface.reduce(expr, on_unsolved="ignore")
             if expr.is_zero:
                 continue
             if expr.is_constant:
@@ -412,11 +455,11 @@ def run_dirac(legres, max_rounds=None):
     else:
         raise Inconsistent("consistency loop failed to close")
 
-    delta = constraint_matrix(analysis.active(), basis, analysis.records)
+    delta = constraint_matrix(analysis.active(), basis, analysis.surface)
     new_records = first_class_recombination(delta, analysis.records, basis)
     analysis.records.extend(new_records)
     active = analysis.active()
-    analysis.delta = constraint_matrix(active, basis, analysis.records)
+    analysis.delta = constraint_matrix(active, basis, analysis.surface)
     analysis.second_class = tuple(
         i for i, rec in enumerate(active) if rec.cls == "second")
     if analysis.second_class:
@@ -429,17 +472,42 @@ def run_dirac(legres, max_rounds=None):
 def dirac_bracket(f, g, analysis, basis=None):
     """{F,G}_D = {F,G} - {F,Phi_s} (Delta^-1)_st {Phi_t,G}, weakly reduced."""
     basis = basis or analysis.basis
-    result = berezin(f, g, basis)
     second = analysis.second_class_records()
+    left = [berezin(f, rec.expr, basis) for rec in second]
+    right = [berezin(rec.expr, g, basis) for rec in second]
+    return _dirac_correct(berezin(f, g, basis), left, right, analysis)
+
+
+def _dirac_correct(result, left, right, analysis):
+    """Subtract left_s (Delta^-1)_st right_t from result and reduce weakly."""
     inv = analysis.delta_inverse
-    if second:
-        left = [berezin(f, rec.expr, basis) for rec in second]
-        right = [berezin(rec.expr, g, basis) for rec in second]
-        for s in range(len(second)):
-            if left[s].is_zero:
+    for s, left_s in enumerate(left):
+        if left_s.is_zero:
+            continue
+        for t, right_t in enumerate(right):
+            if inv[s][t].is_zero or right_t.is_zero:
                 continue
-            for t in range(len(second)):
-                if inv[s][t].is_zero or right[t].is_zero:
-                    continue
-                result = result - left[s] * inv[s][t] * right[t]
-    return weak_reduce(result, analysis.records, on_unsolved="ignore")
+            result = result - left_s * inv[s][t] * right_t
+    return analysis.surface.reduce(result, on_unsolved="ignore")
+
+
+def dirac_bracket_table(analysis):
+    """Nonvanishing {a, b}_D over pairs of basis generators, a before b.
+
+    Generators run over coordinates then momenta.  The columns {x, Phi_s}
+    and {Phi_t, x} are computed once per generator, not once per pair.
+    """
+    basis = analysis.basis
+    second = analysis.second_class_records()
+    gens = list(basis.coordinates) + list(basis.momenta)
+    polys = [gen_poly(x) for x in gens]
+    left = [[berezin(x, rec.expr, basis) for rec in second] for x in polys]
+    right = [[berezin(rec.expr, x, basis) for rec in second] for x in polys]
+    table = []
+    for i, a in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            value = _dirac_correct(berezin(polys[i], polys[j], basis),
+                                   left[i], right[j], analysis)
+            if not value.is_zero:
+                table.append((a, gens[j], value))
+    return table

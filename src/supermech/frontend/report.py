@@ -102,16 +102,10 @@ def _dirac_lines(result):
         shown = "(undetermined)" if value is None else str(value)
         out.append(f"  v_{q} = {shown}")
     out.append("dirac brackets (nonvanishing among basis generators):")
-    from ..dirac import dirac_bracket
-    from ..superalgebra import gen_poly
+    from ..dirac import dirac_bracket_table
 
-    basis = analysis.basis
-    gens = list(basis.coordinates) + list(basis.momenta)
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            value = dirac_bracket(gen_poly(a), gen_poly(b), analysis)
-            if not value.is_zero:
-                out.append(f"  {{{a}, {b}}}_D = {value}")
+    for a, b, value in dirac_bracket_table(analysis):
+        out.append(f"  {{{a}, {b}}}_D = {value}")
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .brackets import berezin
 from .errors import ClosureDiverged, CrossCheckMismatch, Inconsistent
-from .dirac import ConstraintRecord, try_solve, weak_reduce
+from .dirac import ConstraintRecord, Surface, try_solve
 from .smatrix import solve_linear_rows
 from .superalgebra import (
     Generator,
@@ -143,25 +143,25 @@ def apply_X(sys, alpha, f):
     return berezin(f, sys.hamiltonians[alpha], sys.basis)
 
 
-def _family_records(family, basis):
-    return [
+def _family_surface(family):
+    return Surface([
         ConstraintRecord(m.label, m.expr, 0, solved=m.solved)
         for m in family
-    ]
+    ])
 
 
 def integrability_matrix(sys, family=None):
     """All pairwise {H'_b, H'_a}, raw and weakly reduced."""
     family = family or sys.family()
-    records = _family_records(family, sys.basis)
+    surface = _family_surface(family)
     raw = {}
     reduced = {}
     for mb in family:
         for ma in family:
             entry = berezin(mb.expr, ma.expr, sys.basis)
             raw[(mb.label, ma.label)] = entry
-            reduced[(mb.label, ma.label)] = weak_reduce(
-                entry, records, on_unsolved="ignore")
+            reduced[(mb.label, ma.label)] = surface.reduce(
+                entry, on_unsolved="ignore")
     return raw, reduced
 
 
@@ -179,7 +179,6 @@ class IntegrabilityReport:
     added: list[HPrime]
     outcomes: dict[str, ClosureOutcome]
     dt_relations: dict[Generator, SuperPoly]
-    implicit_relations: list
     matrix_raw: dict
     matrix_reduced: dict
     rounds: int
@@ -193,7 +192,7 @@ class IntegrabilityReport:
         return [(m.label, m.expr) for m in self.family]
 
 
-def _solve_relation_rows(rows, unknowns, records):
+def _solve_relation_rows(rows, unknowns, surface):
     """Eliminate free differentials dt^beta = r_beta dt^0 from closure rows.
 
     rows: list of (label, eff0, {param: coeff}).  Returns the relation map,
@@ -201,7 +200,7 @@ def _solve_relation_rows(rows, unknowns, records):
     """
 
     def reduce_fn(p):
-        return weak_reduce(p, records, on_unsolved="ignore")
+        return surface.reduce(p, on_unsolved="ignore")
 
     relations, pivot_labels, _, implicit = solve_linear_rows(
         rows, unknowns, reduce_fn)
@@ -222,8 +221,9 @@ def closure_loop(sys, max_rounds=32):
     pivot_history = set()
     params = sys.parameters
     t0 = sys.t0
+    # rebuilt whenever a member joins the family
+    surface = _family_surface(family)
     for round_no in range(1, max_rounds + 1):
-        records = _family_records(family, sys.basis)
         new_members = []
         relation_rows = []
         statuses = {}
@@ -240,8 +240,8 @@ def closure_loop(sys, max_rounds=32):
                 if param in relations:
                     eff0 = eff0 + c * relations[param]
                 else:
-                    live[param] = weak_reduce(c, records, on_unsolved="ignore")
-            eff0 = weak_reduce(eff0, records, on_unsolved="ignore")
+                    live[param] = surface.reduce(c, on_unsolved="ignore")
+            eff0 = surface.reduce(eff0, on_unsolved="ignore")
             live = {p: c for p, c in live.items() if not c.is_zero}
             if eff0.is_zero and not live:
                 statuses[member.label] = "weak_zero"
@@ -256,8 +256,7 @@ def closure_loop(sys, max_rounds=32):
                 statuses[member.label] = "pending_relation"
         if new_members:
             for source, expr in new_members:
-                candidate = monic(weak_reduce(
-                    expr, _family_records(family, sys.basis), on_unsolved="ignore"))
+                candidate = monic(surface.reduce(expr, on_unsolved="ignore"))
                 if candidate.is_zero:
                     continue
                 label = f"H'{len(family)}"
@@ -265,14 +264,14 @@ def closure_loop(sys, max_rounds=32):
                                 try_solve(candidate, sys.basis))
                 family.append(member)
                 added.append(member)
+                surface = _family_surface(family)
                 outcomes[source] = ClosureOutcome(
                     "new_hamiltonian", detail=f"adds {label}")
             continue
         if relation_rows:
             unknowns = [p for p in params[1:] if p not in relations]
-            records = _family_records(family, sys.basis)
             new_rel, pivots, implicit = _solve_relation_rows(
-                relation_rows, unknowns, records)
+                relation_rows, unknowns, surface)
             if new_rel:
                 relations.update(new_rel)
                 pivot_history |= pivots
@@ -303,7 +302,6 @@ def closure_loop(sys, max_rounds=32):
         added=added,
         outcomes=outcomes,
         dt_relations=relations,
-        implicit_relations=[],
         matrix_raw=raw,
         matrix_reduced=reduced,
         rounds=round_no,
@@ -332,8 +330,8 @@ def cross_check_dirac(hj_report, analysis, strict=False):
     matched = []
     mismatched = []
     sys = hj_report.system
-    family_records = _family_records(hj_report.family, sys.basis)
-    dirac_records = analysis.records
+    family_surface = _family_surface(hj_report.family)
+    dirac_surface = analysis.surface
 
     secondaries = [rec for rec in analysis.records if rec.origin == "consistency"]
     added = list(hj_report.added)
@@ -358,8 +356,8 @@ def cross_check_dirac(hj_report, analysis, strict=False):
         if r is None:
             mismatched.append(f"multiplier for {q} has no dt relation")
             continue
-        diff = weak_reduce(v - r, dirac_records, on_unsolved="ignore")
-        diff = weak_reduce(diff, family_records, on_unsolved="ignore")
+        diff = dirac_surface.reduce(v - r, on_unsolved="ignore")
+        diff = family_surface.reduce(diff, on_unsolved="ignore")
         if diff.is_zero:
             matched.append(f"multiplier {q} <-> dt relation")
         else:
@@ -368,13 +366,13 @@ def cross_check_dirac(hj_report, analysis, strict=False):
         mismatched.append(f"dt relation for {q} has no determined multiplier")
 
     for rec in analysis.active():
-        residual = weak_reduce(rec.expr, family_records, on_unsolved="ignore")
+        residual = family_surface.reduce(rec.expr, on_unsolved="ignore")
         if not residual.is_zero:
             mismatched.append(f"{rec.name} not on the HJ surface: {residual}")
     for m in hj_report.family:
         if m.param is sys.t0:
             continue
-        residual = weak_reduce(m.expr, dirac_records, on_unsolved="ignore")
+        residual = dirac_surface.reduce(m.expr, on_unsolved="ignore")
         if not residual.is_zero:
             mismatched.append(f"{m.label} not on the constraint surface: {residual}")
 

@@ -179,11 +179,6 @@ def make_flow(tds, report):
     sys = tds.system
     relations = report.dt_relations
     free = tuple(p for p in sys.parameters if p not in relations)
-    for p in free:
-        if p.parity == Parity.ODD and p is not sys.t0:
-            # an undetermined odd direction cannot be driven by a real path;
-            # it simply must not be moved (checked against the path later)
-            pass
     coords = tuple(q for q in sys.basis.coordinates if q != sys.t0)
     momenta = sys.basis.momenta
     state_gens = coords + momenta
@@ -374,11 +369,12 @@ def path_independence_check(tds, path_a, path_b, init, report=None, tol=1e-8):
 
 def _weak_observables(sys, report):
     from .brackets import berezin
-    from .dirac import ConstraintRecord, try_solve, weak_reduce
+    from .dirac import ConstraintRecord, Surface, try_solve
     from .superalgebra import gen_poly
 
-    records = [ConstraintRecord(m.label, m.expr, 0, solved=try_solve(m.expr, sys.basis))
-               for m in report.family]
+    surface = Surface([
+        ConstraintRecord(m.label, m.expr, 0, solved=try_solve(m.expr, sys.basis))
+        for m in report.family])
     out = set()
     for g in sys.basis.coordinates + sys.basis.momenta:
         if g == sys.t0 or g == sys.p0:
@@ -386,7 +382,7 @@ def _weak_observables(sys, report):
         ok = True
         for m in report.family:
             br = berezin(gen_poly(g), m.expr, sys.basis)
-            if not weak_reduce(br, records, on_unsolved="ignore").is_zero:
+            if not surface.reduce(br, on_unsolved="ignore").is_zero:
                 ok = False
                 break
         if ok:

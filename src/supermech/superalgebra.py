@@ -527,7 +527,7 @@ def substitute(p, bindings):
     for g, v in bindings.items():
         if not v.is_zero and parity_of(v) != g.parity:
             raise ParityMismatch(f"cannot bind {g} to {v}")
-    total = ZERO
+    acc = {}
     for m in as_poly(p).terms:
         term = const_poly(m.coeff)
         for g, e in m.factors:
@@ -536,8 +536,20 @@ def substitute(p, bindings):
             term = term * factor
             if term.is_zero:
                 break
-        total = total + term
-    return total
+        accumulate(acc, term)
+    return SuperPoly._from_map(acc)
+
+
+def accumulate(acc, p, sign=1):
+    """Add sign * p into acc, a {factors: coefficient} map for _from_map.
+
+    Summing many terms into one map and normalizing once is linear in the
+    total term count, where repeated SuperPoly addition is quadratic.
+    """
+    for m in p.terms:
+        c = m.coeff if sign > 0 else -m.coeff
+        prev = acc.get(m.factors)
+        acc[m.factors] = c if prev is None else prev + c
 
 
 def contains(p, g):

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from supermech.brackets import PhaseBasis
+from supermech.errors import UnsolvableConstraint
 from supermech.legendre import ModelBuilder, analyze
+from supermech.smatrix import SpanReducer
 from supermech.superalgebra import (
     Coefficient,
     Generator,
@@ -14,9 +16,11 @@ from supermech.superalgebra import (
     Parity,
     SuperPoly,
     C_I,
+    as_poly,
     gen_poly,
     normalize,
     parity_of,
+    substitute,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "supermech" / "fixtures"
@@ -61,6 +65,45 @@ def small_basis():
     p2 = Generator("p2", Parity.EVEN, Kind.MOMENTUM, None, 1)
     pth = Generator("pth", Parity.ODD, Kind.MOMENTUM, None, 2)
     return PhaseBasis(((q1, p1), (q2, p2), (th, pth)))
+
+
+# ------------------------------------------------------ reference reduction
+
+def reference_weak_reduce(p, records, on_unsolved="raise"):
+    """Weak reduction that rebuilds the surface from records on every call.
+
+    Surface.reduce must match this reference exactly: solved forms are
+    substituted to a fixpoint, then the span of the records' residuals
+    eliminates exact constant-coefficient combinations.
+    """
+    p = as_poly(p)
+    active = [rec for rec in records if not rec.superseded]
+    bindings = {rec.solved[0]: rec.solved[1] for rec in active if rec.solved}
+
+    def to_fixpoint(expr):
+        if not bindings:
+            return expr
+        for _ in range(len(bindings) + 2):
+            reduced = substitute(expr, bindings)
+            if reduced == expr:
+                return expr
+            expr = reduced
+        raise UnsolvableConstraint("solved forms do not reach a fixpoint")
+
+    p = to_fixpoint(p)
+    span = SpanReducer()
+    for rec in active:
+        residual = to_fixpoint(rec.expr)
+        if not residual.is_zero:
+            span.add(residual)
+    p = span.reduce(p)
+    if on_unsolved == "raise" and not p.is_zero:
+        support = set(p.generators())
+        for rec in active:
+            if rec.solved is None and support & set(rec.expr.generators()):
+                raise UnsolvableConstraint(
+                    f"{rec.name} has no solved form but touches the expression")
+    return p
 
 
 # ------------------------------------------------------------- test models

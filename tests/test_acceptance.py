@@ -157,7 +157,7 @@ def test_criterion_03_reduced_constraint_algebra():
 
     # delta over (chi, phi2, phi3), entry by entry
     order = [chi] + phi2 + phi3
-    delta = constraint_matrix(order, basis, analysis.records)
+    delta = constraint_matrix(order, basis, analysis.surface)
     assert delta[0][0].is_zero
     for b in range(4):
         assert delta[0][1 + b] == -(e * pbg0(b))

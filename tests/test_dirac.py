@@ -5,15 +5,21 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    FIXTURES,
     build_fermionic,
+    build_free_singular,
     build_gauge_toy,
     build_qed,
     build_sho,
     gamma_matrices,
     random_homogeneous,
+    reference_weak_reduce,
+    small_basis,
 )
 from supermech.dirac import (
     ConstraintRecord,
+    DiracAnalysis,
+    Surface,
     constraint_matrix,
     dirac_bracket,
     invert_supermatrix,
@@ -267,7 +273,7 @@ def test_classification_stable_under_rescaling():
                              solved=try_solve(factor * r.expr, basis))
             for r in analysis.records
         ]
-        delta = constraint_matrix(records, basis, records)
+        delta = constraint_matrix(records, basis, Surface(records))
         first_class_recombination(delta, records, basis)
         assert [r.cls for r in records] == [r.cls for r in analysis.records]
 
@@ -291,3 +297,102 @@ def test_dirac_bracket_graded_antisymmetry_reduced_model():
     d1 = dirac_bracket(gen_poly(psi1), gen_poly(psib1), analysis)
     d2 = dirac_bracket(gen_poly(psib1), gen_poly(psi1), analysis)
     assert d1 == d2 == const_poly(MI)  # odd-odd brackets are symmetric
+
+
+def _outcome(reduce):
+    try:
+        return reduce()
+    except UnsolvableConstraint as exc:
+        return ("raised", str(exc))
+
+
+def test_surface_matches_per_call_reference_on_fixtures():
+    # one surface serves many reductions and gives exactly what rebuilding
+    # the surface from the records on every call gives
+    from supermech.hamilton_jacobi import build_hj_system, closure_loop
+
+    rng = random.Random(61)
+    for built in (build_sho(), build_free_singular(), build_gauge_toy(),
+                  build_fermionic(), build_qed()):
+        analysis = run_dirac(built.legres)
+        sys = build_hj_system(built.legres)
+        family = closure_loop(sys).family
+        hj_records = [ConstraintRecord(m.label, m.expr, 0, solved=m.solved)
+                      for m in family]
+        params = list(built.model.parameters)
+        for records, basis in ((analysis.records, analysis.basis),
+                               (hj_records, sys.basis)):
+            surface = Surface(records)
+            gens = [g for pair in basis.pairs for g in pair] + params
+            for k in range(12):
+                p = random_homogeneous(rng, gens, max_terms=3, max_degree=3)
+                if records and k % 2:
+                    # a multiple of a constraint, so the span has work to do
+                    rec = rng.choice(records)
+                    p = p + rec.expr * random_homogeneous(
+                        rng, gens, max_terms=2, max_degree=1)
+                for mode in ("ignore", "raise"):
+                    want = _outcome(lambda: reference_weak_reduce(p, records, mode))
+                    got = _outcome(lambda: surface.reduce(p, on_unsolved=mode))
+                    assert got == want, (built.model.name, str(p), mode)
+                    assert _outcome(lambda: weak_reduce(p, records, mode)) == want
+
+
+def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
+    # surfaces are built only when a record set changes; the count is exact
+    from supermech.frontend.cli import main
+
+    builds = []
+    original = Surface.__init__
+
+    def counting_init(self, records):
+        builds.append(len(records))
+        original(self, records)
+
+    monkeypatch.setattr(Surface, "__init__", counting_init)
+    path = FIXTURES / "dirac_maxwell_reduced.smf"
+    assert main(["analyze", str(path), "--stage", "all"]) == 0
+    capsys.readouterr()
+    # record counts per build.  dirac: the 9 primaries, plus the secondary,
+    # one recombination round, the final records; closure: the initial
+    # family, its added member and the integrability matrix; cross-check:
+    # the closed family (the Dirac surface is reused)
+    assert builds == [9, 10, 10, 11, 10, 11, 11, 11]
+
+
+def test_dirac_analysis_surface_follows_its_records():
+    # an analysis built by hand, then records added and edited: the surface
+    # dirac_bracket reduces on always matches the current records
+    from supermech.brackets import berezin
+
+    basis = small_basis()
+    (q1, p1), (q2, p2), _ = basis.pairs
+    analysis = DiracAnalysis(model=None, basis=basis, h0=const_poly(0),
+                             hp=const_poly(0))
+    f = gen_poly(q1) * gen_poly(p2)
+    g = gen_poly(p1)
+
+    def expected():
+        return reference_weak_reduce(berezin(f, g, basis), analysis.records,
+                                     "ignore")
+
+    assert dirac_bracket(f, g, analysis) == expected() != const_poly(0)
+    rec = ConstraintRecord("C1", gen_poly(p2), 0,
+                           solved=try_solve(gen_poly(p2), basis))
+    analysis.records.append(rec)
+    assert dirac_bracket(f, g, analysis) == expected() == const_poly(0)
+    rec.expr = gen_poly(q2)
+    rec.solved = try_solve(rec.expr, basis)
+    assert dirac_bracket(f, g, analysis) == expected() != const_poly(0)
+
+
+def test_lift_null_vector_lets_unexpected_errors_through(monkeypatch):
+    # only singular or non-numeric blocks mean "try the next pivot"
+    import supermech.dirac as dirac
+
+    def broken_solve_left(m, rhs):
+        raise TypeError("unexpected")
+
+    monkeypatch.setattr(dirac, "solve_left", broken_solve_left)
+    with pytest.raises(TypeError, match="unexpected"):
+        run_dirac(build_qed().legres)

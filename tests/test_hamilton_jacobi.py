@@ -1,6 +1,8 @@
 """Hamilton-Jacobi family, total differentials, closure and the cross-check."""
 import random
 
+import pytest
+
 from helpers import (
     HALF,
     HALF_I,
@@ -9,11 +11,15 @@ from helpers import (
     build_gauge_toy,
     build_qed,
     build_sho,
+    fixture_text,
     gamma_matrices,
     random_homogeneous,
 )
 from supermech.brackets import berezin
 from supermech.dirac import run_dirac
+from supermech.errors import CrossCheckMismatch
+from supermech.frontend.parser import parse_model
+from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import (
     apply_X,
     build_hj_system,
@@ -317,3 +323,17 @@ def test_cross_check_multiplier_values_match_relations():
     analysis = run_dirac(fo.legres)
     for q, v in analysis.multipliers.items():
         assert v == report.dt_relations[q]
+
+
+def test_cross_check_strict_reduced_model():
+    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
+                          stage="hj")
+    cc = cross_check_dirac(result.closure, result.analysis, strict=True)
+    assert cc.verdict == "equivalent" and not cc.mismatched
+    secondary = [r for r in result.analysis.records
+                 if r.origin == "consistency"][0]
+    a1 = result.elaborated.lookup("A", 1)
+    secondary.expr = gen_poly(a1)
+    with pytest.raises(CrossCheckMismatch) as err:
+        cross_check_dirac(result.closure, result.analysis, strict=True)
+    assert f"secondary {secondary.name} has no added member" in err.value.items
