@@ -44,12 +44,6 @@ class PhaseBasis:
     def momenta(self):
         return tuple(p for _, p in self.pairs)
 
-    def momentum_of(self, q):
-        for qq, pp in self.pairs:
-            if qq == q:
-                return pp
-        raise KeyError(q)
-
     def extend(self, extra_pairs):
         return PhaseBasis(self.pairs + tuple(extra_pairs), extended=True)
 

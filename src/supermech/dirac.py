@@ -353,12 +353,6 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, surfac
         sign = _classification_sign
         block = [[const_poly(sign(p_phi, active[t].parity, active[s].parity))
                   * delta[s][t] for s in rest] for t in rest]
-        try:
-            bodies = [[entry.body for entry in row] for row in block]
-            if body_rank(bodies) != len(rest):
-                continue
-        except (SingularBody, NonNumericBody):
-            continue
         fixed = {s: const_poly(v0[cols.index(s)]) for s in support}
         rhs = []
         for t in rest:

@@ -9,11 +9,10 @@ which keeps velocity solving inside exact graded linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .brackets import PhaseBasis
-from .errors import ResidualVelocity, UnsupportedLagrangian
-from .smatrix import body_matrix, body_rank, solve_left
+from .errors import ResidualVelocity, SingularBody, UnsupportedLagrangian
+from .smatrix import body_matrix, body_pivots, body_rank, solve_left
 from .superalgebra import (
     Generator,
     Kind,
@@ -52,18 +51,8 @@ class LagrangianModel:
     def momentum(self, q):
         return self.momenta[q]
 
-    def coordinate_of(self, p):
-        for q, mom in self.momenta.items():
-            if mom == p:
-                return q
-        raise KeyError(p)
-
     def phase_basis(self):
         return PhaseBasis(tuple((q, self.momenta[q]) for q in self.coordinates))
-
-    @property
-    def odd_coordinates(self):
-        return tuple(q for q in self.coordinates if q.parity)
 
 
 class ModelBuilder:
@@ -114,11 +103,6 @@ class RankSplit:
     rank: int
     expressible: tuple[int, ...]
     unexpressed: tuple[int, ...]
-
-    @property
-    def reorder(self):
-        """Coordinate permutation placing the invertible block bottom-right."""
-        return self.unexpressed + self.expressible
 
 
 @dataclass
@@ -171,21 +155,24 @@ def hessian(model, momenta_defs=None):
 def rank_and_split(hess):
     """Body rank and the first coordinate subset carrying an invertible block.
 
-    Subsets are scanned in lexicographic order, so the split is deterministic.
-    Raises NonNumericBody when an entry has a non-constant even part.
+    The Hessian body is graded-symmetric (B^T = B D, D = +-1 by parity), so
+    its first column basis spans an invertible principal block, and that
+    block is the lexicographically first one; the split is deterministic.
+    Raises NonNumericBody when an entry has a non-constant even part and
+    SingularBody when that block is singular, which only a body that is not
+    graded-symmetric gives.
     """
     bodies = body_matrix(hess)
     n = len(bodies)
-    rank = body_rank(bodies)
-    if rank == 0:
+    expressible = body_pivots(bodies)
+    if not expressible:
         return RankSplit(0, (), tuple(range(n)))
-    for subset in combinations(range(n), rank):
-        block = [[bodies[i][j] for j in subset] for i in subset]
-        if body_rank(block) == rank:
-            expressible = subset
-            break
+    block = [[bodies[i][j] for j in expressible] for i in expressible]
+    if body_rank(block) != len(expressible):
+        raise SingularBody("Hessian body is not graded-symmetric: "
+                           "its pivot block is singular")
     unexpressed = tuple(i for i in range(n) if i not in expressible)
-    return RankSplit(rank, expressible, unexpressed)
+    return RankSplit(len(expressible), expressible, unexpressed)
 
 
 def _check_affine(model, hess):

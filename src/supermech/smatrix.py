@@ -46,27 +46,38 @@ def body_matrix(m):
     return [[as_poly(entry).body for entry in row] for row in m]
 
 
-def body_rank(b):
-    """Rank of a matrix of Coefficients via fraction-exact elimination."""
-    rows = [list(row) for row in b]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
+def _eliminate(rows, ncols):
+    """Gauss-Jordan elimination of rows in place; returns the pivot columns.
+
+    Columns are taken in order, so the pivots are the first column basis.
+    """
+    pivots = []
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if not rows[r][col].is_zero), None)
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = rows[rank][col].inv()
         rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
+        for r in range(len(rows)):
             if r != rank and not rows[r][col].is_zero:
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return pivots
+
+
+def body_pivots(b):
+    """Pivot columns of a Coefficient matrix: its first column basis."""
+    return tuple(_eliminate([list(row) for row in b], len(b[0]) if b else 0))
+
+
+def body_rank(b):
+    """Rank of a matrix of Coefficients via fraction-exact elimination."""
+    return len(body_pivots(b))
 
 
 def body_inverse(b):
@@ -74,43 +85,20 @@ def body_inverse(b):
     n = len(b)
     aug = [list(row) + [C_ONE if i == j else C_ZERO for j in range(n)]
            for i, row in enumerate(b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero), None)
-        if pivot is None:
-            raise SingularBody("matrix body is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if len(_eliminate(aug, n)) < n:
+        raise SingularBody("matrix body is singular")
     return [row[n:] for row in aug]
 
 
 def body_nullspace(b):
     """Right null vectors of a Coefficient matrix, first component normalized."""
-    nrows = len(b)
-    ncols = len(b[0]) if nrows else 0
     rows = [list(row) for row in b]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if not rows[r][col].is_zero), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(rows[0]) if rows else 0
+    pivots = _eliminate(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [C_ZERO] * ncols
         vec[fc] = C_ONE
         for r, pc in enumerate(pivots):
@@ -187,25 +175,7 @@ def solve_left(m, rhs):
 
 def invert_poly(p):
     """Inverse of a ring element with invertible body and nilpotent soul."""
-    p = as_poly(p)
-    check_numeric_body(p)
-    body = p.body
-    if body.is_zero:
-        raise SingularBody(f"{p} has zero body")
-    binv = body.inv()
-    soul = soul_of(p)
-    if soul.is_zero:
-        return const_poly(binv)
-    x = soul * binv
-    series = ONE_P
-    power = ONE_P
-    n_odd = len({g for m in soul.terms for g, _ in m.factors if g.parity})
-    for _ in range(n_odd + 1):
-        power = -(power * x)
-        if power.is_zero:
-            break
-        series = series + power
-    return series * binv
+    return invert_supermatrix([[as_poly(p)]])[0][0]
 
 
 def solve_linear_rows(rows, unknowns, reduce_fn):
@@ -257,21 +227,19 @@ def solve_linear_rows(rows, unknowns, reduce_fn):
         if not present or not next_rows:
             pending = next_rows
             break
-        chosen = []
-        mat = []
+        eligible = []
         for row in next_rows:
             vec = [row[2].get(u, ZERO) for u in present]
-            if not all(has_nilpotent_soul(v) for v in vec):
-                continue
-            trial = mat + [vec]
-            if body_rank([[v.body for v in r] for r in trial]) == len(trial):
-                mat.append(vec)
-                chosen.append(row)
-                if len(mat) == len(present):
-                    break
-        if len(mat) != len(present):
+            if all(has_nilpotent_soul(v) for v in vec):
+                eligible.append((row, vec))
+        # pivot columns of the transpose: the first body-independent rows
+        picked = body_pivots([[vec[k].body for _, vec in eligible]
+                              for k in range(len(present))])
+        if len(picked) != len(present):
             pending = next_rows
             break
+        chosen = [eligible[k][0] for k in picked]
+        mat = [eligible[k][1] for k in picked]
         rhs = [-row[1] for row in chosen]
         values = solve_left(mat, rhs)
         for u, v in zip(present, values):

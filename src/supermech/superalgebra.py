@@ -458,19 +458,11 @@ def parity_of(p):
     return parity
 
 
-def is_homogeneous(p):
-    try:
-        parity_of(p)
-    except MixedParity:
-        return False
-    return True
+def _derive(p, g, left):
+    """Graded derivative by g taken from the left or from the right.
 
-
-def derive_right(p, g):
-    """Right graded derivative.
-
-    Each occurrence of g is commuted to the rightmost position, picking up a
-    sign per odd factor it crosses, then removed.  For even g this is the
+    Each occurrence of g is commuted to that end of its monomial, picking up
+    a sign per odd factor it crosses, then removed.  For even g this is the
     ordinary partial derivative.
     """
     acc = {}
@@ -479,7 +471,8 @@ def derive_right(p, g):
             if h != g:
                 continue
             if g.parity:
-                crossings = sum(1 for hh, _ in m.factors[pos + 1:] if hh.parity)
+                crossed = m.factors[:pos] if left else m.factors[pos + 1:]
+                crossings = sum(1 for hh, _ in crossed if hh.parity)
                 coeff = -m.coeff if crossings & 1 else m.coeff
                 factors = m.factors[:pos] + m.factors[pos + 1:]
             else:
@@ -492,29 +485,16 @@ def derive_right(p, g):
             acc[factors] = coeff if prev is None else prev + coeff
             break
     return SuperPoly._from_map(acc)
+
+
+def derive_right(p, g):
+    """Right graded derivative: g is commuted to the rightmost position."""
+    return _derive(p, g, left=False)
 
 
 def derive_left(p, g):
-    """Left graded derivative: g is commuted to the leftmost position instead."""
-    acc = {}
-    for m in as_poly(p).terms:
-        for pos, (h, e) in enumerate(m.factors):
-            if h != g:
-                continue
-            if g.parity:
-                crossings = sum(1 for hh, _ in m.factors[:pos] if hh.parity)
-                coeff = -m.coeff if crossings & 1 else m.coeff
-                factors = m.factors[:pos] + m.factors[pos + 1:]
-            else:
-                coeff = m.coeff * e
-                if e > 1:
-                    factors = m.factors[:pos] + ((g, e - 1),) + m.factors[pos + 1:]
-                else:
-                    factors = m.factors[:pos] + m.factors[pos + 1:]
-            prev = acc.get(factors)
-            acc[factors] = coeff if prev is None else prev + coeff
-            break
-    return SuperPoly._from_map(acc)
+    """Left graded derivative: g is commuted to the leftmost position."""
+    return _derive(p, g, left=True)
 
 
 def substitute(p, bindings):

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
+from itertools import combinations
 from fractions import Fraction
 
 from supermech.brackets import PhaseBasis
 from supermech.errors import UnsolvableConstraint
-from supermech.legendre import ModelBuilder, analyze
-from supermech.smatrix import SpanReducer
+from supermech.legendre import ModelBuilder, RankSplit, analyze
+from supermech.smatrix import SpanReducer, body_matrix, body_rank
 from supermech.superalgebra import (
     Coefficient,
     Generator,
@@ -17,6 +18,7 @@ from supermech.superalgebra import (
     SuperPoly,
     C_I,
     as_poly,
+    const_poly,
     gen_poly,
     normalize,
     parity_of,
@@ -104,6 +106,54 @@ def reference_weak_reduce(p, records, on_unsolved="raise"):
                 raise UnsolvableConstraint(
                     f"{rec.name} has no solved form but touches the expression")
     return p
+
+
+def reference_rank_and_split(hess):
+    """Hessian split by scanning principal blocks in lexicographic order.
+
+    rank_and_split must match this reference exactly on graded-symmetric
+    bodies: the first subset of size rank with an invertible block wins.
+    """
+    bodies = body_matrix(hess)
+    n = len(bodies)
+    rank = body_rank(bodies)
+    if rank == 0:
+        return RankSplit(0, (), tuple(range(n)))
+    for subset in combinations(range(n), rank):
+        block = [[bodies[i][j] for j in subset] for i in subset]
+        if body_rank(block) == rank:
+            expressible = subset
+            break
+    unexpressed = tuple(i for i in range(n) if i not in expressible)
+    return RankSplit(rank, expressible, unexpressed)
+
+
+def random_graded_body(rng, n):
+    """Random graded-symmetric n x n body as const_poly entries, with parities.
+
+    Interleaved parities; the even block is a symmetric sum of outer
+    products v v^T and the odd block an antisymmetric sum of u w^T - w u^T,
+    each of random rank, so rank-deficient bodies are common.  Entries of
+    mixed parity have zero body.
+    """
+    parities = [rng.choice((Parity.EVEN, Parity.ODD)) for _ in range(n)]
+    body = [[Coefficient() for _ in range(n)] for _ in range(n)]
+
+    def vec():
+        return [Coefficient(rng.randint(-2, 2), rng.choice((0, 0, rng.randint(-1, 1))))
+                for _ in range(n)]
+
+    for parity in (Parity.EVEN, Parity.ODD):
+        idx = [i for i in range(n) if parities[i] == parity]
+        for _ in range(rng.randint(0, len(idx))):
+            u, w = vec(), vec()
+            for i in idx:
+                for j in idx:
+                    if parity == Parity.EVEN:
+                        body[i][j] = body[i][j] + u[i] * u[j]
+                    else:
+                        body[i][j] = body[i][j] + u[i] * w[j] - w[i] * u[j]
+    return [[const_poly(c) for c in row] for row in body], parities
 
 
 # ------------------------------------------------------------- test models

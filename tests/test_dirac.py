@@ -27,8 +27,18 @@ from supermech.dirac import (
     try_solve,
     weak_reduce,
 )
-from supermech.errors import SingularBody, UnsolvableConstraint
-from supermech.smatrix import mat_mul
+from supermech.errors import SingularBody, UnsolvableConstraint, UnsupportedLagrangian
+from supermech.frontend import cli
+from supermech.frontend.parser import parse_model
+from supermech.frontend.pipeline import run_pipeline
+from supermech.smatrix import (
+    body_inverse,
+    body_nullspace,
+    body_pivots,
+    body_rank,
+    invert_poly,
+    mat_mul,
+)
 from supermech.superalgebra import (
     C_I,
     Coefficient,
@@ -183,6 +193,57 @@ def test_invert_supermatrix_with_soul():
     inv = invert_supermatrix(m)
     assert mat_mul(m, inv) == [[const_poly(1), const_poly(0)],
                                [const_poly(0), const_poly(1)]]
+    assert invert_poly(const_poly(2) - th) * (const_poly(2) - th) == const_poly(1)
+
+
+def _random_body(rng, nrows, ncols):
+    """Gaussian-rational matrix of random rank: a product of two factors."""
+    k = rng.randint(0, min(nrows, ncols))
+
+    def entry():
+        return Coefficient(rng.randint(-3, 3), rng.choice((0, rng.randint(-2, 2))))
+
+    left = [[entry() for _ in range(k)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(k)]
+    return [[sum((left[i][t] * right[t][j] for t in range(k)), Coefficient())
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def test_body_elimination_kernel():
+    rng = random.Random(7)
+    zero, one = Coefficient(), Coefficient(1)
+    inverted = singular = 0
+    for trial in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        if trial % 3 == 0:
+            ncols = nrows
+        b = _random_body(rng, nrows, ncols)
+        pivots = body_pivots(b)
+        rank = body_rank(b)
+        assert rank == len(pivots)
+        # pivots are the first column basis: each one raises the prefix rank
+        for j in range(ncols):
+            grows = (body_rank([row[:j + 1] for row in b])
+                     > body_rank([row[:j] for row in b]))
+            assert grows == (j in pivots)
+        null = body_nullspace(b)
+        assert len(null) == ncols - rank
+        for vec in null:
+            assert all(sum((row[j] * vec[j] for j in range(ncols)), zero).is_zero
+                       for row in b)
+        if nrows != ncols:
+            continue
+        if rank < nrows:
+            singular += 1
+            with pytest.raises(SingularBody):
+                body_inverse(b)
+            continue
+        inverted += 1
+        inv = body_inverse(b)
+        assert [[sum((inv[i][t] * b[t][j] for t in range(nrows)), zero)
+                 for j in range(nrows)] for i in range(nrows)] == \
+            [[one if i == j else zero for j in range(nrows)] for i in range(nrows)]
+    assert inverted > 10 and singular > 10
 
 
 def test_weak_reduce_examples():
@@ -396,3 +457,45 @@ def test_lift_null_vector_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(dirac, "solve_left", broken_solve_left)
     with pytest.raises(TypeError, match="unexpected"):
         run_dirac(build_qed().legres)
+
+
+COUPLED_FERMIONS = """model coupled_fermions
+odd a b
+param m: even
+lagrangian: 1/2*i*(a*dot(a) + b*dot(b)) + 1/2*i*(a*dot(b) + b*dot(a)) + 1/4*i*(b*dot(b)) - m*a*b
+"""
+
+
+def test_block_fallback_solves_coupled_fermions(monkeypatch):
+    # both consistency rows carry both multipliers, so no single pivot exists
+    import supermech.smatrix as smatrix
+
+    block_solves = []
+    solve_left = smatrix.solve_left
+
+    def counting(m, rhs):
+        block_solves.append(len(m))
+        return solve_left(m, rhs)
+
+    monkeypatch.setattr(smatrix, "solve_left", counting)
+    result = run_pipeline(parse_model(COUPLED_FERMIONS), stage="hj")
+    expected = {"a": "-2i*a*m - 3i*b*m", "b": "2i*a*m + 2i*b*m"}
+    assert {str(q): str(v) for q, v in result.analysis.multipliers.items()} == expected
+    assert {str(q): str(v) for q, v in result.closure.dt_relations.items()} == expected
+    assert result.crosscheck.equivalent
+    # one block solve for the multipliers, one for the dt relations
+    assert block_solves == [2, 2]
+
+
+def test_block_fallback_rank_deficient_is_unsupported(tmp_path, capsys):
+    source = """model three_fermions
+odd a b c
+param m: even
+lagrangian: 1/2*i*(a*dot(a) + 2*b*dot(b) + c*dot(c)) + 1/2*i*(a*dot(b) + b*dot(a)) + 1/2*i*(b*dot(c) + c*dot(b)) - m*a*b
+"""
+    with pytest.raises(UnsupportedLagrangian, match="no body-invertible pivot"):
+        run_pipeline(parse_model(source), stage="dirac")
+    path = tmp_path / "three_fermions.smf"
+    path.write_text(source, encoding="utf-8")
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "no body-invertible pivot" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 """Legendre analysis: momenta, Hessian rank, velocity solving and H0."""
+import random
 
 import pytest
 
@@ -10,9 +11,15 @@ from helpers import (
     build_gauge_toy,
     build_qed,
     build_sho,
+    fixture_text,
     gamma_matrices,
+    random_graded_body,
+    reference_rank_and_split,
 )
-from supermech.errors import NonNumericBody, UnsupportedLagrangian
+from supermech import legendre
+from supermech.errors import NonNumericBody, SingularBody, UnsupportedLagrangian
+from supermech.frontend.parser import parse_model
+from supermech.frontend.pipeline import run_pipeline
 from supermech.legendre import ModelBuilder, analyze, rank_and_split
 from supermech.superalgebra import (
     C_I,
@@ -71,6 +78,65 @@ def test_rank_split_examples():
     fo = build_fermionic()
     split = rank_and_split(fo.legres.hessian)
     assert split.rank == 0 and split.expressible == ()
+
+
+def test_rank_split_matches_subset_scan_on_fixtures():
+    names = ["sho", "free_singular", "gauge_toy", "fermionic_oscillator",
+             "dirac_maxwell_reduced"]
+    hessians = [run_pipeline(parse_model(fixture_text(f"{name}.smf")),
+                             stage="legendre").legres.hessian for name in names]
+    b = ModelBuilder("odd_kinetic")
+    _, ad, _ = b.coordinate("a", Parity.ODD)
+    _, xd, _ = b.coordinate("x", Parity.EVEN)
+    _, cd, _ = b.coordinate("c", Parity.ODD)
+    hessians.append(analyze(b.finish(
+        C_I * gen_poly(ad) * gen_poly(cd) + gen_poly(xd) ** 2)).hessian)
+    for hess in hessians:
+        assert rank_and_split(hess) == reference_rank_and_split(hess)
+    assert rank_and_split(hessians[-1]).expressible == (0, 1, 2)
+
+
+def test_rank_split_matches_subset_scan_on_random_graded_bodies():
+    rng = random.Random(20260)
+    ranks = set()
+    for trial in range(1000):
+        n = 1 + trial % 7
+        hess, parities = random_graded_body(rng, n)
+        sign = [-1 if p == Parity.ODD else 1 for p in parities]
+        # graded symmetry B^T = B D
+        assert all(hess[j][i] == hess[i][j] * sign[j]
+                   for i in range(n) for j in range(n))
+        split = rank_and_split(hess)
+        assert split == reference_rank_and_split(hess)
+        ranks.add((n, split.rank))
+    # full rank, rank 0 and deficient ranks in between all occur
+    assert {(7, 0), (7, 7), (7, 3), (6, 4)} <= ranks
+
+
+def test_rank_split_checks_one_block(monkeypatch):
+    # the expressible block is the last 4 of 16 coordinates; a subset scan
+    # would try C(16, 4) = 1820 blocks
+    source = """model wide
+even w[16]
+lagrangian: 1/2*sum(j in 13..16, dot(w)[j]*dot(w)[j]) - sum(j in 1..16, w[j]*w[j])
+"""
+    calls = []
+    body_rank = legendre.body_rank
+
+    def counting(b):
+        calls.append(len(b))
+        return body_rank(b)
+
+    monkeypatch.setattr(legendre, "body_rank", counting)
+    legres = run_pipeline(parse_model(source), stage="legendre").legres
+    assert legres.split.expressible == (12, 13, 14, 15)
+    assert calls == [4]
+
+
+def test_rank_split_rejects_non_graded_symmetric_body():
+    hess = [[const_poly(0), const_poly(1)], [const_poly(0), const_poly(0)]]
+    with pytest.raises(SingularBody, match="not graded-symmetric"):
+        rank_and_split(hess)
 
 
 def test_rank_split_reduced_model():
