@@ -41,6 +41,11 @@ class GradeMismatch(SupermechError):
     """A numeric assignment violates the even/odd grading of a generator."""
 
 
+class FlowError(SupermechError, ValueError):
+    """A flow request is invalid: a bad path, an initial state off the
+    constraint surface, or a Lambda_n above the cap."""
+
+
 class ClosureDiverged(SupermechError):
     """The integrability closure loop exceeded its round budget."""
 

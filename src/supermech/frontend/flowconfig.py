@@ -120,7 +120,10 @@ def parse_path_config(text, elaborated, hj_system):
     assignments = []
     for no, line in lines[1:]:
         if line.startswith("steps"):
-            steps = int(line.split()[1])
+            parts = line.split()
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise ModelSyntaxError(f"bad steps line {line!r}", no, 1)
+            steps = int(parts[1])
             continue
         if "=" in line:
             target, value = line.split("=", 1)
@@ -139,20 +142,29 @@ def parse_path_config(text, elaborated, hj_system):
     n = max(elaborated.n_odd,
             max((max_generator_index(v) for _, _, v in assignments), default=0))
     init = {}
+    line_of = {}
     for no, target, value in assignments:
         m = _NAME.match(target)
         if m is None:
             raise ModelSyntaxError(f"bad generator name {target!r}", no, 1)
         gen = elaborated.lookup(m.group(1), int(m.group(2)) if m.group(2) else None)
         init[gen] = parse_value(value, n, no)
+        line_of[gen] = no
 
+    # a free parameter starts at its first waypoint, also when it is a
+    # coordinate that the defaults below would otherwise set to zero
+    for i, p in enumerate(params):
+        if p is hj_system.t0:
+            continue
+        start = GrassmannValue.body_value(n, waypoints[0][i])
+        if p in init and init[p].coeff != start.coeff:
+            raise ModelSyntaxError(
+                f"{p} is assigned a value other than its first waypoint "
+                f"{waypoints[0][i]:g}", line_of[p], 1)
+        init[p] = start
     model = elaborated.model
     zero = GrassmannValue(n)
     for q in model.coordinates:
         init.setdefault(q, zero)
         init.setdefault(model.momentum(q), zero)
-    for i, p in enumerate(params):
-        if p is hj_system.t0:
-            continue
-        init.setdefault(p, GrassmannValue.body_value(n, waypoints[0][i]))
     return path, init

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..dirac import run_dirac
+from ..errors import FlowError
 from ..hamilton_jacobi import (
     build_hj_system,
     closure_loop,
@@ -55,7 +56,7 @@ def run_pipeline(doc, stage="all", path_text=None, max_closure_rounds=32,
         return result
     if path_text is None:
         if stage == "flow":
-            raise ValueError("stage flow requires a path configuration")
+            raise FlowError("stage flow requires a path configuration")
         return result
     path, init = parse_path_config(path_text, elaborated, result.hj_system)
     result.flow_path = path

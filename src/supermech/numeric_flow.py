@@ -5,12 +5,19 @@ bitmasks, complex coefficients) and the multi-parameter total differential
 equations are integrated with a fixed-step classical 4th-order scheme.
 Dependent parameters move along their dt relations; free parameters follow
 the requested path exactly.
+
+`evaluate` walks a SuperPoly on every call.  A flow instead lowers each of
+its polynomials once into a program over lists of 2^n complex slots
+(`lower`, `run_program`, `product_table`) that multiplies and sums in
+evaluate's term and factor order; `run_program` says where the last bit of
+the two can differ.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import GradeMismatch
+from .errors import FlowError, GradeMismatch
 from .superalgebra import Parity, as_poly
 
 LAMBDA_CAP = 12
@@ -37,7 +44,7 @@ class GrassmannValue:
 
     def __init__(self, n, coeff=None):
         if n > LAMBDA_CAP:
-            raise ValueError(f"Lambda_n capped at n={LAMBDA_CAP}, got {n}")
+            raise FlowError(f"Lambda_n capped at n={LAMBDA_CAP}, got {n}")
         self.n = n
         self.coeff = {}
         if coeff:
@@ -54,7 +61,7 @@ class GrassmannValue:
     def generator(cls, n, k):
         """The k-th (1-based) odd generator of Lambda_n."""
         if not 1 <= k <= n:
-            raise ValueError(f"generator index {k} outside 1..{n}")
+            raise FlowError(f"generator index {k} outside 1..{n}")
         return cls(n, {1 << (k - 1): 1.0})
 
     @property
@@ -151,15 +158,15 @@ class PathSpec:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise FlowError("steps must be >= 1")
         if len(self.waypoints) < 2:
-            raise ValueError("need at least two waypoints")
+            raise FlowError("need at least two waypoints")
         for w in self.waypoints:
             if len(w) != len(self.params):
-                raise ValueError("waypoint arity does not match parameters")
+                raise FlowError("waypoint arity does not match parameters")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
-                raise ValueError("consecutive waypoints must differ")
+                raise FlowError("consecutive waypoints must differ")
 
 
 @dataclass
@@ -211,8 +218,89 @@ class FlowResult:
     onsurface_residual: float = 0.0
 
 
-def _state_add(a, b, factor):
-    return {g: a[g] + b[g].scaled(factor) for g in a}
+@lru_cache(maxsize=LAMBDA_CAP + 1)
+def product_table(n):
+    """Products in Lambda_n: for each mask a, the pairs (b, a|b) over the
+    masks b disjoint from a, split into those where a*b keeps its sign and
+    those where it flips.  For a fixed a every b lands on its own a|b, so
+    the order inside one entry does not change any sum."""
+    masks = tuple(range(1 << n))
+    table = []
+    for a in masks:
+        keep, flip = [], []
+        for b in masks:
+            if not a & b:
+                # masks[a | b] shares one int object per mask in large tables
+                (keep if _merge_sign(a, b) > 0 else flip).append((b, masks[a | b]))
+        table.append((tuple(keep), tuple(flip)))
+    return tuple(table)
+
+
+def lower(p, slot_of):
+    """Flatten p into a program over an environment of slot values.
+
+    A program is a list of (complex coefficient, env slots) terms in the
+    order of p's terms, with one slot per unit of exponent: the order in
+    which `evaluate` multiplies and sums.
+    """
+    program = []
+    for mono in as_poly(p).terms:
+        slots = []
+        for g, e in mono.factors:
+            slot = slot_of.get(g)
+            if slot is None:
+                raise GradeMismatch(f"no value assigned to {g}")
+            slots += [slot] * e
+        program.append((complex(mono.coeff), tuple(slots)))
+    return program
+
+
+def run_program(program, env, table):
+    """Value of a lowered polynomial, as 2^n slots, under env (a list of
+    2^n-slot values) with the products of `product_table(n)`.
+
+    A term's first factor scales its coefficient slot by slot and the first
+    term starts the total, which leaves out only products with one and sums
+    with zero.  Products that land on one slot are summed in mask order,
+    where `evaluate` sums them in the order its dicts were filled.  Below
+    n = 3 at most two products land on one slot, so there every nonzero
+    slot equals evaluate's bit for bit.
+    """
+    total = None
+    for coeff, slots in program:
+        if slots:
+            acc = [coeff * v for v in env[slots[0]]]
+        else:
+            acc = [0j] * len(table)
+            acc[0] = coeff
+        for slot in slots[1:]:
+            value = env[slot]
+            out = [0j] * len(table)
+            for a, va in enumerate(acc):
+                if va:
+                    keep, flip = table[a]
+                    for b, ab in keep:
+                        vb = value[b]
+                        if vb:
+                            out[ab] += va * vb
+                    for b, ab in flip:
+                        vb = value[b]
+                        if vb:
+                            out[ab] -= va * vb
+            acc = out
+        total = acc if total is None else [t + v for t, v in zip(total, acc)]
+    return [0j] * len(table) if total is None else total
+
+
+def _slots(value):
+    out = [0j] * (1 << value.n)
+    for mask, v in value.coeff.items():
+        out[mask] = v
+    return out
+
+
+def _value(n, slots):
+    return GrassmannValue(n, dict(enumerate(slots)))
 
 
 def integrate_flow(tds, path, init, report=None, surface_tol=1e-12):
@@ -222,6 +310,10 @@ def integrate_flow(tds, path, init, report=None, surface_tol=1e-12):
     time member of the family starts at zero); it must lie on the
     constraint surface within surface_tol.  Z is accumulated alongside
     the state; drift reports the worst family-member violation seen.
+
+    Every polynomial the run needs is lowered once against a fixed
+    generator -> slot map, and grades are checked once on the initial
+    assignment; the RK4 steps then work on lists of 2^n complex slots.
     """
     if report is None:
         from .hamilton_jacobi import closure_loop
@@ -230,85 +322,108 @@ def integrate_flow(tds, path, init, report=None, surface_tol=1e-12):
     flow = make_flow(tds, report)
     sys = tds.system
     if tuple(path.params) != tuple(flow.free_params):
-        raise ValueError(
+        raise FlowError(
             f"path parameters {[str(p) for p in path.params]} do not match the "
             f"free parameters {[str(p) for p in flow.free_params]}")
     for p in path.params:
         if p.parity == Parity.ODD:
             for a, b in zip(path.waypoints, path.waypoints[1:]):
                 if a[path.params.index(p)] != b[path.params.index(p)]:
-                    raise ValueError(f"odd free parameter {p} cannot be moved")
+                    raise FlowError(f"odd free parameter {p} cannot be moved")
 
     n = max((v.n for v in init.values()), default=0)
     lifted = {g: v if v.n == n else GrassmannValue(n, v.coeff)
               for g, v in init.items()}
-    constants = {g: v for g, v in lifted.items() if g not in flow.state_gens}
-    state = {}
-    for g in flow.state_gens:
-        if g == sys.p0:
-            continue
+    state_gens = [g for g in flow.state_gens if g != sys.p0]
+    for g in state_gens:
         if g not in lifted:
-            raise ValueError(f"initial state misses {g}")
-        state[g] = lifted[g]
-    h0_val = evaluate(sys.legres.h0, {**constants, **state})
-    state[sys.p0] = -h0_val
+            raise FlowError(f"initial state misses {g}")
+    # env layout: the state (P0 last, as it is derived), then the constants
+    state_gens.append(sys.p0)
+    order = state_gens + [g for g in lifted if g not in flow.state_gens]
+    slot_of = {g: i for i, g in enumerate(order)}
+    p0_slot = len(state_gens) - 1
 
-    def assignment(current):
-        return {**constants, **current}
+    segments = []
+    for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
+        moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
+                  if w1[i] - w0[i] != 0.0]
+        segments.append((w1, moving))
+    moved = {i for _, moving in segments for i, _ in moving}
+    h0 = lower(sys.legres.h0, slot_of)
+    invariants = [(label, lower(expr, slot_of)) for label, expr in flow.invariants]
+    dz = {i: lower(flow.dz[path.params[i]], slot_of) for i in moved}
+    # a zero right-hand side adds exact zeros: keep only the nonzero ones
+    rhs = {}
+    for i in moved:
+        row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of))
+               for j, g in enumerate(state_gens))
+        rhs[i] = [(j, prog) for j, prog in row if prog]
+    programs = [h0, *(prog for _, prog in invariants), *dz.values(),
+                *(prog for row in rhs.values() for _, prog in row)]
+    used = {slot for prog in programs for _, slots in prog for slot in slots}
+    for slot in sorted(used - {p0_slot}):
+        g = order[slot]
+        if not lifted[g].pure_grade(g.parity):
+            raise GradeMismatch(f"{g} assigned a value of the wrong grade")
+
+    table = product_table(n)
+    env = [None if g == sys.p0 else _slots(lifted[g]) for g in order]
+    env[p0_slot] = [-v for v in run_program(h0, env, table)]
+    state, constants = env[:p0_slot + 1], env[p0_slot + 1:]
+
+    def sample(point):
+        return (tuple(point), {g: _value(n, v) for g, v in zip(state_gens, state)})
 
     residual = 0.0
-    for label, expr in flow.invariants:
-        residual = max(residual, evaluate(expr, assignment(state)).max_abs)
+    for label, prog in invariants:
+        residual = max(residual, max(map(abs, run_program(prog, env, table))))
     if residual > surface_tol:
-        raise ValueError(
+        raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
 
-    zero = GrassmannValue(n)
+    zero = [0j] * len(table)
     z = zero
     drift = 0.0
-    drift_by = {label: 0.0 for label, _ in flow.invariants}
-    samples = [(tuple(path.waypoints[0]), dict(state))]
+    drift_by = {label: 0.0 for label, _ in invariants}
+    samples = [sample(path.waypoints[0])]
 
-    def deriv(current, velocity):
-        env = assignment(current)
-        out = {}
-        for g in flow.state_gens:
-            acc = zero
-            for f, vf in velocity.items():
-                if vf == 0.0:
-                    continue
-                acc = acc + evaluate(flow.rhs[(g, f)], env).scaled(vf)
-            out[g] = acc
+    def deriv(env, moving):
+        ks = [zero] * len(state)
         zdot = zero
-        for f, vf in velocity.items():
-            if vf != 0.0:
-                zdot = zdot + evaluate(flow.dz[f], env).scaled(vf)
-        return out, zdot
+        for i, vf in moving:
+            for j, prog in rhs[i]:
+                ks[j] = [a + v * vf for a, v in zip(ks[j], run_program(prog, env, table))]
+            zdot = [a + v * vf for a, v in zip(zdot, run_program(dz[i], env, table))]
+        return ks, zdot
 
-    for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
-        velocity = {p: w1[i] - w0[i] for i, p in enumerate(path.params)}
-        h = 1.0 / path.steps
+    def shifted(k, factor):
+        return [[a + b * factor for a, b in zip(s, d)]
+                for s, d in zip(state, k)] + constants
+
+    h = 1.0 / path.steps
+    half, full, sixth = complex(h / 2), complex(h), complex(h / 6)
+    one, two = complex(1), complex(2)
+    for w1, moving in segments:
         for _ in range(path.steps):
-            k1, z1 = deriv(state, velocity)
-            s2 = _state_add(state, k1, h / 2)
-            k2, z2 = deriv(s2, velocity)
-            s3 = _state_add(state, k2, h / 2)
-            k3, z3 = deriv(s3, velocity)
-            s4 = _state_add(state, k3, h)
-            k4, z4 = deriv(s4, velocity)
-            for g in state:
-                state[g] = state[g] + (k1[g] + k2[g].scaled(2) + k3[g].scaled(2)
-                                       + k4[g]).scaled(h / 6)
-            z = z + (z1 + z2.scaled(2) + z3.scaled(2) + z4.scaled(1)).scaled(h / 6)
-            env = assignment(state)
-            for label, expr in flow.invariants:
-                value = evaluate(expr, env).max_abs
+            k1, z1 = deriv(state + constants, moving)
+            k2, z2 = deriv(shifted(k1, half), moving)
+            k3, z3 = deriv(shifted(k2, half), moving)
+            k4, z4 = deriv(shifted(k3, full), moving)
+            state = [[s + (a + b * two + c * two + d) * sixth
+                      for s, a, b, c, d in zip(*parts)]
+                     for parts in zip(state, k1, k2, k3, k4)]
+            z = [s + (a + b * two + c * two + d * one) * sixth
+                 for s, a, b, c, d in zip(z, z1, z2, z3, z4)]
+            env = state + constants
+            for label, prog in invariants:
+                value = max(map(abs, run_program(prog, env, table)))
                 if value > drift_by[label]:
                     drift_by[label] = value
                     if value > drift:
                         drift = value
-        samples.append((tuple(w1), dict(state)))
-    return FlowResult(samples, z, drift, drift_by, residual)
+        samples.append(sample(w1))
+    return FlowResult(samples, _value(n, z), drift, drift_by, residual)
 
 
 @dataclass
@@ -333,7 +448,7 @@ def path_independence_check(tds, path_a, path_b, init, report=None, tol=1e-8):
         report = closure_loop(tds.system)
     if path_a.waypoints[0] != path_b.waypoints[0] or \
             path_a.waypoints[-1] != path_b.waypoints[-1]:
-        raise ValueError("paths must share their endpoints")
+        raise FlowError("paths must share their endpoints")
     ra = integrate_flow(tds, path_a, init, report=report)
     rb = integrate_flow(tds, path_b, init, report=report)
     end_a = ra.samples[-1][1]

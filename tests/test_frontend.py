@@ -1,4 +1,6 @@
 """Parser, elaborator, pipeline, CLI and report determinism."""
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
@@ -14,6 +16,7 @@ from supermech.errors import (
     UnboundConstant,
     UnknownSymbol,
 )
+from supermech.frontend import cli
 from supermech.frontend.elaborator import elaborate
 from supermech.frontend.parser import parse_model, to_source
 from supermech.frontend.pipeline import run_pipeline
@@ -195,3 +198,76 @@ def test_reports_deterministic_across_runs():
         text1 = render_text(run_pipeline(doc1, stage="all"))
         text2 = render_text(run_pipeline(doc2, stage="all"))
         assert text1 == text2
+
+
+FLOW_CONFIGS = [
+    ("sho.smf", "sho_flow"),
+    ("free_singular.smf", "free_singular_flow"),
+    ("gauge_toy.smf", "gauge_toy_flow"),
+    ("fermionic_oscillator.smf", "fermionic_flow"),
+]
+
+
+@pytest.mark.parametrize("model,cfg", FLOW_CONFIGS)
+def test_flow_structured_output_matches_golden(model, cfg):
+    result = run_pipeline(parse_model(fixture_text(model)), stage="flow",
+                          path_text=fixture_text(cfg + ".cfg"))
+    golden = (GOLDEN / "flow" / (cfg + ".json")).read_text(encoding="utf-8")
+    assert render_json(result) == golden
+
+
+def _cli_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+GAUGE_FROM_HALF = """\
+params t0 q2
+0, 0.5
+1, 0.5
+1, 1.5
+steps 50
+q1 = 0.5
+p_q1 = 0
+"""
+
+
+def test_flow_free_parameter_starts_at_first_waypoint():
+    result = run_pipeline(parse_model(fixture_text("gauge_toy.smf")), stage="flow",
+                          path_text=GAUGE_FROM_HALF)
+    end = {str(g): v for g, v in result.flow.samples[-1][1].items()}
+    start = {str(g): v for g, v in result.flow.samples[0][1].items()}
+    assert start["q2"].coeff == {0: 0.5}
+    assert abs(end["q2"].body - 1.5) < 1e-12
+    assert abs(end["q1"].body - 1.0) < 1e-12
+
+
+def test_flow_assignment_disagreeing_with_first_waypoint(tmp_path):
+    cfg = tmp_path / "disagree.cfg"
+    cfg.write_text(GAUGE_FROM_HALF + "q2 = 0.25\n", encoding="utf-8")
+    with pytest.raises(ModelSyntaxError) as info:
+        run_pipeline(parse_model(fixture_text("gauge_toy.smf")), stage="flow",
+                     path_text=cfg.read_text(encoding="utf-8"))
+    assert info.value.line == 8
+    code, _, err = _cli_main("analyze", str(FIXTURES / "gauge_toy.smf"),
+                             "--stage", "flow", "--path", str(cfg))
+    assert code == 2
+    assert "first waypoint" in err and "line 8" in err
+    agree = tmp_path / "agree.cfg"
+    agree.write_text(GAUGE_FROM_HALF + "q2 = 0.5\n", encoding="utf-8")
+    code, _, _ = _cli_main("analyze", str(FIXTURES / "gauge_toy.smf"),
+                           "--stage", "flow", "--path", str(agree))
+    assert code == 0
+
+
+@pytest.mark.parametrize("line", ["steps", "steps x", "steps 5 6", "steps -3"])
+def test_cli_bad_steps_line_exits_2(tmp_path, line):
+    cfg = tmp_path / "bad_steps.cfg"
+    cfg.write_text(f"params t0\n0\n1\n{line}\nq = 1\n", encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"),
+                               "--stage", "flow", "--path", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error (model): bad steps line") and "line 4" in err

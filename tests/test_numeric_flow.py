@@ -13,14 +13,20 @@ from helpers import (
     random_poly,
     small_basis,
 )
-from supermech.errors import GradeMismatch
+from supermech import numeric_flow
+from supermech.errors import FlowError, GradeMismatch, SupermechError
+from supermech.frontend.parser import parse_model
+from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import build_hj_system, closure_loop, total_differentials
 from supermech.numeric_flow import (
     GrassmannValue,
     PathSpec,
     evaluate,
     integrate_flow,
+    lower,
     path_independence_check,
+    product_table,
+    run_program,
 )
 from supermech.superalgebra import Generator, Kind, Parity, const_poly, gen_poly
 
@@ -230,3 +236,153 @@ def test_gauge_toy_path_independence_observables_only():
 def test_lambda_cap():
     with pytest.raises(ValueError):
         GrassmannValue(13)
+
+
+def _random_graded(rng, n, parity):
+    """A pure-grade value of Lambda_n with about half its slots nonzero."""
+    coeff = {}
+    for mask in range(1 << n):
+        if bin(mask).count("1") % 2 == parity and rng.random() < 0.5:
+            coeff[mask] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return GrassmannValue(n, coeff)
+
+
+@pytest.mark.parametrize("n,count", [(0, 150), (1, 150), (2, 150), (3, 80), (6, 25)])
+def test_lowered_programs_match_evaluate(n, count):
+    rng = random.Random(400 + n)
+    gens = [g for pair in small_basis().pairs for g in pair]
+    slot_of = {g: i for i, g in enumerate(gens)}
+    table = product_table(n)
+    for _ in range(count):
+        values = {g: _random_graded(rng, n, g.parity) for g in gens}
+        env = [[values[g].coeff.get(m, 0j) for m in range(1 << n)] for g in gens]
+        p = random_poly(rng, gens, max_terms=4, max_degree=4)
+        want = evaluate(p, values)
+        got = GrassmannValue(n, dict(enumerate(run_program(lower(p, slot_of), env, table))))
+        if n <= 2:
+            # at most two products land on one slot, so no sum is reordered
+            assert got.coeff == want.coeff
+            continue
+        scale = 0.0
+        for mono in p.terms:
+            size = abs(complex(mono.coeff))
+            for g, e in mono.factors:
+                size *= sum(map(abs, values[g].coeff.values())) ** e
+            scale += size
+        assert (got - want).max_abs <= 1e-12 * scale
+
+
+def test_product_table_matches_grassmann_product():
+    n = 4
+    table = product_table(n)
+    for a in range(1 << n):
+        keep, flip = table[a]
+        for b in range(1 << n):
+            prod = GrassmannValue(n, {a: 1}) * GrassmannValue(n, {b: 1})
+            if a & b:
+                assert prod.coeff == {}
+                assert b not in {x for x, _ in keep + flip}
+            else:
+                sign = 1 if (b, a | b) in keep else -1
+                assert (b, a | b) in keep + flip
+                assert prod.coeff == {a | b: complex(sign)}
+
+
+def test_flow_makes_no_per_step_evaluation(monkeypatch):
+    sho, sys, tds, report = _sho_setup()
+    g = sho.gens
+    init = {g["q"]: GrassmannValue.body_value(0, 1.0),
+            g["pq"]: GrassmannValue.body_value(0, 0.0)}
+    calls = {"evaluate": 0, "mul": 0}
+    evaluate_orig = numeric_flow.evaluate
+    mul_orig = GrassmannValue.__mul__
+
+    def counting_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate_orig(*args)
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul_orig(self, other)
+
+    monkeypatch.setattr(numeric_flow, "evaluate", counting_evaluate)
+    monkeypatch.setattr(GrassmannValue, "__mul__", counting_mul)
+    seen = []
+    for steps in (20, 2000):
+        calls.update(evaluate=0, mul=0)
+        path = PathSpec((sys.t0,), ((0.0,), (1.0,)), steps)
+        integrate_flow(tds, path, init, report=report)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+
+
+def _fermionic_setup():
+    fo = build_fermionic()
+    sys = build_hj_system(fo.legres)
+    tds = total_differentials(sys)
+    g1 = GrassmannValue.generator(2, 1)
+    g2 = GrassmannValue.generator(2, 2)
+    g = fo.gens
+    init = {g["psi"]: g1, g["psibar"]: g2,
+            g["ppsi"]: g2.scaled(0.5j), g["ppsibar"]: g1.scaled(0.5j),
+            g["m"]: GrassmannValue.body_value(2, 1.0)}
+    return fo, sys, tds, closure_loop(sys), init
+
+
+def test_flow_checks_grades_and_assignments_on_init():
+    fo, sys, tds, report, init = _fermionic_setup()
+    g = fo.gens
+    path = PathSpec((sys.t0,), ((0.0,), (1.0,)), 10)
+    with pytest.raises(GradeMismatch):
+        integrate_flow(tds, path, {**init, g["psi"]: GrassmannValue.body_value(2, 1.0)},
+                       report=report)
+    with pytest.raises(GradeMismatch):
+        integrate_flow(tds, path, {**init, g["m"]: GrassmannValue.generator(2, 1)},
+                       report=report)
+    with pytest.raises(GradeMismatch):
+        integrate_flow(tds, path, {k: v for k, v in init.items() if k != g["m"]},
+                       report=report)
+    with pytest.raises(FlowError):
+        integrate_flow(tds, path, {k: v for k, v in init.items() if k != g["psi"]},
+                       report=report)
+
+
+ODD_GAUGE = """\
+model oddgauge
+even q
+odd chi
+lagrangian: 1/2*dot(q)*dot(q) - 1/2*q*q + 0*chi
+"""
+
+
+def test_flow_failures_are_flow_errors():
+    assert issubclass(FlowError, SupermechError) and issubclass(FlowError, ValueError)
+    with pytest.raises(FlowError):
+        GrassmannValue(13)
+    for params, waypoints, steps in [((1,), ((0,), (1,)), 0),
+                                     ((1,), ((0,),), 5),
+                                     ((1,), ((0,), (1, 2)), 5),
+                                     ((1,), ((0,), (0,)), 5)]:
+        with pytest.raises(FlowError):
+            PathSpec(params, waypoints, steps)
+
+    result = run_pipeline(parse_model(ODD_GAUGE), stage="hj")
+    sys, elab = result.hj_system, result.elaborated
+    q, chi = elab.lookup("q"), elab.lookup("chi")
+    init = {q: GrassmannValue.body_value(1, 1.0), elab.lookup("p_q"): GrassmannValue(1),
+            chi: GrassmannValue(1), elab.lookup("p_chi"): GrassmannValue(1)}
+    with pytest.raises(FlowError, match="do not match"):
+        integrate_flow(result.tds, PathSpec((sys.t0,), ((0,), (1,)), 5), init,
+                       report=result.closure)
+    with pytest.raises(FlowError, match="cannot be moved"):
+        integrate_flow(result.tds, PathSpec((sys.t0, chi), ((0, 0), (1, 1)), 5), init,
+                       report=result.closure)
+    out = integrate_flow(result.tds, PathSpec((sys.t0, chi), ((0, 0), (1, 0)), 50),
+                         init, report=result.closure)
+    assert abs(out.samples[-1][1][q].body - math.cos(1.0)) < 1e-8
+
+    fo, sys, tds, report, init = _fermionic_setup()
+    init[fo.gens["ppsi"]] = init[fo.gens["ppsi"]].scaled(1.4)
+    with pytest.raises(FlowError, match="constraint surface"):
+        integrate_flow(tds, PathSpec((sys.t0,), ((0.0,), (1.0,)), 10), init,
+                       report=report)
