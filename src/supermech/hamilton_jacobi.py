@@ -182,6 +182,7 @@ class IntegrabilityReport:
     matrix_raw: dict
     matrix_reduced: dict
     rounds: int
+    surface: Surface  # of the closed family, for callers that reduce on it
 
     @property
     def strictly_integrable(self):
@@ -190,21 +191,6 @@ class IntegrabilityReport:
     def closed_invariants(self):
         """Expressions preserved along any admissible flow."""
         return [(m.label, m.expr) for m in self.family]
-
-
-def _solve_relation_rows(rows, unknowns, surface):
-    """Eliminate free differentials dt^beta = r_beta dt^0 from closure rows.
-
-    rows: list of (label, eff0, {param: coeff}).  Returns the relation map,
-    the labels whose rows produced a pivot, and rows left implicit.
-    """
-
-    def reduce_fn(p):
-        return surface.reduce(p, on_unsolved="ignore")
-
-    relations, pivot_labels, _, implicit = solve_linear_rows(
-        rows, unknowns, reduce_fn)
-    return relations, pivot_labels, implicit
 
 
 def closure_loop(sys, max_rounds=32):
@@ -223,13 +209,28 @@ def closure_loop(sys, max_rounds=32):
     t0 = sys.t0
     # rebuilt whenever a member joins the family
     surface = _family_surface(family)
+    # {H'_b, H'_a} by (label_b, label_a): a bracket never changes between
+    # rounds, so each one is computed once
+    brackets = {}
+
+    def bracket(mb, ma):
+        key = (mb.label, ma.label)
+        if key not in brackets:
+            brackets[key] = berezin(mb.expr, ma.expr, sys.basis)
+        return brackets[key]
+
+    def reduce(p):
+        return surface.reduce(p, on_unsolved="ignore")
+
+    # the first members are the parameters' H'_alpha, in parameter order
+    param_members = family[:len(params)]
     for round_no in range(1, max_rounds + 1):
         new_members = []
         relation_rows = []
         statuses = {}
         for member in family:
-            coeffs = {param: berezin(member.expr, sys.hamiltonians[param], sys.basis)
-                      for param in params}
+            coeffs = {param: bracket(member, ma)
+                      for param, ma in zip(params, param_members)}
             if all(c.is_zero for c in coeffs.values()):
                 statuses[member.label] = "strict_zero"
                 continue
@@ -240,8 +241,8 @@ def closure_loop(sys, max_rounds=32):
                 if param in relations:
                     eff0 = eff0 + c * relations[param]
                 else:
-                    live[param] = surface.reduce(c, on_unsolved="ignore")
-            eff0 = surface.reduce(eff0, on_unsolved="ignore")
+                    live[param] = reduce(c)
+            eff0 = reduce(eff0)
             live = {p: c for p, c in live.items() if not c.is_zero}
             if eff0.is_zero and not live:
                 statuses[member.label] = "weak_zero"
@@ -256,7 +257,7 @@ def closure_loop(sys, max_rounds=32):
                 statuses[member.label] = "pending_relation"
         if new_members:
             for source, expr in new_members:
-                candidate = monic(surface.reduce(expr, on_unsolved="ignore"))
+                candidate = monic(reduce(expr))
                 if candidate.is_zero:
                     continue
                 label = f"H'{len(family)}"
@@ -270,8 +271,8 @@ def closure_loop(sys, max_rounds=32):
             continue
         if relation_rows:
             unknowns = [p for p in params[1:] if p not in relations]
-            new_rel, pivots, implicit = _solve_relation_rows(
-                relation_rows, unknowns, surface)
+            new_rel, pivots, _, implicit = solve_linear_rows(
+                relation_rows, unknowns, reduce)
             if new_rel:
                 relations.update(new_rel)
                 pivot_history |= pivots
@@ -295,7 +296,8 @@ def closure_loop(sys, max_rounds=32):
     for label in pivot_history:
         if label not in outcomes or outcomes[label].kind in ("weak_zero", "strict_zero"):
             outcomes[label] = ClosureOutcome("dt_relation")
-    raw, reduced = integrability_matrix(sys, family)
+    raw = {(mb.label, ma.label): bracket(mb, ma)
+           for mb in family for ma in family}
     return IntegrabilityReport(
         system=sys,
         family=family,
@@ -303,8 +305,9 @@ def closure_loop(sys, max_rounds=32):
         outcomes=outcomes,
         dt_relations=relations,
         matrix_raw=raw,
-        matrix_reduced=reduced,
+        matrix_reduced={key: reduce(entry) for key, entry in raw.items()},
         rounds=round_no,
+        surface=surface,
     )
 
 
@@ -330,7 +333,7 @@ def cross_check_dirac(hj_report, analysis, strict=False):
     matched = []
     mismatched = []
     sys = hj_report.system
-    family_surface = _family_surface(hj_report.family)
+    family_surface = hj_report.surface
     dirac_surface = analysis.surface
 
     secondaries = [rec for rec in analysis.records if rec.origin == "consistency"]

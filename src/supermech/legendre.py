@@ -184,14 +184,12 @@ def _check_affine(model, hess):
                         "Lagrangian is more than quadratic in velocities")
 
 
-def solve_velocities(model, momenta_defs, split):
-    """Invert the expressible momentum-velocity block exactly.
+def solve_velocities(model, momenta_defs, hess, split):
+    """Invert the expressible momentum-velocity block of hess exactly.
 
     Returns the association velocity -> f(q, p); substituting it back into
     the momenta definitions reproduces them identically.
     """
-    hess = hessian(model, momenta_defs)
-    _check_affine(model, hess)
     coords = model.coordinates
     block_idx = split.expressible
     if not block_idx:
@@ -257,7 +255,7 @@ def analyze(model):
     hess = hessian(model, defs)
     _check_affine(model, hess)
     split = rank_and_split(hess)
-    solved = solve_velocities(model, defs, split)
+    solved = solve_velocities(model, defs, hess, split)
     primary = dict(primary_constraints(model, defs, split, solved))
     h0 = canonical_hamiltonian(model, defs, split, solved, primary)
     return LegendreResult(model, defs, hess, split, solved, primary, h0)

@@ -484,12 +484,8 @@ def path_independence_check(tds, path_a, path_b, init, report=None, tol=1e-8):
 
 def _weak_observables(sys, report):
     from .brackets import berezin
-    from .dirac import ConstraintRecord, Surface, try_solve
     from .superalgebra import gen_poly
 
-    surface = Surface([
-        ConstraintRecord(m.label, m.expr, 0, solved=try_solve(m.expr, sys.basis))
-        for m in report.family])
     out = set()
     for g in sys.basis.coordinates + sys.basis.momenta:
         if g == sys.t0 or g == sys.p0:
@@ -497,7 +493,7 @@ def _weak_observables(sys, report):
         ok = True
         for m in report.family:
             br = berezin(gen_poly(g), m.expr, sys.basis)
-            if not surface.reduce(br, on_unsolved="ignore").is_zero:
+            if not report.surface.reduce(br, on_unsolved="ignore").is_zero:
                 ok = False
                 break
         if ok:

@@ -416,9 +416,10 @@ def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
     capsys.readouterr()
     # record counts per build.  dirac: the 9 primaries, plus the secondary,
     # one recombination round, the final records; closure: the initial
-    # family, its added member and the integrability matrix; cross-check:
-    # the closed family (the Dirac surface is reused)
-    assert builds == [9, 10, 10, 11, 10, 11, 11, 11]
+    # family and its added member.  The closure's final surface serves its
+    # integrability matrix and the cross-check, which also reuses the
+    # Dirac surface
+    assert builds == [9, 10, 10, 11, 10, 11]
 
 
 def test_dirac_analysis_surface_follows_its_records():

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from supermech.frontend.pipeline import run_pipeline
 from supermech.frontend.report import render_json, render_text
 from supermech.superalgebra import Parity
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ALL_FIXTURES = [
     "sho.smf",
     "free_singular.smf",
@@ -135,9 +137,12 @@ def test_structured_output_shape():
 
 
 def _run_cli(*args):
+    # the child must import this checkout's package, installed or not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
         [sys.executable, "-m", "supermech.frontend.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
 
 
 def test_cli_text_and_exit_codes():

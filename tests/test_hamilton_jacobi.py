@@ -8,6 +8,7 @@ from helpers import (
     HALF_I,
     bilinear,
     build_fermionic,
+    build_free_singular,
     build_gauge_toy,
     build_qed,
     build_sho,
@@ -148,6 +149,41 @@ def test_integrability_matrix_values():
     sys = build_hj_system(fo.legres)
     raw, _ = integrability_matrix(sys)
     assert raw[("H'1", "H'2")] == const_poly(MI)
+
+
+def _all_fixtures():
+    return (build_sho(), build_free_singular(), build_gauge_toy(),
+            build_fermionic(), build_qed())
+
+
+def test_closure_computes_each_family_bracket_once(monkeypatch):
+    # every {H'_b, H'_a} over the closed family, and nothing more
+    import supermech.hamilton_jacobi as hj
+
+    calls = []
+
+    def counting_berezin(f, g, basis):
+        calls.append((f, g))
+        return berezin(f, g, basis)
+
+    monkeypatch.setattr(hj, "berezin", counting_berezin)
+    counts = {}
+    for built in _all_fixtures():
+        calls.clear()
+        report = closure_loop(build_hj_system(built.legres))
+        assert len(calls) == len(report.family) ** 2
+        counts[built.model.name] = len(calls)
+    assert counts == {"sho": 1, "free_singular": 4, "gauge_toy": 9,
+                      "fermionic_oscillator": 9, "dirac_maxwell_reduced": 121}
+
+
+def test_closure_matrix_matches_integrability_matrix():
+    for built in _all_fixtures():
+        sys = build_hj_system(built.legres)
+        report = closure_loop(sys)
+        raw, reduced = integrability_matrix(sys, report.family)
+        assert list(report.matrix_raw.items()) == list(raw.items())
+        assert list(report.matrix_reduced.items()) == list(reduced.items())
 
 
 def test_closure_gauge_toy():
