@@ -2,7 +2,10 @@
 
 Two independent routes are provided: the direct sum over conjugate pairs
 and the simplectic-metric contraction.  They must agree exactly, which the
-test suite uses as a cross-implementation oracle.
+test suite uses as a cross-implementation oracle.  `berezin` reads each
+operand's left and right gradients, which every SuperPoly builds once and
+keeps; `simpletic_bracket` deliberately takes one graded derivative per
+generator, so the two routes share no derivative code.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from .superalgebra import (
     accumulate,
     derive_left,
     derive_right,
+    gradient,
     parity_of,
 )
 
@@ -54,14 +58,24 @@ def berezin(f, g, basis):
     For homogeneous f, g:
         {f,g} = sum_i d_r f/dq^i * d_l g/dp_i
                 - (-1)^{P(f)P(g)} d_r g/dq^i * d_l f/dp_i
+
+    The derivatives come from `gradient`, which each operand builds once and
+    keeps, and a product is formed only for the pairs where both of its
+    factors are nonzero.
     """
     pf = parity_of(f)
     pg = parity_of(g)
-    flip = pf == Parity.ODD and pg == Parity.ODD
+    sign = 1 if pf == Parity.ODD and pg == Parity.ODD else -1
+    f_right, f_left = gradient(f, False), gradient(f, True)
+    g_right, g_left = gradient(g, False), gradient(g, True)
     acc = {}
     for q, p in basis.pairs:
-        accumulate(acc, derive_right(f, q) * derive_left(g, p))
-        accumulate(acc, derive_right(g, q) * derive_left(f, p), 1 if flip else -1)
+        a, b = f_right.get(q), g_left.get(p)
+        if a is not None and b is not None:
+            accumulate(acc, a * b)
+        a, b = g_right.get(q), f_left.get(p)
+        if a is not None and b is not None:
+            accumulate(acc, a * b, sign)
     return SuperPoly._from_map(acc)
 
 

@@ -19,8 +19,9 @@ from .superalgebra import (
     Kind,
     Parity,
     SuperPoly,
-    derive_right,
+    ZERO,
     gen_poly,
+    gradient,
     monic,
     parity_of,
 )
@@ -113,22 +114,22 @@ def total_differentials(sys):
     model = sys.model
     expressible = sys.legres.expressible_coords
     for param in sys.parameters:
-        hp = sys.hamiltonians[param]
+        grad = gradient(sys.hamiltonians[param], False)
         p_a = param.parity
         for q, p in sys.basis.pairs:
             p_i = q.parity
-            cq = derive_right(hp, p)
+            cq = grad.get(p, ZERO)
             if (p_i + p_i * p_a) & 1:
                 cq = -cq
             dq[(q, param)] = cq
-            cp = derive_right(hp, q)
+            cp = grad.get(q, ZERO)
             if not (p_i * p_a) & 1:
                 cp = -cp
             dp[(p, param)] = cp
         acc = -sys.h_parts[param]
         for q in expressible:
             mom = model.momentum(q)
-            term = gen_poly(mom) * derive_right(hp, mom)
+            term = gen_poly(mom) * grad.get(mom, ZERO)
             if (q.parity + q.parity * p_a) & 1:
                 term = -term
             acc = acc + term

@@ -303,7 +303,11 @@ def _value(n, slots):
     return GrassmannValue(n, dict(enumerate(slots)))
 
 
-def integrate_flow(tds, path, init, report=None, surface_tol=1e-12):
+# how far the initial state may lie off the constraint surface
+_SURFACE_TOL = 1e-12
+
+
+def integrate_flow(tds, path, init, report=None, surface_tol=_SURFACE_TOL):
     """Integrate the characteristic flow along a piecewise-linear path.
 
     init assigns every coordinate and momentum (P0 is derived so that the
@@ -319,8 +323,12 @@ def integrate_flow(tds, path, init, report=None, surface_tol=1e-12):
         from .hamilton_jacobi import closure_loop
 
         report = closure_loop(tds.system)
-    flow = make_flow(tds, report)
-    sys = tds.system
+    return _integrate(make_flow(tds, report), path, init, surface_tol)
+
+
+def _integrate(flow, path, init, surface_tol=_SURFACE_TOL):
+    """integrate_flow on a flow that make_flow has already built."""
+    sys = flow.tds.system
     if tuple(path.params) != tuple(flow.free_params):
         raise FlowError(
             f"path parameters {[str(p) for p in path.params]} do not match the "
@@ -449,11 +457,9 @@ def path_independence_check(tds, path_a, path_b, init, report=None, tol=1e-8):
     if path_a.waypoints[0] != path_b.waypoints[0] or \
             path_a.waypoints[-1] != path_b.waypoints[-1]:
         raise FlowError("paths must share their endpoints")
-    ra = integrate_flow(tds, path_a, init, report=report)
-    rb = integrate_flow(tds, path_b, init, report=report)
-    end_a = ra.samples[-1][1]
-    end_b = rb.samples[-1][1]
     flow = make_flow(tds, report)
+    end_a = _integrate(flow, path_a, init).samples[-1][1]
+    end_b = _integrate(flow, path_b, init).samples[-1][1]
     constants = {g: v for g, v in init.items() if g not in flow.state_gens}
 
     strict = report.strictly_integrable

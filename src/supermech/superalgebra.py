@@ -271,11 +271,14 @@ class Monomial:
 class SuperPoly:
     """Canonical multivariate polynomial over even/odd generators."""
 
-    __slots__ = ("terms", "_parity")
+    # _grad_left/_grad_right hold gradient(self, side), built on first use
+    __slots__ = ("terms", "_parity", "_grad_left", "_grad_right")
 
     def __init__(self, terms=()):
         self.terms = terms
         self._parity = None
+        self._grad_left = None
+        self._grad_right = None
 
     @staticmethod
     def _from_map(acc):
@@ -495,6 +498,50 @@ def derive_right(p, g):
 def derive_left(p, g):
     """Left graded derivative: g is commuted to the leftmost position."""
     return _derive(p, g, left=True)
+
+
+def gradient(p, left):
+    """{generator: graded derivative} for every generator that occurs in p.
+
+    Each value equals _derive(p, generator, left); generators absent from p
+    get no key.  The map is built in one pass over p's terms on first use and
+    kept on the instance, so it lives as long as p.  Callers must not mutate
+    it.
+    """
+    p = as_poly(p)
+    grad = p._grad_left if left else p._grad_right
+    if grad is None:
+        grad = _build_gradient(p, left)
+        if left:
+            p._grad_left = grad
+        else:
+            p._grad_right = grad
+    return grad
+
+
+def _build_gradient(p, left):
+    # the sign rule of _derive: an odd generator crosses the odd factors
+    # on the side it is commuted to.  Distinct canonical terms have distinct
+    # derivatives by any one generator, so no two terms land on one key.
+    accs = {}
+    for m in p.terms:
+        factors = m.factors
+        odd_total = sum(1 for h, _ in factors if h.parity)
+        odd_before = 0
+        for pos, (h, e) in enumerate(factors):
+            if h.parity:
+                crossings = odd_before if left else odd_total - odd_before - 1
+                odd_before += 1
+                coeff = -m.coeff if crossings & 1 else m.coeff
+                rest = factors[:pos] + factors[pos + 1:]
+            else:
+                coeff = m.coeff * e
+                if e > 1:
+                    rest = factors[:pos] + ((h, e - 1),) + factors[pos + 1:]
+                else:
+                    rest = factors[:pos] + factors[pos + 1:]
+            accs.setdefault(h, {})[rest] = coeff
+    return {h: SuperPoly._from_map(acc) for h, acc in accs.items()}
 
 
 def substitute(p, bindings):

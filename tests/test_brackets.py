@@ -2,6 +2,7 @@
 import random
 
 from helpers import build_qed, gamma_matrices, random_homogeneous, small_basis
+from supermech import superalgebra
 from supermech.brackets import SimplecticMetric, berezin, simpletic_bracket
 from supermech.superalgebra import (
     Generator,
@@ -62,6 +63,31 @@ def test_simpletic_equals_berezin_randomized():
         f = random_homogeneous(rng, gens)
         g = random_homogeneous(rng, gens)
         assert simpletic_bracket(f, g, metric) == berezin(f, g, basis)
+
+
+def test_bracket_routes_share_no_derivative(monkeypatch):
+    # berezin reads gradients, simpletic_bracket takes one derivative per
+    # generator: the randomized agreement above compares two implementations
+    calls = [0]
+    derive = superalgebra._derive
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(superalgebra, "_derive", counting)
+    rng = random.Random(24)
+    basis = small_basis()
+    metric = SimplecticMetric(basis)
+    gens = [g for pair in basis.pairs for g in pair]
+    for _ in range(50):
+        f = random_homogeneous(rng, gens)
+        g = random_homogeneous(rng, gens)
+        before = calls[0]
+        value = berezin(f, g, basis)
+        assert calls[0] == before
+        assert simpletic_bracket(f, g, metric) == value
+        assert calls[0] == before + 2 * len(metric.entries)
 
 
 def test_graded_antisymmetry():

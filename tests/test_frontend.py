@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from helpers import FIXTURES, fixture_text
+from supermech import superalgebra
 from supermech.errors import (
     IndexOutOfRange,
     MixedParity,
@@ -136,13 +137,13 @@ def test_structured_output_shape():
     assert payload["legendre"]["rank"] == 1
 
 
-def _run_cli(*args):
+def _run_cli(*args, env=None, text=True):
     # the child must import this checkout's package, installed or not
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
         [sys.executable, "-m", "supermech.frontend.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=text, env=env)
 
 
 def test_cli_text_and_exit_codes():
@@ -194,6 +195,51 @@ def test_cli_inconsistent_dynamics_exit(tmp_path):
     out = _run_cli("analyze", str(bad), "--stage", "dirac")
     assert out.returncode == 3
     assert "inconsistent" in out.stderr
+
+
+@pytest.mark.parametrize("args,golden", [
+    (("dirac_maxwell_reduced.smf", "--stage", "all"), "dirac_maxwell_reduced.txt"),
+    (("fermionic_oscillator.smf", "--stage", "flow", "--format", "structured",
+      "--path", "fermionic_flow.cfg"), "flow/fermionic_flow.json"),
+])
+def test_output_independent_of_hash_seed(args, golden):
+    # gradients and surfaces are dicts keyed by generators, whose hashes
+    # follow string hashing: no output byte may depend on the hash seed
+    args = [str(FIXTURES / a) if a.endswith((".smf", ".cfg")) else a
+            for a in args]
+    expected = (GOLDEN / golden).read_bytes()
+    for seed in ("0", "4242"):
+        out = _run_cli("analyze", *args, env={"PYTHONHASHSEED": seed},
+                       text=False)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == expected, seed
+
+
+def test_qed_derivative_and_gradient_counts(monkeypatch):
+    # deterministic counts for the headline model: every bracket reads
+    # gradients, each built at most once per polynomial and side, so the
+    # per-generator derivative is left to the Legendre and Dirac solvers
+    derive_calls = [0]
+    builds = []
+    derive = superalgebra._derive
+    build = superalgebra._build_gradient
+
+    def counting_derive(*args, **kwargs):
+        derive_calls[0] += 1
+        return derive(*args, **kwargs)
+
+    def counting_build(p, left):
+        builds.append((p, left))  # keeps p alive, so ids stay distinct
+        return build(p, left)
+
+    monkeypatch.setattr(superalgebra, "_derive", counting_derive)
+    monkeypatch.setattr(superalgebra, "_build_gradient", counting_build)
+    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
+                          stage="all")
+    render_text(result)
+    assert derive_calls[0] == 218
+    assert builds
+    assert len({(id(p), left) for p, left in builds}) == len(builds)
 
 
 def test_reports_deterministic_across_runs():

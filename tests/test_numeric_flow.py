@@ -193,37 +193,38 @@ def test_gauge_toy_flow_drift():
     assert out.drift <= 1e-8
 
 
-def test_free_singular_path_independence():
-    fs = build_free_singular()
-    sys = build_hj_system(fs.legres)
+def _path_pair(build, init_values, steps):
+    """tds, closure report, initial state and two paths around the unit
+    square of (t0, q2), for a model with even pairs q1 and q2."""
+    model = build()
+    sys = build_hj_system(model.legres)
     tds = total_differentials(sys)
     report = closure_loop(sys)
+    g = model.gens
+    init = {g[name]: GrassmannValue.body_value(0, v)
+            for name, v in zip(("q1", "p1", "q2", "p2"), init_values)}
+    path_a = PathSpec((sys.t0, g["q2"]), ((0, 0), (1, 0), (1, 1)), steps)
+    path_b = PathSpec((sys.t0, g["q2"]), ((0, 0), (0, 1), (1, 1)), steps)
+    return tds, report, init, path_a, path_b
+
+
+PATH_PAIRS = {
+    "free_singular": (build_free_singular, (0.3, 0.7, 0.0, 0.0), 200),
+    "gauge_toy": (build_gauge_toy, (0.5, 0.0, 0.0, 0.0), 500),
+}
+
+
+def test_free_singular_path_independence():
+    tds, report, init, path_a, path_b = _path_pair(*PATH_PAIRS["free_singular"])
     assert report.strictly_integrable
-    g = fs.gens
-    init = {g["q1"]: GrassmannValue.body_value(0, 0.3),
-            g["p1"]: GrassmannValue.body_value(0, 0.7),
-            g["q2"]: GrassmannValue.body_value(0, 0.0),
-            g["p2"]: GrassmannValue.body_value(0, 0.0)}
-    path_a = PathSpec((sys.t0, g["q2"]), ((0, 0), (1, 0), (1, 1)), 200)
-    path_b = PathSpec((sys.t0, g["q2"]), ((0, 0), (0, 1), (1, 1)), 200)
     out = path_independence_check(tds, path_a, path_b, init, report=report)
     assert out.strict and out.agree
     assert all(diff <= 1e-8 for _, diff, checked, _ in out.comparisons if checked)
 
 
 def test_gauge_toy_path_independence_observables_only():
-    gt = build_gauge_toy()
-    sys = build_hj_system(gt.legres)
-    tds = total_differentials(sys)
-    report = closure_loop(sys)
+    tds, report, init, path_a, path_b = _path_pair(*PATH_PAIRS["gauge_toy"])
     assert not report.strictly_integrable
-    g = gt.gens
-    init = {g["q1"]: GrassmannValue.body_value(0, 0.5),
-            g["p1"]: GrassmannValue.body_value(0, 0.0),
-            g["q2"]: GrassmannValue.body_value(0, 0.0),
-            g["p2"]: GrassmannValue.body_value(0, 0.0)}
-    path_a = PathSpec((sys.t0, g["q2"]), ((0, 0), (1, 0), (1, 1)), 500)
-    path_b = PathSpec((sys.t0, g["q2"]), ((0, 0), (0, 1), (1, 1)), 500)
     out = path_independence_check(tds, path_a, path_b, init, report=report)
     comp = {name: (diff, checked, note) for name, diff, checked, note in out.comparisons}
     assert out.agree
@@ -231,6 +232,22 @@ def test_gauge_toy_path_independence_observables_only():
     assert comp["p_q2"][1] and comp["p_q2"][0] <= 1e-8
     assert not comp["q1"][1] and comp["q1"][2] == "not first-class"
     assert comp["q1"][0] > 1e-3  # the gauge direction genuinely differs
+
+
+@pytest.mark.parametrize("name", sorted(PATH_PAIRS))
+def test_path_independence_builds_one_flow(monkeypatch, name):
+    tds, report, init, path_a, path_b = _path_pair(*PATH_PAIRS[name])
+    calls = [0]
+    make_flow = numeric_flow.make_flow
+
+    def counting(*args):
+        calls[0] += 1
+        return make_flow(*args)
+
+    monkeypatch.setattr(numeric_flow, "make_flow", counting)
+    out = path_independence_check(tds, path_a, path_b, init, report=report)
+    assert calls[0] == 1
+    assert out.agree
 
 
 def test_lambda_cap():

@@ -5,16 +5,19 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_homogeneous, random_poly, small_basis
+from supermech import superalgebra
 from supermech.errors import MixedParity, ParityMismatch
 from supermech.superalgebra import (
     Coefficient,
     Generator,
     Kind,
     Parity,
+    ZERO,
     const_poly,
     derive_left,
     derive_right,
     gen_poly,
+    gradient,
     monic,
     normalize,
     parity_of,
@@ -191,3 +194,23 @@ def test_normalize_idempotent_and_equality_decidable():
         raw = [(m.coeff, [g for g, e in m.factors for _ in range(e)])
                for m in p.terms]
         assert normalize(raw) == p
+
+
+def test_gradient_matches_derive():
+    rng = random.Random(17)
+    # three more odd generators give monomials with up to five odd factors
+    gens = _pool() + [TH1, TH2, ETA]
+    high_even = odd_seen = 0
+    for _ in range(300):
+        p = random_poly(rng, gens, max_terms=5, max_degree=6)
+        present = set(p.generators())
+        for left in (False, True):
+            grad = gradient(p, left)
+            assert set(grad) == present
+            for g in gens:
+                assert grad.get(g, ZERO) == superalgebra._derive(p, g, left)
+            assert gradient(p, left) is grad
+        high_even += any(e > 1 and not g.parity for m in p.terms for g, e in m.factors)
+        odd_seen += any(g.parity for g in present)
+    assert high_even and odd_seen
+    assert gradient(ZERO, False) == {} and gradient(ZERO, True) == {}
