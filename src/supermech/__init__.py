@@ -48,7 +48,6 @@ from .hamilton_jacobi import (
     build_hj_system,
     closure_loop,
     cross_check_dirac,
-    integrability_matrix,
     total_differentials,
 )
 from .numeric_flow import (

@@ -104,16 +104,17 @@ def try_solve(expr, basis):
 class Surface:
     """The constraint surface of one record set, built once and reused.
 
-    Holds the solved-form bindings of the active records and the span over
-    the residuals the records leave once those bindings reach a fixpoint.
-    A surface belongs to the analysis or closure round that built it:
-    build a new one whenever the active record set changes.
+    Holds the solved-form bindings of the active records, closed once so
+    that no bound value contains a bound generator, and the span over the
+    residuals the records leave under those bindings.  A surface belongs
+    to the analysis or closure round that built it: build a new one
+    whenever the active record set changes.
     """
 
     def __init__(self, records):
         active = [rec for rec in records if not rec.superseded]
-        self.bindings = {rec.solved[0]: rec.solved[1]
-                         for rec in active if rec.solved}
+        self.bindings = _close({rec.solved[0]: rec.solved[1]
+                                for rec in active if rec.solved})
         self.unsolved = [(rec.name, set(rec.expr.generators()))
                          for rec in active if rec.solved is None]
         # the residuals still vanish on the surface, and they are what
@@ -125,24 +126,21 @@ class Surface:
                 self.span.add(residual)
 
     def _to_fixpoint(self, expr):
-        bindings = self.bindings
-        if not bindings:
+        # substitution is a ring homomorphism, so one pass of the closed
+        # bindings gives the fixpoint of the raw ones
+        if not _holds_bound(expr, self.bindings):
             return expr
-        for _ in range(len(bindings) + 2):
-            reduced = substitute(expr, bindings)
-            if reduced == expr:
-                return expr
-            expr = reduced
-        raise UnsolvableConstraint("solved forms do not reach a fixpoint")
+        return substitute(expr, self.bindings)
 
     def reduce(self, p, on_unsolved="raise"):
         """Canonical representative of p on the surface.
 
-        Substitutes solved constraint forms to a fixpoint, then eliminates
-        exact constant-coefficient combinations of the constraint
-        residuals.  With on_unsolved="raise", an unsolvable constraint
-        whose generators survive in the result raises UnsolvableConstraint
-        instead of being silently ignored.
+        Substitutes the closed solved forms in one pass (none when p holds
+        no bound generator), then eliminates exact constant-coefficient
+        combinations of the constraint residuals.  With
+        on_unsolved="raise", an unsolvable constraint whose generators
+        survive in the result raises UnsolvableConstraint instead of being
+        silently ignored.
         """
         p = self.span.reduce(self._to_fixpoint(as_poly(p)))
         if on_unsolved == "raise" and not p.is_zero:
@@ -152,6 +150,27 @@ class Surface:
                     raise UnsolvableConstraint(
                         f"{name} has no solved form but touches the expression")
         return p
+
+
+def _holds_bound(expr, bindings):
+    return any(g in bindings for m in expr.terms for g, _ in m.factors)
+
+
+def _close(bindings):
+    """Substitute bindings into their own values until no value holds a
+    bound generator; raises UnsolvableConstraint when they do not resolve.
+
+    Each round substitutes the current values into themselves, which
+    doubles the depth of the chains they resolve, so an acyclic set closes
+    in about log2(len(bindings)) rounds.
+    """
+    for _ in range(len(bindings) + 2):
+        pending = [g for g, v in bindings.items() if _holds_bound(v, bindings)]
+        if not pending:
+            return bindings
+        bindings = {**bindings,
+                    **{g: substitute(bindings[g], bindings) for g in pending}}
+    raise UnsolvableConstraint("solved forms do not reach a fixpoint")
 
 
 def weak_reduce(p, records, on_unsolved="raise"):

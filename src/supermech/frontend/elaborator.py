@@ -6,6 +6,7 @@ comes from canonicalization, never from the frontend.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ..errors import (
@@ -19,7 +20,9 @@ from ..superalgebra import (
     C_I,
     Coefficient,
     Parity,
+    SuperPoly,
     ZERO,
+    accumulate,
     const_poly,
     gen_poly,
     parity_of,
@@ -127,6 +130,9 @@ def _constant(node, tensor_name):
     return value
 
 
+_FOLD_OPS = {syn.Add: operator.add, syn.Sub: operator.sub, syn.Mul: operator.mul}
+
+
 def _fold(node):
     if isinstance(node, syn.Num):
         return Coefficient(node.value)
@@ -135,15 +141,15 @@ def _fold(node):
     if isinstance(node, syn.Neg):
         inner = _fold(node.item)
         return None if inner is None else -inner
-    if isinstance(node, syn.Add):
-        a, b = _fold(node.left), _fold(node.right)
-        return None if a is None or b is None else a + b
-    if isinstance(node, syn.Sub):
-        a, b = _fold(node.left), _fold(node.right)
-        return None if a is None or b is None else a - b
-    if isinstance(node, syn.Mul):
-        a, b = _fold(node.left), _fold(node.right)
-        return None if a is None or b is None else a * b
+    if isinstance(node, (syn.Add, syn.Sub, syn.Mul)):
+        head, tail = syn.chain(node)
+        total = _fold(head)
+        for link, operand in tail:
+            value = _fold(operand)
+            if total is None or value is None:
+                return None
+            total = _FOLD_OPS[type(link)](total, value)
+        return total
     return None
 
 
@@ -183,12 +189,21 @@ class _Env:
             return const_poly(C_I)
         if isinstance(node, syn.Neg):
             return -self.eval(node.item, bindings)
-        if isinstance(node, syn.Add):
-            return self.eval(node.left, bindings) + self.eval(node.right, bindings)
-        if isinstance(node, syn.Sub):
-            return self.eval(node.left, bindings) - self.eval(node.right, bindings)
+        if isinstance(node, (syn.Add, syn.Sub)):
+            # one map for the whole chain, normalized once
+            head, tail = syn.chain(node)
+            acc = {}
+            accumulate(acc, self.eval(head, bindings))
+            for link, operand in tail:
+                accumulate(acc, self.eval(operand, bindings),
+                           1 if isinstance(link, syn.Add) else -1)
+            return SuperPoly._from_map(acc)
         if isinstance(node, syn.Mul):
-            return self.eval(node.left, bindings) * self.eval(node.right, bindings)
+            head, tail = syn.chain(node)
+            product = self.eval(head, bindings)
+            for _, operand in tail:
+                product = product * self.eval(operand, bindings)
+            return product
         if isinstance(node, syn.SumExpr):
             total = ZERO
             for k in range(node.lo, node.hi + 1):

@@ -19,7 +19,9 @@ happens later during canonicalization.  Grammar::
     indexes:= '[' (INT|NAME) (',' (INT|NAME))* ']'
     NUMBER := INT ('/' INT)?
 
-'#' starts a comment running to the end of the line.
+'#' starts a comment running to the end of the line.  Parentheses, unary
+minus and sum() nest at most MAX_NESTING levels deep; '+', '-' and '*'
+chains may be any length.
 """
 from __future__ import annotations
 
@@ -28,6 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import ModelSyntaxError
+
+# deep enough for any hand-written model, shallow enough that parsing and
+# elaborating stay well inside Python's default recursion limit
+MAX_NESTING = 200
 
 KEYWORDS = {"model", "even", "odd", "param", "tensor", "lagrangian",
             "sum", "dot", "in", "i"}
@@ -166,6 +172,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self):
@@ -298,9 +305,20 @@ class _Parser:
         return node
 
     def parse_unary(self):
+        # each parenthesis, unary minus and sum() adds one call of this
+        # method to the stack, so depth is the nesting depth
+        if self.depth > MAX_NESTING:
+            tok = self.current
+            raise ModelSyntaxError(
+                f"expression nested more than {MAX_NESTING} levels deep",
+                tok.line, tok.col)
+        self.depth += 1
         if self.accept("sym", "-"):
-            return Neg(self.parse_unary())
-        return self.parse_atom()
+            node = Neg(self.parse_unary())
+        else:
+            node = self.parse_atom()
+        self.depth -= 1
+        return node
 
     def parse_atom(self):
         tok = self.current
@@ -387,6 +405,22 @@ def _index_str(indices):
     return "[" + ",".join(str(ix) for ix in indices) + "]"
 
 
+def chain(node):
+    """Split a left-deep chain of Add/Sub nodes, or of Mul nodes, into its
+    operands, without recursion however long the chain.
+
+    Returns (head, [(link, operand), ...]) in source order, where each link
+    is the node that joins operand to everything before it.
+    """
+    kinds = Mul if isinstance(node, Mul) else (Add, Sub)
+    tail = []
+    while isinstance(node, kinds):
+        tail.append((node, node.right))
+        node = node.left
+    tail.reverse()
+    return node, tail
+
+
 def expr_source(node, prec=0):
     """Deterministic source form; parse(expr_source(x)) == x."""
     if isinstance(node, Num):
@@ -401,14 +435,16 @@ def expr_source(node, prec=0):
         return f"dot({node.name})" + _index_str(node.indices)
     if isinstance(node, SumExpr):
         return f"sum({node.var} in {node.lo}..{node.hi}, {expr_source(node.body)})"
-    if isinstance(node, Add):
-        text = f"{expr_source(node.left, 1)} + {expr_source(node.right, 2)}"
-        return f"({text})" if prec >= 2 else text
-    if isinstance(node, Sub):
-        text = f"{expr_source(node.left, 1)} - {expr_source(node.right, 2)}"
+    if isinstance(node, (Add, Sub)):
+        head, tail = chain(node)
+        text = expr_source(head, 1) + "".join(
+            f" {'+' if isinstance(link, Add) else '-'} {expr_source(operand, 2)}"
+            for link, operand in tail)
         return f"({text})" if prec >= 2 else text
     if isinstance(node, Mul):
-        text = f"{expr_source(node.left, 2)}*{expr_source(node.right, 3)}"
+        head, tail = chain(node)
+        text = expr_source(head, 2) + "".join(
+            f"*{expr_source(operand, 3)}" for _, operand in tail)
         return f"({text})" if prec >= 3 else text
     if isinstance(node, Neg):
         return f"-{expr_source(node.item, 3)}"

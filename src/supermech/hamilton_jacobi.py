@@ -151,21 +151,6 @@ def _family_surface(family):
     ])
 
 
-def integrability_matrix(sys, family=None):
-    """All pairwise {H'_b, H'_a}, raw and weakly reduced."""
-    family = family or sys.family()
-    surface = _family_surface(family)
-    raw = {}
-    reduced = {}
-    for mb in family:
-        for ma in family:
-            entry = berezin(mb.expr, ma.expr, sys.basis)
-            raw[(mb.label, ma.label)] = entry
-            reduced[(mb.label, ma.label)] = surface.reduce(
-                entry, on_unsolved="ignore")
-    return raw, reduced
-
-
 @dataclass
 class ClosureOutcome:
     kind: str  # "strict_zero" | "weak_zero" | "new_hamiltonian" | "dt_relation"

@@ -548,7 +548,11 @@ def substitute(p, bindings):
     """Simultaneous substitution followed by normalization.
 
     Every replacement must have the parity of the generator it replaces
-    (zero is allowed for either parity).
+    (zero is allowed for either parity).  A term that holds no bound
+    generator joins the result as it is.  In a term that does, each run of
+    consecutive unbound factors, which is itself canonical, enters the
+    product as one monomial; the products keep the factors' left-to-right
+    order, so odd factors keep their signs.
     """
     bindings = {g: as_poly(v) for g, v in bindings.items()}
     for g, v in bindings.items():
@@ -556,13 +560,27 @@ def substitute(p, bindings):
             raise ParityMismatch(f"cannot bind {g} to {v}")
     acc = {}
     for m in as_poly(p).terms:
-        term = const_poly(m.coeff)
-        for g, e in m.factors:
+        factors = m.factors
+        term = None
+        start = 0
+        for pos, (g, e) in enumerate(factors):
             rep = bindings.get(g)
-            factor = gen_poly(g, e) if rep is None else rep ** e
-            term = term * factor
+            if rep is None:
+                continue
+            if term is None:
+                term = SuperPoly((Monomial(m.coeff, factors[:pos]),))
+            elif start < pos:
+                term = term * SuperPoly((Monomial(C_ONE, factors[start:pos]),))
+            term = term * (rep if e == 1 else rep ** e)
+            start = pos + 1
             if term.is_zero:
                 break
+        if term is None:
+            prev = acc.get(factors)
+            acc[factors] = m.coeff if prev is None else prev + m.coeff
+            continue
+        if start < len(factors) and not term.is_zero:
+            term = term * SuperPoly((Monomial(C_ONE, factors[start:]),))
         accumulate(acc, term)
     return SuperPoly._from_map(acc)
 

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 
-from supermech.brackets import PhaseBasis
-from supermech.errors import UnsolvableConstraint
+from supermech.brackets import PhaseBasis, berezin
+from supermech.errors import ParityMismatch, UnsolvableConstraint
+from supermech.hamilton_jacobi import _family_surface
 from supermech.legendre import ModelBuilder, RankSplit, analyze
 from supermech.smatrix import SpanReducer, body_matrix, body_rank
 from supermech.superalgebra import (
@@ -17,12 +18,12 @@ from supermech.superalgebra import (
     Parity,
     SuperPoly,
     C_I,
+    accumulate,
     as_poly,
     const_poly,
     gen_poly,
     normalize,
     parity_of,
-    substitute,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "supermech" / "fixtures"
@@ -71,12 +72,35 @@ def small_basis():
 
 # ------------------------------------------------------ reference reduction
 
+def reference_substitute(p, bindings):
+    """Simultaneous substitution with one SuperPoly product per factor.
+
+    superalgebra.substitute must match this reference exactly.
+    """
+    bindings = {g: as_poly(v) for g, v in bindings.items()}
+    for g, v in bindings.items():
+        if not v.is_zero and parity_of(v) != g.parity:
+            raise ParityMismatch(f"cannot bind {g} to {v}")
+    acc = {}
+    for m in as_poly(p).terms:
+        term = const_poly(m.coeff)
+        for g, e in m.factors:
+            rep = bindings.get(g)
+            factor = gen_poly(g, e) if rep is None else rep ** e
+            term = term * factor
+            if term.is_zero:
+                break
+        accumulate(acc, term)
+    return SuperPoly._from_map(acc)
+
+
 def reference_weak_reduce(p, records, on_unsolved="raise"):
     """Weak reduction that rebuilds the surface from records on every call.
 
-    Surface.reduce must match this reference exactly: solved forms are
-    substituted to a fixpoint, then the span of the records' residuals
-    eliminates exact constant-coefficient combinations.
+    Surface.reduce must match this reference exactly: the raw solved forms
+    are substituted, by reference_substitute, until nothing changes, then
+    the span of the records' residuals eliminates exact constant-coefficient
+    combinations.
     """
     p = as_poly(p)
     active = [rec for rec in records if not rec.superseded]
@@ -86,7 +110,7 @@ def reference_weak_reduce(p, records, on_unsolved="raise"):
         if not bindings:
             return expr
         for _ in range(len(bindings) + 2):
-            reduced = substitute(expr, bindings)
+            reduced = reference_substitute(expr, bindings)
             if reduced == expr:
                 return expr
             expr = reduced
@@ -106,6 +130,22 @@ def reference_weak_reduce(p, records, on_unsolved="raise"):
                 raise UnsolvableConstraint(
                     f"{rec.name} has no solved form but touches the expression")
     return p
+
+
+def integrability_matrix(sys, family=None):
+    """All pairwise {H'_b, H'_a}, raw and weakly reduced on the family's
+    surface, computed afresh; closure_loop's matrices must match it."""
+    family = family or sys.family()
+    surface = _family_surface(family)
+    raw = {}
+    reduced = {}
+    for mb in family:
+        for ma in family:
+            entry = berezin(mb.expr, ma.expr, sys.basis)
+            raw[(mb.label, ma.label)] = entry
+            reduced[(mb.label, ma.label)] = surface.reduce(
+                entry, on_unsolved="ignore")
+    return raw, reduced
 
 
 def reference_rank_and_split(hess):

@@ -13,6 +13,7 @@ from helpers import (
     build_sho,
     gamma_matrices,
     random_homogeneous,
+    reference_substitute,
     reference_weak_reduce,
     small_basis,
 )
@@ -397,6 +398,125 @@ def test_surface_matches_per_call_reference_on_fixtures():
                     got = _outcome(lambda: surface.reduce(p, on_unsolved=mode))
                     assert got == want, (built.model.name, str(p), mode)
                     assert _outcome(lambda: weak_reduce(p, records, mode)) == want
+
+
+def _chained_records():
+    # p1 is solved in terms of p2, p2 in terms of pth, pth in terms of q1:
+    # the raw solved forms need three substitution passes to resolve
+    basis = small_basis()
+    (q1, p1), (q2, p2), (th, pth) = basis.pairs
+    exprs = [gen_poly(p1) - gen_poly(q2) * gen_poly(p2),
+             gen_poly(p2) - gen_poly(pth) * gen_poly(th) - gen_poly(q1) ** 2,
+             gen_poly(pth) - gen_poly(th) * gen_poly(q1)]
+    records = [ConstraintRecord(f"C{k}", e, 0, solved=try_solve(e, basis))
+               for k, e in enumerate(exprs)]
+    return basis, records
+
+
+def test_surface_closes_chained_solved_forms():
+    basis, records = _chained_records()
+    (q1, p1), (q2, p2), (th, pth) = basis.pairs
+    assert [rec.solved[0] for rec in records] == [p1, p2, pth]
+    surface = Surface(records)
+    bound = set(surface.bindings)
+    assert bound == {p1, p2, pth}
+    assert not any(bound & set(v.generators()) for v in surface.bindings.values())
+    assert surface.bindings[p1] == gen_poly(q2) * gen_poly(q1) ** 2
+    rng = random.Random(43)
+    gens = [g for pair in basis.pairs for g in pair]
+    for _ in range(40):
+        p = random_homogeneous(rng, gens, max_terms=4, max_degree=3)
+        for mode in ("ignore", "raise"):
+            want = _outcome(lambda: reference_weak_reduce(p, records, mode))
+            assert _outcome(lambda: surface.reduce(p, on_unsolved=mode)) == want
+
+
+def test_surface_resolves_nilpotent_cycle():
+    # p1 -> th*pth*p2 and p2 -> p1 form a cycle, but (th*pth)^2 = 0 ends
+    # it: p1 = th*pth*p1 forces p1 = 0.  The per-call reference gives up on
+    # the record C2 after len(bindings) + 2 passes; closing the bindings
+    # doubles the depth resolved per pass and gets there
+    basis = small_basis()
+    (q1, p1), (q2, p2), (th, pth) = basis.pairs
+    loop = gen_poly(th) * gen_poly(pth)
+    records = [
+        ConstraintRecord("C1", gen_poly(p1) - loop * gen_poly(p2), 0,
+                         solved=(p1, loop * gen_poly(p2))),
+        ConstraintRecord("C2", gen_poly(p2) - gen_poly(p1), 0,
+                         solved=(p2, gen_poly(p1))),
+    ]
+    surface = Surface(records)
+    zero = {p1: const_poly(0), p2: const_poly(0)}
+    assert surface.bindings == zero
+    rng = random.Random(47)
+    gens = [g for pair in basis.pairs for g in pair]
+    for _ in range(20):
+        p = random_homogeneous(rng, gens, max_terms=4, max_degree=3)
+        assert surface.reduce(p) == reference_substitute(p, zero)
+
+
+def test_surface_cyclic_solved_forms_raise():
+    basis = small_basis()
+    (q1, p1), (q2, p2), _ = basis.pairs
+    records = [
+        ConstraintRecord("C1", gen_poly(p1) - gen_poly(p2), 0,
+                         solved=(p1, gen_poly(p2))),
+        ConstraintRecord("C2", gen_poly(p2) - gen_poly(p1), 0,
+                         solved=(p2, gen_poly(p1))),
+    ]
+    with pytest.raises(UnsolvableConstraint, match="do not reach a fixpoint"):
+        Surface(records)
+    with pytest.raises(UnsolvableConstraint, match="do not reach a fixpoint"):
+        reference_weak_reduce(gen_poly(q1), records)
+
+
+def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
+    # a reduction substitutes the closed solved forms once, and not at all
+    # when the expression holds no bound generator
+    import supermech.dirac as dirac
+    from supermech.frontend.cli import main
+
+    calls = []
+    substitute = dirac.substitute
+
+    def counting_substitute(p, bindings):
+        calls.append(p)
+        return substitute(p, bindings)
+
+    monkeypatch.setattr(dirac, "substitute", counting_substitute)
+    basis, records = _chained_records()
+    (q1, p1), (q2, p2), _ = basis.pairs
+    surface = Surface(records)
+    calls.clear()
+    free = gen_poly(q1) * gen_poly(q2) + gen_poly(q2) ** 3
+    assert surface.reduce(free) == free
+    assert calls == []
+    assert surface.reduce(gen_poly(p1) * gen_poly(p2)) == \
+        reference_weak_reduce(gen_poly(p1) * gen_poly(p2), records)
+    assert len(calls) == 1
+
+    per_reduce = []
+    reduce = Surface.reduce
+
+    def counting_reduce(self, p, on_unsolved="raise"):
+        before = len(calls)
+        out = reduce(self, p, on_unsolved)
+        per_reduce.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(Surface, "reduce", counting_reduce)
+    calls.clear()
+    path = FIXTURES / "dirac_maxwell_reduced.smf"
+    assert main(["analyze", str(path), "--stage", "all"]) == 0
+    capsys.readouterr()
+    # 962 reductions, of which 35 hold a bound generator; the other 94
+    # calls come from try_solve, the consistency rows and closing the
+    # bindings of each surface (1,151 calls, two per reduction, before the
+    # bindings were closed)
+    assert len(per_reduce) == 962
+    assert max(per_reduce) == 1
+    assert sum(per_reduce) == 35
+    assert len(calls) == 129
 
 
 def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):

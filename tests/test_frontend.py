@@ -322,3 +322,52 @@ def test_cli_bad_steps_line_exits_2(tmp_path, line):
     assert code == 2
     assert out == ""
     assert err.startswith("error (model): bad steps line") and "line 4" in err
+
+
+LONG_CHAIN = ("model long\neven q\nlagrangian: 1/2*dot(q)*dot(q)"
+              + " - 1/2*q*q" * 1000 + "\n")
+
+
+def test_long_sum_chain_elaborates(tmp_path):
+    # a chain of 1,000 differences is walked, not recursed into
+    path = tmp_path / "long.smf"
+    path.write_text(LONG_CHAIN, encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(path), "--stage", "legendre")
+    assert code == 0, err
+    long_h0 = run_pipeline(parse_model(LONG_CHAIN), stage="legendre").legres.h0
+    single = "model long\neven q\nlagrangian: 1/2*dot(q)*dot(q) - 500*q*q\n"
+    assert long_h0 == run_pipeline(parse_model(single), stage="legendre").legres.h0
+    source = to_source(parse_model(LONG_CHAIN))
+    assert source == LONG_CHAIN
+    assert to_source(parse_model(source)) == source
+
+
+def _nested(depth):
+    inner = "q"
+    for _ in range(depth):
+        inner = f"(q + {inner})"
+    return f"model deep\neven q\nlagrangian: 1/2*dot(q)*dot(q) - {inner}*q\n"
+
+
+def test_nesting_cap(tmp_path):
+    from supermech.frontend.parser import MAX_NESTING
+
+    # at the cap a model still parses, elaborates and round-trips
+    path = tmp_path / "at_cap.smf"
+    path.write_text(_nested(MAX_NESTING), encoding="utf-8")
+    code, _, err = _cli_main("analyze", str(path), "--stage", "legendre")
+    assert code == 0, err
+    source = to_source(parse_model(_nested(MAX_NESTING)))
+    assert to_source(parse_model(source)) == source
+    # past it, a typed syntax error at the first token nested too deep
+    with pytest.raises(ModelSyntaxError) as info:
+        parse_model("model m\neven q\nlagrangian: " + "-" * (MAX_NESTING + 1) + "q\n")
+    assert (info.value.line, info.value.column) == (3, 14 + MAX_NESTING)
+    deep = tmp_path / "deep.smf"
+    deep.write_text("model deep\neven q\nlagrangian: 1/2*dot(q)*dot(q) - "
+                    + "(" * 400 + "q" + ")" * 400 + "*q\n", encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(deep), "--stage", "legendre")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error (model): expression nested more than {MAX_NESTING}"
+                   f" levels deep (line 3, column {34 + MAX_NESTING})\n")

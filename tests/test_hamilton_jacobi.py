@@ -14,6 +14,7 @@ from helpers import (
     build_sho,
     fixture_text,
     gamma_matrices,
+    integrability_matrix,
     random_homogeneous,
 )
 from supermech.brackets import berezin
@@ -26,7 +27,6 @@ from supermech.hamilton_jacobi import (
     build_hj_system,
     closure_loop,
     cross_check_dirac,
-    integrability_matrix,
     total_differentials,
 )
 from supermech.superalgebra import (

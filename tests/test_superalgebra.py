@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_homogeneous, random_poly, small_basis
+from helpers import random_homogeneous, random_poly, reference_substitute, small_basis
 from supermech import superalgebra
 from supermech.errors import MixedParity, ParityMismatch
 from supermech.superalgebra import (
@@ -112,6 +112,38 @@ def test_substitute_examples():
 def test_substitute_parity_mismatch():
     with pytest.raises(ParityMismatch):
         substitute(gen_poly(TH1), {TH1: gen_poly(Q)})
+
+
+def test_substitute_matches_reference():
+    # the run-at-a-time product equals one product per factor, whatever is
+    # bound: odd and even generators, powers, zero, and values that hold
+    # other bound generators
+    rng = random.Random(29)
+    gens = _pool() + [TH1, TH2, ETA]
+    seen = {"odd": 0, "power": 0, "zero": 0, "partial": 0, "nested": 0}
+    for _ in range(300):
+        p = random_poly(rng, gens, max_terms=5, max_degree=6)
+        bound = rng.sample(gens, rng.randint(1, 4))
+        bindings = {}
+        for g in bound:
+            if rng.random() < 0.2:
+                bindings[g] = ZERO
+            else:
+                bindings[g] = random_poly(rng, gens, g.parity, max_terms=3,
+                                          max_degree=2)
+        assert substitute(p, bindings) == reference_substitute(p, bindings)
+        present = set(p.generators())
+        seen["odd"] += any(g.parity for g in bound if g in present)
+        seen["power"] += any(g in bindings and e > 1
+                             for m in p.terms for g, e in m.factors)
+        seen["zero"] += any(v.is_zero for v in bindings.values())
+        seen["partial"] += bool(present - set(bound))
+        seen["nested"] += any(h in bindings for v in bindings.values()
+                              for h in v.generators())
+    assert all(seen.values()), seen
+    for ref in (substitute, reference_substitute):
+        with pytest.raises(ParityMismatch):
+            ref(gen_poly(Q) * gen_poly(TH1), {TH1: gen_poly(Q)})
 
 
 def test_monic_flips_leading_sign():
