@@ -22,7 +22,6 @@ from .superalgebra import (
     derive_right,
     gen_poly,
     monic,
-    multiply,
     normalize,
     parity_of,
     substitute,
@@ -35,7 +34,6 @@ from .dirac import (
     Surface,
     constraint_matrix,
     dirac_bracket,
-    dirac_bracket_table,
     invert_supermatrix,
     run_dirac,
     weak_reduce,

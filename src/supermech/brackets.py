@@ -28,7 +28,6 @@ class PhaseBasis:
     """Ordered conjugate pairs (coordinate, momentum); the bracket sums over them."""
 
     pairs: tuple[tuple[Generator, Generator], ...]
-    extended: bool = False
 
     def __post_init__(self):
         seen = set()
@@ -49,7 +48,7 @@ class PhaseBasis:
         return tuple(p for _, p in self.pairs)
 
     def extend(self, extra_pairs):
-        return PhaseBasis(self.pairs + tuple(extra_pairs), extended=True)
+        return PhaseBasis(self.pairs + tuple(extra_pairs))
 
 
 def berezin(f, g, basis):

@@ -48,7 +48,6 @@ __all__ = [
     "consistency_step",
     "constraint_matrix",
     "dirac_bracket",
-    "dirac_bracket_table",
     "first_class_recombination",
     "invert_supermatrix",
     "run_dirac",
@@ -115,8 +114,6 @@ class Surface:
         active = [rec for rec in records if not rec.superseded]
         self.bindings = _close({rec.solved[0]: rec.solved[1]
                                 for rec in active if rec.solved})
-        self.unsolved = [(rec.name, set(rec.expr.generators()))
-                         for rec in active if rec.solved is None]
         # the residuals still vanish on the surface, and they are what
         # unsolvable constraints (secondaries, recombinations) reduce to
         self.span = SpanReducer()
@@ -132,24 +129,15 @@ class Surface:
             return expr
         return substitute(expr, self.bindings)
 
-    def reduce(self, p, on_unsolved="raise"):
+    def reduce(self, p):
         """Canonical representative of p on the surface.
 
         Substitutes the closed solved forms in one pass (none when p holds
         no bound generator), then eliminates exact constant-coefficient
-        combinations of the constraint residuals.  With
-        on_unsolved="raise", an unsolvable constraint whose generators
-        survive in the result raises UnsolvableConstraint instead of being
-        silently ignored.
+        combinations of the constraint residuals.  A constraint without a
+        solved form acts only through its residual in the span.
         """
-        p = self.span.reduce(self._to_fixpoint(as_poly(p)))
-        if on_unsolved == "raise" and not p.is_zero:
-            support = set(p.generators())
-            for name, generators in self.unsolved:
-                if support & generators:
-                    raise UnsolvableConstraint(
-                        f"{name} has no solved form but touches the expression")
-        return p
+        return self.span.reduce(self._to_fixpoint(as_poly(p)))
 
 
 def _holds_bound(expr, bindings):
@@ -173,20 +161,17 @@ def _close(bindings):
     raise UnsolvableConstraint("solved forms do not reach a fixpoint")
 
 
-def weak_reduce(p, records, on_unsolved="raise"):
+def weak_reduce(p, records):
     """Canonical representative of p on the surface of records (see Surface)."""
-    return Surface(records).reduce(p, on_unsolved)
+    return Surface(records).reduce(p)
 
 
-def constraint_matrix(constraints, basis, surface=None):
-    """Delta_st = {Phi_s, Phi_t}, weakly reduced on surface when given."""
+def constraint_matrix(constraints, basis, surface):
+    """Delta_st = {Phi_s, Phi_t}, weakly reduced on surface."""
     exprs = [c.expr if isinstance(c, ConstraintRecord) else as_poly(c)
              for c in constraints]
-    rows = [[berezin(es, et, basis) for et in exprs] for es in exprs]
-    if surface is None:
-        return rows
-    return [[surface.reduce(entry, on_unsolved="ignore") for entry in row]
-            for row in rows]
+    return [[surface.reduce(berezin(es, et, basis)) for et in exprs]
+            for es in exprs]
 
 
 @dataclass
@@ -207,6 +192,8 @@ class DiracAnalysis:
         default=None, init=False, repr=False, compare=False)
     _surface_key: tuple = field(
         default=(), init=False, repr=False, compare=False)
+    _bracket_table: list | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def surface(self):
@@ -220,7 +207,35 @@ class DiracAnalysis:
         if self._surface is None or key != self._surface_key:
             self._surface = Surface(self.records)
             self._surface_key = key
+            self._bracket_table = None
         return self._surface
+
+    @property
+    def bracket_table(self):
+        """Nonvanishing {a, b}_D over pairs of basis generators, a before b.
+
+        Generators run over coordinates then momenta.  The columns
+        {x, Phi_s} and {Phi_t, x} are computed once per generator, not once
+        per pair, and the table is kept until the surface is next rebuilt.
+        """
+        surface = self.surface  # rebuilding it drops a kept table
+        if self._bracket_table is not None:
+            return self._bracket_table
+        basis = self.basis
+        second = self.second_class_records()
+        gens = list(basis.coordinates) + list(basis.momenta)
+        polys = [gen_poly(x) for x in gens]
+        left = [[berezin(x, rec.expr, basis) for rec in second] for x in polys]
+        right = [[berezin(rec.expr, x, basis) for rec in second] for x in polys]
+        table = []
+        for i, a in enumerate(gens):
+            for j in range(i + 1, len(gens)):
+                value = _dirac_correct(berezin(polys[i], polys[j], basis),
+                                       left[i], right[j], self, surface)
+                if not value.is_zero:
+                    table.append((a, gens[j], value))
+        self._bracket_table = table
+        return table
 
     def active(self):
         return [rec for rec in self.records if not rec.superseded]
@@ -252,7 +267,7 @@ def consistency_step(analysis, h0, basis):
         r = berezin(rec.expr, analysis.hp, basis)
         if solved_mults:
             r = substitute(r, solved_mults)
-        r = surface.reduce(r, on_unsolved="ignore")
+        r = surface.reduce(r)
         if r.is_zero:
             outcomes.append((rec, "zero", r))
         elif _multiplier_terms(r, symbols):
@@ -270,10 +285,6 @@ def _solve_multiplier_rows(rows, symbols, surface):
     Returns (solved map, leftover v-free expressions).  Rows that keep a
     multiplier with no body-invertible coefficient are unsupported.
     """
-
-    def reduce_fn(p):
-        return surface.reduce(p, on_unsolved="ignore")
-
     prepared = []
     for i, r in enumerate(rows):
         coeffs = {}
@@ -286,7 +297,8 @@ def _solve_multiplier_rows(rows, symbols, surface):
                 coeffs[v] = a
         const = substitute(r, {v: ZERO for v in coeffs})
         prepared.append((i, const, coeffs))
-    solved, _, residuals, implicit = solve_linear_rows(prepared, symbols, reduce_fn)
+    solved, _, residuals, implicit = solve_linear_rows(
+        prepared, symbols, surface.reduce)
     if implicit:
         raise UnsupportedLagrangian(
             "multiplier system has no body-invertible pivot")
@@ -387,7 +399,7 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, surfac
             continue
         vector = dict(fixed)
         for s, w in zip(rest, correction):
-            w = surface.reduce(w, on_unsolved="ignore")
+            w = surface.reduce(w)
             if not w.is_zero:
                 vector[s] = w
         # verify the lifted row closes weakly over every remaining direction
@@ -398,7 +410,7 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, surfac
                 acc = acc + const_poly(
                     sign(p_phi, active[t].parity, active[s].parity)) \
                     * delta[s][t] * vs
-            if not surface.reduce(acc, on_unsolved="ignore").is_zero:
+            if not surface.reduce(acc).is_zero:
                 ok = False
                 break
         if ok:
@@ -406,7 +418,7 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, surfac
     return None
 
 
-def run_dirac(legres, max_rounds=None):
+def run_dirac(legres):
     """Iterate consistency to closure, then classify and invert.
 
     Terminates because every round either adds an independent constraint
@@ -430,8 +442,7 @@ def run_dirac(legres, max_rounds=None):
         analysis.multipliers[q] = None
         analysis.hp = analysis.hp + expr * gen_poly(v)
 
-    if max_rounds is None:
-        max_rounds = 4 * len(basis.pairs) + 8
+    max_rounds = 4 * len(basis.pairs) + 8
     symbols = list(analysis.multiplier_symbols.values())
     stage = 0
     for _ in range(max_rounds):
@@ -449,7 +460,7 @@ def run_dirac(legres, max_rounds=None):
                     changed = True
             candidates.extend(leftovers)
         for expr in candidates:
-            expr = analysis.surface.reduce(expr, on_unsolved="ignore")
+            expr = analysis.surface.reduce(expr)
             if expr.is_zero:
                 continue
             if expr.is_constant:
@@ -482,17 +493,18 @@ def run_dirac(legres, max_rounds=None):
     return analysis
 
 
-def dirac_bracket(f, g, analysis, basis=None):
+def dirac_bracket(f, g, analysis):
     """{F,G}_D = {F,G} - {F,Phi_s} (Delta^-1)_st {Phi_t,G}, weakly reduced."""
-    basis = basis or analysis.basis
+    basis = analysis.basis
     second = analysis.second_class_records()
     left = [berezin(f, rec.expr, basis) for rec in second]
     right = [berezin(rec.expr, g, basis) for rec in second]
-    return _dirac_correct(berezin(f, g, basis), left, right, analysis)
+    return _dirac_correct(berezin(f, g, basis), left, right, analysis,
+                          analysis.surface)
 
 
-def _dirac_correct(result, left, right, analysis):
-    """Subtract left_s (Delta^-1)_st right_t from result and reduce weakly."""
+def _dirac_correct(result, left, right, analysis, surface):
+    """Subtract left_s (Delta^-1)_st right_t from result, reduce on surface."""
     inv = analysis.delta_inverse
     for s, left_s in enumerate(left):
         if left_s.is_zero:
@@ -501,26 +513,5 @@ def _dirac_correct(result, left, right, analysis):
             if inv[s][t].is_zero or right_t.is_zero:
                 continue
             result = result - left_s * inv[s][t] * right_t
-    return analysis.surface.reduce(result, on_unsolved="ignore")
+    return surface.reduce(result)
 
-
-def dirac_bracket_table(analysis):
-    """Nonvanishing {a, b}_D over pairs of basis generators, a before b.
-
-    Generators run over coordinates then momenta.  The columns {x, Phi_s}
-    and {Phi_t, x} are computed once per generator, not once per pair.
-    """
-    basis = analysis.basis
-    second = analysis.second_class_records()
-    gens = list(basis.coordinates) + list(basis.momenta)
-    polys = [gen_poly(x) for x in gens]
-    left = [[berezin(x, rec.expr, basis) for rec in second] for x in polys]
-    right = [[berezin(rec.expr, x, basis) for rec in second] for x in polys]
-    table = []
-    for i, a in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            value = _dirac_correct(berezin(polys[i], polys[j], basis),
-                                   left[i], right[j], analysis)
-            if not value.is_zero:
-                table.append((a, gens[j], value))
-    return table

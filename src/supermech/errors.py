@@ -34,7 +34,7 @@ class SingularBody(SupermechError):
 
 
 class UnsolvableConstraint(SupermechError):
-    """Weak reduction needs a constraint that does not isolate a canonical variable."""
+    """Solved forms bind each other in a cycle that never resolves."""
 
 
 class GradeMismatch(SupermechError):
@@ -72,10 +72,3 @@ class IndexOutOfRange(SupermechError):
 class UnboundConstant(SupermechError):
     """A tensor constant is referenced but never declared."""
 
-
-class CrossCheckMismatch(SupermechError):
-    """The two constraint analyses disagree; carries the divergent items."""
-
-    def __init__(self, items):
-        self.items = list(items)
-        super().__init__("analyses disagree: " + "; ".join(self.items))

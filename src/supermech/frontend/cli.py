@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from ..errors import ClosureDiverged, CrossCheckMismatch, Inconsistent, SupermechError
+from ..errors import ClosureDiverged, Inconsistent, SupermechError
 from .parser import parse_model
 from .pipeline import STAGES, run_pipeline
 from .report import render_json, render_text
@@ -71,7 +71,7 @@ def main(argv=None):
             max_closure_rounds=args.max_closure_rounds,
             tolerance=args.tolerance,
         )
-    except (Inconsistent, ClosureDiverged, CrossCheckMismatch) as exc:
+    except (Inconsistent, ClosureDiverged) as exc:
         _emit_error("inconsistent", exc, args.fmt, sys.stderr)
         return INCONSISTENT
     except (SupermechError, ValueError) as exc:

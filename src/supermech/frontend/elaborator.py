@@ -6,7 +6,6 @@ comes from canonicalization, never from the frontend.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from ..errors import (
@@ -130,9 +129,6 @@ def _constant(node, tensor_name):
     return value
 
 
-_FOLD_OPS = {syn.Add: operator.add, syn.Sub: operator.sub, syn.Mul: operator.mul}
-
-
 def _fold(node):
     if isinstance(node, syn.Num):
         return Coefficient(node.value)
@@ -141,14 +137,23 @@ def _fold(node):
     if isinstance(node, syn.Neg):
         inner = _fold(node.item)
         return None if inner is None else -inner
-    if isinstance(node, (syn.Add, syn.Sub, syn.Mul)):
-        head, tail = syn.chain(node)
+    if isinstance(node, syn.Sum):
+        (_, head), *rest = node.terms
         total = _fold(head)
-        for link, operand in tail:
-            value = _fold(operand)
+        for sign, term in rest:
+            value = _fold(term)
             if total is None or value is None:
                 return None
-            total = _FOLD_OPS[type(link)](total, value)
+            total = total + value if sign > 0 else total - value
+        return total
+    if isinstance(node, syn.Product):
+        head, *rest = node.factors
+        total = _fold(head)
+        for factor in rest:
+            value = _fold(factor)
+            if total is None or value is None:
+                return None
+            total = total * value
         return total
     return None
 
@@ -189,20 +194,17 @@ class _Env:
             return const_poly(C_I)
         if isinstance(node, syn.Neg):
             return -self.eval(node.item, bindings)
-        if isinstance(node, (syn.Add, syn.Sub)):
-            # one map for the whole chain, normalized once
-            head, tail = syn.chain(node)
+        if isinstance(node, syn.Sum):
+            # one map for the whole sum, normalized once
             acc = {}
-            accumulate(acc, self.eval(head, bindings))
-            for link, operand in tail:
-                accumulate(acc, self.eval(operand, bindings),
-                           1 if isinstance(link, syn.Add) else -1)
+            for sign, term in node.terms:
+                accumulate(acc, self.eval(term, bindings), sign)
             return SuperPoly._from_map(acc)
-        if isinstance(node, syn.Mul):
-            head, tail = syn.chain(node)
+        if isinstance(node, syn.Product):
+            head, *rest = node.factors
             product = self.eval(head, bindings)
-            for _, operand in tail:
-                product = product * self.eval(operand, bindings)
+            for factor in rest:
+                product = product * self.eval(factor, bindings)
             return product
         if isinstance(node, syn.SumExpr):
             total = ZERO

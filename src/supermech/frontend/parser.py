@@ -116,21 +116,17 @@ class SumExpr:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Sum:
+    """A '+'/'-' chain of two or more terms, flat however long it is."""
+
+    terms: tuple  # ((sign, term), ...); sign is 1 or -1, the first is 1
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class Product:
+    """A '*' chain of two or more factors, in written order."""
 
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+    factors: tuple
 
 
 @dataclass(frozen=True)
@@ -289,20 +285,20 @@ class _Parser:
     # ---------------------------------------------------------- expressions
 
     def parse_expr(self):
-        node = self.parse_term()
+        terms = [(1, self.parse_term())]
         while True:
             if self.accept("sym", "+"):
-                node = Add(node, self.parse_term())
+                terms.append((1, self.parse_term()))
             elif self.accept("sym", "-"):
-                node = Sub(node, self.parse_term())
+                terms.append((-1, self.parse_term()))
             else:
-                return node
+                return terms[0][1] if len(terms) == 1 else Sum(tuple(terms))
 
     def parse_term(self):
-        node = self.parse_unary()
+        factors = [self.parse_unary()]
         while self.accept("sym", "*"):
-            node = Mul(node, self.parse_unary())
-        return node
+            factors.append(self.parse_unary())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def parse_unary(self):
         # each parenthesis, unary minus and sum() adds one call of this
@@ -388,37 +384,12 @@ def parse_model(text):
     return _Parser(tokenize(text)).parse_document()
 
 
-def parse_expression(text):
-    """Parse a single expression (used by tests and config files)."""
-    parser = _Parser(tokenize(text))
-    node = parser.parse_expr()
-    if parser.current.kind != "eof":
-        raise parser.error("trailing input after expression")
-    return node
-
-
 # ------------------------------------------------------------ pretty print
 
 def _index_str(indices):
     if not indices:
         return ""
     return "[" + ",".join(str(ix) for ix in indices) + "]"
-
-
-def chain(node):
-    """Split a left-deep chain of Add/Sub nodes, or of Mul nodes, into its
-    operands, without recursion however long the chain.
-
-    Returns (head, [(link, operand), ...]) in source order, where each link
-    is the node that joins operand to everything before it.
-    """
-    kinds = Mul if isinstance(node, Mul) else (Add, Sub)
-    tail = []
-    while isinstance(node, kinds):
-        tail.append((node, node.right))
-        node = node.left
-    tail.reverse()
-    return node, tail
 
 
 def expr_source(node, prec=0):
@@ -435,16 +406,18 @@ def expr_source(node, prec=0):
         return f"dot({node.name})" + _index_str(node.indices)
     if isinstance(node, SumExpr):
         return f"sum({node.var} in {node.lo}..{node.hi}, {expr_source(node.body)})"
-    if isinstance(node, (Add, Sub)):
-        head, tail = chain(node)
-        text = expr_source(head, 1) + "".join(
-            f" {'+' if isinstance(link, Add) else '-'} {expr_source(operand, 2)}"
-            for link, operand in tail)
-        return f"({text})" if prec >= 2 else text
-    if isinstance(node, Mul):
-        head, tail = chain(node)
+    if isinstance(node, Sum):
+        # every term at precedence 2, so a Sum written in parentheses keeps
+        # them, at the head as anywhere else
+        (_, head), *rest = node.terms
         text = expr_source(head, 2) + "".join(
-            f"*{expr_source(operand, 3)}" for _, operand in tail)
+            f" {'+' if sign > 0 else '-'} {expr_source(term, 2)}"
+            for sign, term in rest)
+        return f"({text})" if prec >= 2 else text
+    if isinstance(node, Product):
+        head, *rest = node.factors
+        text = expr_source(head, 3 if isinstance(head, Product) else 2) + "".join(
+            f"*{expr_source(factor, 3)}" for factor in rest)
         return f"({text})" if prec >= 3 else text
     if isinstance(node, Neg):
         return f"-{expr_source(node.item, 3)}"

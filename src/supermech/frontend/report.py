@@ -102,9 +102,7 @@ def _dirac_lines(result):
         shown = "(undetermined)" if value is None else str(value)
         out.append(f"  v_{q} = {shown}")
     out.append("dirac brackets (nonvanishing among basis generators):")
-    from ..dirac import dirac_bracket_table
-
-    for a, b, value in dirac_bracket_table(analysis):
+    for a, b, value in analysis.bracket_table:
         out.append(f"  {{{a}, {b}}}_D = {value}")
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .brackets import berezin
-from .errors import ClosureDiverged, CrossCheckMismatch, Inconsistent
+from .errors import ClosureDiverged, Inconsistent
 from .dirac import ConstraintRecord, Surface, try_solve
 from .smatrix import solve_linear_rows
 from .superalgebra import (
@@ -97,14 +97,6 @@ class TotalDifferentialSystem:
     dp: dict[tuple[Generator, Generator], SuperPoly]
     dz: dict[Generator, SuperPoly]
 
-    @property
-    def coordinates(self):
-        return self.system.basis.coordinates
-
-    @property
-    def momenta(self):
-        return self.system.basis.momenta
-
 
 def total_differentials(sys):
     """dq^i = (-1)^{P_i + P_i P_a} d_r H'_a/dp_i dt^a and its dp, dZ partners."""
@@ -174,10 +166,6 @@ class IntegrabilityReport:
     def strictly_integrable(self):
         return all(entry.is_zero for entry in self.matrix_raw.values())
 
-    def closed_invariants(self):
-        """Expressions preserved along any admissible flow."""
-        return [(m.label, m.expr) for m in self.family]
-
 
 def closure_loop(sys, max_rounds=32):
     """Iterate dH'_mu = {H'_mu, H'_alpha} dt^alpha to closure.
@@ -205,9 +193,6 @@ def closure_loop(sys, max_rounds=32):
             brackets[key] = berezin(mb.expr, ma.expr, sys.basis)
         return brackets[key]
 
-    def reduce(p):
-        return surface.reduce(p, on_unsolved="ignore")
-
     # the first members are the parameters' H'_alpha, in parameter order
     param_members = family[:len(params)]
     for round_no in range(1, max_rounds + 1):
@@ -227,8 +212,8 @@ def closure_loop(sys, max_rounds=32):
                 if param in relations:
                     eff0 = eff0 + c * relations[param]
                 else:
-                    live[param] = reduce(c)
-            eff0 = reduce(eff0)
+                    live[param] = surface.reduce(c)
+            eff0 = surface.reduce(eff0)
             live = {p: c for p, c in live.items() if not c.is_zero}
             if eff0.is_zero and not live:
                 statuses[member.label] = "weak_zero"
@@ -243,7 +228,7 @@ def closure_loop(sys, max_rounds=32):
                 statuses[member.label] = "pending_relation"
         if new_members:
             for source, expr in new_members:
-                candidate = monic(reduce(expr))
+                candidate = monic(surface.reduce(expr))
                 if candidate.is_zero:
                     continue
                 label = f"H'{len(family)}"
@@ -258,7 +243,7 @@ def closure_loop(sys, max_rounds=32):
         if relation_rows:
             unknowns = [p for p in params[1:] if p not in relations]
             new_rel, pivots, _, implicit = solve_linear_rows(
-                relation_rows, unknowns, reduce)
+                relation_rows, unknowns, surface.reduce)
             if new_rel:
                 relations.update(new_rel)
                 pivot_history |= pivots
@@ -291,7 +276,7 @@ def closure_loop(sys, max_rounds=32):
         outcomes=outcomes,
         dt_relations=relations,
         matrix_raw=raw,
-        matrix_reduced={key: reduce(entry) for key, entry in raw.items()},
+        matrix_reduced={key: surface.reduce(entry) for key, entry in raw.items()},
         rounds=round_no,
         surface=surface,
     )
@@ -308,13 +293,13 @@ class CorrespondenceReport:
         return self.verdict == "equivalent"
 
 
-def cross_check_dirac(hj_report, analysis, strict=False):
+def cross_check_dirac(hj_report, analysis):
     """Match the two analyses item by item.
 
     Secondary constraints must pair with added family members (up to a
     constant factor), determined multipliers with dt relations (equal on
     the surface), and the two constraint surfaces must reduce into each
-    other.  With strict=True a mismatch raises CrossCheckMismatch.
+    other.  A mismatch is reported in the verdict, never raised.
     """
     matched = []
     mismatched = []
@@ -345,8 +330,7 @@ def cross_check_dirac(hj_report, analysis, strict=False):
         if r is None:
             mismatched.append(f"multiplier for {q} has no dt relation")
             continue
-        diff = dirac_surface.reduce(v - r, on_unsolved="ignore")
-        diff = family_surface.reduce(diff, on_unsolved="ignore")
+        diff = family_surface.reduce(dirac_surface.reduce(v - r))
         if diff.is_zero:
             matched.append(f"multiplier {q} <-> dt relation")
         else:
@@ -355,17 +339,15 @@ def cross_check_dirac(hj_report, analysis, strict=False):
         mismatched.append(f"dt relation for {q} has no determined multiplier")
 
     for rec in analysis.active():
-        residual = family_surface.reduce(rec.expr, on_unsolved="ignore")
+        residual = family_surface.reduce(rec.expr)
         if not residual.is_zero:
             mismatched.append(f"{rec.name} not on the HJ surface: {residual}")
     for m in hj_report.family:
         if m.param is sys.t0:
             continue
-        residual = dirac_surface.reduce(m.expr, on_unsolved="ignore")
+        residual = dirac_surface.reduce(m.expr)
         if not residual.is_zero:
             mismatched.append(f"{m.label} not on the constraint surface: {residual}")
 
     verdict = "equivalent" if not mismatched else "mismatch"
-    if strict and mismatched:
-        raise CrossCheckMismatch(mismatched)
     return CorrespondenceReport(verdict, matched, mismatched)

@@ -143,11 +143,11 @@ def momenta(model):
     }
 
 
-def hessian(model, momenta_defs=None):
+def hessian(model, momenta_defs):
     """H_ij as the second right velocity derivatives of the Lagrangian."""
-    defs = momenta_defs or momenta(model)
     return [
-        [derive_right(defs[qi], model.velocity(qj)) for qj in model.coordinates]
+        [derive_right(momenta_defs[qi], model.velocity(qj))
+         for qj in model.coordinates]
         for qi in model.coordinates
     ]
 

@@ -174,7 +174,6 @@ class FlowSystem:
     """Total differential equations compiled against the closure relations."""
 
     tds: object
-    report: object
     free_params: tuple
     state_gens: tuple
     rhs: dict  # (state generator, free param) -> SuperPoly
@@ -206,7 +205,7 @@ def make_flow(tds, report):
                 zpoly = zpoly + tds.dz[beta] * relations[beta]
         dz[f] = zpoly
     invariants = [(m.label, m.expr) for m in report.family]
-    return FlowSystem(tds, report, free, state_gens, rhs, dz, invariants)
+    return FlowSystem(tds, free, state_gens, rhs, dz, invariants)
 
 
 @dataclass
@@ -307,26 +306,23 @@ def _value(n, slots):
 _SURFACE_TOL = 1e-12
 
 
-def integrate_flow(tds, path, init, report=None, surface_tol=_SURFACE_TOL):
+def integrate_flow(tds, path, init, report):
     """Integrate the characteristic flow along a piecewise-linear path.
 
-    init assigns every coordinate and momentum (P0 is derived so that the
-    time member of the family starts at zero); it must lie on the
-    constraint surface within surface_tol.  Z is accumulated alongside
-    the state; drift reports the worst family-member violation seen.
+    report is the closure_loop outcome for tds.system.  init assigns every
+    coordinate and momentum (P0 is derived so that the time member of the
+    family starts at zero); each family member must vanish on it to within
+    1e-12.  Z is accumulated alongside the state; drift reports the worst
+    family-member violation seen.
 
     Every polynomial the run needs is lowered once against a fixed
     generator -> slot map, and grades are checked once on the initial
     assignment; the RK4 steps then work on lists of 2^n complex slots.
     """
-    if report is None:
-        from .hamilton_jacobi import closure_loop
-
-        report = closure_loop(tds.system)
-    return _integrate(make_flow(tds, report), path, init, surface_tol)
+    return _integrate(make_flow(tds, report), path, init)
 
 
-def _integrate(flow, path, init, surface_tol=_SURFACE_TOL):
+def _integrate(flow, path, init):
     """integrate_flow on a flow that make_flow has already built."""
     sys = flow.tds.system
     if tuple(path.params) != tuple(flow.free_params):
@@ -386,7 +382,7 @@ def _integrate(flow, path, init, surface_tol=_SURFACE_TOL):
     residual = 0.0
     for label, prog in invariants:
         residual = max(residual, max(map(abs, run_program(prog, env, table))))
-    if residual > surface_tol:
+    if residual > _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
 
@@ -442,7 +438,7 @@ class PathIndependenceReport:
     tolerance: float
 
 
-def path_independence_check(tds, path_a, path_b, init, report=None, tol=1e-8):
+def path_independence_check(tds, path_a, path_b, init, report, tol=1e-8):
     """Compare two flows that share endpoints.
 
     Strictly integrable systems must agree in every state component; weakly
@@ -450,10 +446,6 @@ def path_independence_check(tds, path_a, path_b, init, report=None, tol=1e-8):
     with the whole family (the flow-invariant observables) and in the
     family members themselves.
     """
-    if report is None:
-        from .hamilton_jacobi import closure_loop
-
-        report = closure_loop(tds.system)
     if path_a.waypoints[0] != path_b.waypoints[0] or \
             path_a.waypoints[-1] != path_b.waypoints[-1]:
         raise FlowError("paths must share their endpoints")
@@ -478,7 +470,7 @@ def path_independence_check(tds, path_a, path_b, init, report=None, tol=1e-8):
                 agree = False
         else:
             comparisons.append((str(g), diff, False, "not first-class"))
-    for label, expr in report.closed_invariants():
+    for label, expr in flow.invariants:
         va = evaluate(expr, {**constants, **end_a}).max_abs
         vb = evaluate(expr, {**constants, **end_b}).max_abs
         diff = abs(va - vb)
@@ -499,7 +491,7 @@ def _weak_observables(sys, report):
         ok = True
         for m in report.family:
             br = berezin(gen_poly(g), m.expr, sys.basis)
-            if not report.surface.reduce(br, on_unsolved="ignore").is_zero:
+            if not report.surface.reduce(br).is_zero:
                 ok = False
                 break
         if ok:

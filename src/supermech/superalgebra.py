@@ -240,10 +240,6 @@ class Monomial:
     def parity(self):
         return Parity(sum(e * g.parity for g, e in self.factors) & 1)
 
-    @property
-    def degree(self):
-        return sum(e for _, e in self.factors)
-
     def __eq__(self, other):
         return (isinstance(other, Monomial)
                 and self.coeff == other.coeff and self.factors == other.factors)
@@ -432,11 +428,6 @@ def normalize(raw):
         prev = acc.get(factors)
         acc[factors] = coeff if prev is None else prev + coeff
     return SuperPoly._from_map(acc)
-
-
-def multiply(a, b):
-    """Graded ring product: multiply(a,b) = (-1)^{P(a)P(b)} multiply(b,a)."""
-    return as_poly(a) * as_poly(b)
 
 
 def parity_of(p):

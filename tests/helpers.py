@@ -94,7 +94,7 @@ def reference_substitute(p, bindings):
     return SuperPoly._from_map(acc)
 
 
-def reference_weak_reduce(p, records, on_unsolved="raise"):
+def reference_weak_reduce(p, records):
     """Weak reduction that rebuilds the surface from records on every call.
 
     Surface.reduce must match this reference exactly: the raw solved forms
@@ -122,14 +122,7 @@ def reference_weak_reduce(p, records, on_unsolved="raise"):
         residual = to_fixpoint(rec.expr)
         if not residual.is_zero:
             span.add(residual)
-    p = span.reduce(p)
-    if on_unsolved == "raise" and not p.is_zero:
-        support = set(p.generators())
-        for rec in active:
-            if rec.solved is None and support & set(rec.expr.generators()):
-                raise UnsolvableConstraint(
-                    f"{rec.name} has no solved form but touches the expression")
-    return p
+    return span.reduce(p)
 
 
 def integrability_matrix(sys, family=None):
@@ -143,8 +136,7 @@ def integrability_matrix(sys, family=None):
         for ma in family:
             entry = berezin(mb.expr, ma.expr, sys.basis)
             raw[(mb.label, ma.label)] = entry
-            reduced[(mb.label, ma.label)] = surface.reduce(
-                entry, on_unsolved="ignore")
+            reduced[(mb.label, ma.label)] = surface.reduce(entry)
     return raw, reduced
 
 

@@ -181,7 +181,7 @@ def test_criterion_03_reduced_constraint_algebra():
         for s, rec_s in enumerate(order):
             sign = -1 if (rec_t.parity and rec_s.parity) else 1
             acc = acc + sign * (delta[s][t] * v[s])
-        assert weak_reduce(acc, analysis.records, on_unsolved="ignore").is_zero
+        assert weak_reduce(acc, analysis.records).is_zero
 
     # recombined first-class constraint equals the reduced charge generator
     phi = [r for r in analysis.records if r.origin == "recombination"][0]

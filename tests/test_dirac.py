@@ -169,7 +169,7 @@ def test_consistency_step_outcomes():
 def test_constraint_matrix_single_even_first_class():
     gt = build_gauge_toy()
     basis = gt.model.phase_basis()
-    delta = constraint_matrix([gen_poly(gt.gens["p2"])], basis)
+    delta = constraint_matrix([gen_poly(gt.gens["p2"])], basis, Surface([]))
     assert delta == [[const_poly(0)]] or delta[0][0].is_zero
 
 
@@ -267,16 +267,6 @@ def test_weak_reduce_solved_momentum():
     assert reduced == Coefficient(0, Fraction(1, 2)) * gen_poly(g["psibar"])
 
 
-def test_weak_reduce_unsolvable_raises():
-    qed = build_qed()
-    analysis = run_dirac(qed.legres)
-    chi = [r for r in analysis.records if r.origin == "consistency"][0]
-    fresh = ConstraintRecord("chi", chi.expr, 1)  # no solved form exists
-    probe = gen_poly(qed.gens["psi"][0][0]) * gen_poly(qed.gens["e"])
-    with pytest.raises(UnsolvableConstraint):
-        weak_reduce(probe, [fresh], on_unsolved="raise")
-
-
 def test_second_class_brackets_weakly_vanish():
     rng = random.Random(31)
     for built in (build_fermionic(), build_qed()):
@@ -287,8 +277,7 @@ def test_second_class_brackets_weakly_vanish():
             for _ in range(10):
                 f = random_homogeneous(rng, gens, max_terms=3, max_degree=3)
                 value = dirac_bracket(rec.expr, f, analysis)
-                assert weak_reduce(value, analysis.records,
-                                   on_unsolved="ignore").is_zero
+                assert weak_reduce(value, analysis.records).is_zero
 
 
 def test_dirac_bracket_antisymmetry_and_parity():
@@ -302,7 +291,7 @@ def test_dirac_bracket_antisymmetry_and_parity():
         g = random_homogeneous(rng, gens, max_terms=3, max_degree=3)
         sign = -1 if (parity_of(f) and parity_of(g)) else 1
         lhs = dirac_bracket(f, g, analysis) + sign * dirac_bracket(g, f, analysis)
-        assert weak_reduce(lhs, analysis.records, on_unsolved="ignore").is_zero
+        assert weak_reduce(lhs, analysis.records).is_zero
         out = dirac_bracket(f, g, analysis)
         if not out.is_zero:
             assert parity_of(out) == Parity((parity_of(f) + parity_of(g)) & 1)
@@ -319,8 +308,7 @@ def test_delta_inverse_is_weak_identity():
         for i, row in enumerate(prod):
             for j, entry in enumerate(row):
                 expect = const_poly(1) if i == j else const_poly(0)
-                assert weak_reduce(entry - expect, analysis.records,
-                                   on_unsolved="ignore").is_zero
+                assert weak_reduce(entry - expect, analysis.records).is_zero
 
 
 def test_classification_stable_under_rescaling():
@@ -361,13 +349,6 @@ def test_dirac_bracket_graded_antisymmetry_reduced_model():
     assert d1 == d2 == const_poly(MI)  # odd-odd brackets are symmetric
 
 
-def _outcome(reduce):
-    try:
-        return reduce()
-    except UnsolvableConstraint as exc:
-        return ("raised", str(exc))
-
-
 def test_surface_matches_per_call_reference_on_fixtures():
     # one surface serves many reductions and gives exactly what rebuilding
     # the surface from the records on every call gives
@@ -393,11 +374,9 @@ def test_surface_matches_per_call_reference_on_fixtures():
                     rec = rng.choice(records)
                     p = p + rec.expr * random_homogeneous(
                         rng, gens, max_terms=2, max_degree=1)
-                for mode in ("ignore", "raise"):
-                    want = _outcome(lambda: reference_weak_reduce(p, records, mode))
-                    got = _outcome(lambda: surface.reduce(p, on_unsolved=mode))
-                    assert got == want, (built.model.name, str(p), mode)
-                    assert _outcome(lambda: weak_reduce(p, records, mode)) == want
+                want = reference_weak_reduce(p, records)
+                assert surface.reduce(p) == want, (built.model.name, str(p))
+                assert weak_reduce(p, records) == want
 
 
 def _chained_records():
@@ -426,9 +405,7 @@ def test_surface_closes_chained_solved_forms():
     gens = [g for pair in basis.pairs for g in pair]
     for _ in range(40):
         p = random_homogeneous(rng, gens, max_terms=4, max_degree=3)
-        for mode in ("ignore", "raise"):
-            want = _outcome(lambda: reference_weak_reduce(p, records, mode))
-            assert _outcome(lambda: surface.reduce(p, on_unsolved=mode)) == want
+        assert surface.reduce(p) == reference_weak_reduce(p, records)
 
 
 def test_surface_resolves_nilpotent_cycle():
@@ -498,9 +475,9 @@ def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
     per_reduce = []
     reduce = Surface.reduce
 
-    def counting_reduce(self, p, on_unsolved="raise"):
+    def counting_reduce(self, p):
         before = len(calls)
-        out = reduce(self, p, on_unsolved)
+        out = reduce(self, p)
         per_reduce.append(len(calls) - before)
         return out
 
@@ -555,8 +532,7 @@ def test_dirac_analysis_surface_follows_its_records():
     g = gen_poly(p1)
 
     def expected():
-        return reference_weak_reduce(berezin(f, g, basis), analysis.records,
-                                     "ignore")
+        return reference_weak_reduce(berezin(f, g, basis), analysis.records)
 
     assert dirac_bracket(f, g, analysis) == expected() != const_poly(0)
     rec = ConstraintRecord("C1", gen_poly(p2), 0,
@@ -566,6 +542,30 @@ def test_dirac_analysis_surface_follows_its_records():
     rec.expr = gen_poly(q2)
     rec.solved = try_solve(rec.expr, basis)
     assert dirac_bracket(f, g, analysis) == expected() != const_poly(0)
+
+
+def test_bracket_table_kept_until_the_surface_is_rebuilt():
+    # the report's Dirac-bracket table is computed on first read, kept while
+    # the records stand, and recomputed once they change
+    fo = build_fermionic()
+    analysis = run_dirac(fo.legres)
+    basis = analysis.basis
+    gens = list(basis.coordinates) + list(basis.momenta)
+
+    def per_pair():
+        return [(a, b, value) for i, a in enumerate(gens) for b in gens[i + 1:]
+                if not (value := dirac_bracket(gen_poly(a), gen_poly(b),
+                                               analysis)).is_zero]
+
+    table = analysis.bracket_table
+    assert analysis.bracket_table is table
+    assert table == per_pair()
+    rec = analysis.second_class_records()[0]
+    rec.expr = 2 * rec.expr
+    rebuilt = analysis.bracket_table
+    assert rebuilt is not table
+    assert rebuilt == per_pair()
+    assert analysis.bracket_table is rebuilt
 
 
 def test_lift_null_vector_lets_unexpected_errors_through(monkeypatch):

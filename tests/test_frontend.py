@@ -128,6 +128,15 @@ def test_reports_match_golden(name):
     assert text == golden
 
 
+def test_headline_structured_output_matches_golden():
+    # pins what the text golden does not show in the same form: delta, its
+    # inverse, the multipliers and the closure outcomes as structured keys
+    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
+                          stage="all")
+    golden = (GOLDEN / "dirac_maxwell_reduced.json").read_text(encoding="utf-8")
+    assert render_json(result) == golden
+
+
 def test_structured_output_shape():
     doc = parse_model(fixture_text("gauge_toy.smf"))
     result = run_pipeline(doc, stage="all")
@@ -340,6 +349,33 @@ def test_long_sum_chain_elaborates(tmp_path):
     source = to_source(parse_model(LONG_CHAIN))
     assert source == LONG_CHAIN
     assert to_source(parse_model(source)) == source
+
+
+def test_long_document_compares_hashes_and_prints():
+    # '+'/'-' and '*' chains parse into flat nodes, so the generated
+    # equality, hash and repr of a long model's document do not recurse
+    # once per term
+    doc = parse_model(LONG_CHAIN)
+    again = parse_model(LONG_CHAIN)
+    assert doc == again
+    assert hash(doc) == hash(again)
+    assert repr(doc) == repr(again)
+    assert parse_model(to_source(doc)) == doc
+
+
+def test_nested_sum_keeps_its_parentheses():
+    # a parenthesized sum at the head of a sum is its own node, so the
+    # source form keeps the parentheses and re-parses to the same document
+    doc = parse_model("model m\neven q\nlagrangian: (dot(q) + q) + q*q*q\n")
+    assert to_source(doc).splitlines()[-1] == "lagrangian: (dot(q) + q) + q*q*q"
+    assert parse_model(to_source(doc)) == doc
+    flat = parse_model("model m\neven q\nlagrangian: dot(q) + q + q*q*q\n")
+    assert flat != doc
+    assert to_source(flat).splitlines()[-1] == "lagrangian: dot(q) + q + q*q*q"
+    products = parse_model("model m\neven q\nlagrangian: (dot(q)*q)*q + 1/2*q\n")
+    assert to_source(products).splitlines()[-1] == \
+        "lagrangian: (dot(q)*q)*q + 1/2*q"
+    assert parse_model(to_source(products)) == products
 
 
 def _nested(depth):
