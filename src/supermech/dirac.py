@@ -185,15 +185,15 @@ class DiracAnalysis:
     records: list[ConstraintRecord] = field(default_factory=list)
     multipliers: dict[Generator, SuperPoly | None] = field(default_factory=dict)
     multiplier_symbols: dict[Generator, Generator] = field(default_factory=dict)
-    delta: list[list[SuperPoly]] = field(default_factory=list)
-    second_class: tuple[int, ...] = ()
-    delta_inverse: list[list[SuperPoly]] = field(default_factory=list)
     _surface: Surface | None = field(
         default=None, init=False, repr=False, compare=False)
     _surface_key: tuple = field(
         default=(), init=False, repr=False, compare=False)
     _bracket_table: list | None = field(
         default=None, init=False, repr=False, compare=False)
+    # (surface, delta, second-class rows, Delta^-1)
+    _classified: tuple = field(
+        default=(None,), init=False, repr=False, compare=False)
 
     @property
     def surface(self):
@@ -222,6 +222,7 @@ class DiracAnalysis:
         if self._bracket_table is not None:
             return self._bracket_table
         basis = self.basis
+        inverse = self.delta_inverse
         second = self.second_class_records()
         gens = list(basis.coordinates) + list(basis.momenta)
         polys = [gen_poly(x) for x in gens]
@@ -231,11 +232,38 @@ class DiracAnalysis:
         for i, a in enumerate(gens):
             for j in range(i + 1, len(gens)):
                 value = _dirac_correct(berezin(polys[i], polys[j], basis),
-                                       left[i], right[j], self, surface)
+                                       left[i], right[j], inverse, surface)
                 if not value.is_zero:
                     table.append((a, gens[j], value))
         self._bracket_table = table
         return table
+
+    def _classification(self):
+        """delta, the second-class rows and Delta^-1 of the active records.
+
+        Computed on first read and again whenever the surface is rebuilt,
+        so they always match the records.
+        """
+        surface = self.surface
+        if self._classified[0] is not surface:
+            active = self.active()
+            delta = constraint_matrix(active, self.basis, surface)
+            second = tuple(i for i, rec in enumerate(active) if rec.cls == "second")
+            inverse = invert_supermatrix([[delta[i][j] for j in second] for i in second])
+            self._classified = (surface, delta, second, inverse)
+        return self._classified
+
+    @property
+    def delta(self):
+        return self._classification()[1]
+
+    @property
+    def second_class(self):
+        return self._classification()[2]
+
+    @property
+    def delta_inverse(self):
+        return self._classification()[3]
 
     def active(self):
         return [rec for rec in self.records if not rec.superseded]
@@ -482,14 +510,7 @@ def run_dirac(legres):
     delta = constraint_matrix(analysis.active(), basis, analysis.surface)
     new_records = first_class_recombination(delta, analysis.records, basis)
     analysis.records.extend(new_records)
-    active = analysis.active()
-    analysis.delta = constraint_matrix(active, basis, analysis.surface)
-    analysis.second_class = tuple(
-        i for i, rec in enumerate(active) if rec.cls == "second")
-    if analysis.second_class:
-        block = [[analysis.delta[i][j] for j in analysis.second_class]
-                 for i in analysis.second_class]
-        analysis.delta_inverse = invert_supermatrix(block)
+    analysis._classification()  # so a singular second-class block fails here
     return analysis
 
 
@@ -499,13 +520,12 @@ def dirac_bracket(f, g, analysis):
     second = analysis.second_class_records()
     left = [berezin(f, rec.expr, basis) for rec in second]
     right = [berezin(rec.expr, g, basis) for rec in second]
-    return _dirac_correct(berezin(f, g, basis), left, right, analysis,
-                          analysis.surface)
+    return _dirac_correct(berezin(f, g, basis), left, right,
+                          analysis.delta_inverse, analysis.surface)
 
 
-def _dirac_correct(result, left, right, analysis, surface):
+def _dirac_correct(result, left, right, inv, surface):
     """Subtract left_s (Delta^-1)_st right_t from result, reduce on surface."""
-    inv = analysis.delta_inverse
     for s, left_s in enumerate(left):
         if left_s.is_zero:
             continue

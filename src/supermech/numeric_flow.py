@@ -1,21 +1,19 @@
 """Numeric evaluation in a finite Grassmann algebra and flow integration.
 
-Expressions are evaluated into Lambda_n (2^n components indexed by subset
-bitmasks, complex coefficients) and the multi-parameter total differential
-equations are integrated with a fixed-step classical 4th-order scheme.
-Dependent parameters move along their dt relations; free parameters follow
-the requested path exactly.
+Expressions are evaluated into Lambda_n (complex coefficients on the
+subsets of {1..n}, held as a dict from subset bitmask to its nonzero
+coefficient) and the multi-parameter total differential equations are
+integrated with a fixed-step classical 4th-order scheme.  Dependent
+parameters move along their dt relations; free parameters follow the
+requested path exactly.
 
-`evaluate` walks a SuperPoly on every call.  A flow instead lowers each of
-its polynomials once into a program over lists of 2^n complex slots
-(`lower`, `run_program`, `product_table`) that multiplies and sums in
-evaluate's term and factor order; `run_program` says where the last bit of
-the two can differ.
+Every polynomial is lowered once into a program (`lower`) that
+`run_program` runs on those sparse values, with the product signs of
+`SignRows`; `evaluate` and a flow's RK4 steps both run such programs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FlowError, GradeMismatch
 from .superalgebra import Parity, as_poly
@@ -23,18 +21,51 @@ from .superalgebra import Parity, as_poly
 LAMBDA_CAP = 12
 
 
-def _merge_sign(a, b):
-    """Sign of reordering the concatenation of subsets a and b."""
-    sign = 1
-    j = 0
-    bb = b
-    while bb:
-        if bb & 1:
-            if bin(a >> (j + 1)).count("1") & 1:
-                sign = -sign
-        bb >>= 1
-        j += 1
-    return sign
+class SignRows(dict):
+    """Products in Lambda_n, one row per left mask a, built on first use.
+
+    Row a maps every b disjoint from a to a|b where a*b keeps its sign and
+    to ~(a|b) where it flips.
+    """
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, a):
+        # generator j of b passes every generator of a above it, so each
+        # bit of b brings its own sign and an entry follows from the entry
+        # of b without its lowest bit
+        flips = {1 << j for j in range(self.n) if bin(a >> (j + 1)).count("1") & 1}
+        free = ((1 << self.n) - 1) & ~a
+        row = {0: a}
+        b = 0
+        while b != free:
+            b = (b - free) & free  # the next submask of free
+            low = b & -b
+            rest = row[b ^ low]
+            ab = rest + low if rest >= 0 else rest - low  # a|b, rest's sign
+            row[b] = ~ab if low in flips else ab
+        self[a] = row
+        return row
+
+
+def _product(left, right, rows):
+    """left*right on mask -> complex dicts.  Products that land on one slot
+    are summed in ascending order of the left mask."""
+    out = {}
+    for a in sorted(left):
+        va = left[a]
+        row = rows[a]
+        for b, vb in right.items():
+            ab = row.get(b)
+            if ab is None:
+                continue
+            if ab >= 0:
+                out[ab] = out.get(ab, 0j) + va * vb
+            else:
+                out[~ab] = out.get(~ab, 0j) - va * vb
+    return out
 
 
 class GrassmannValue:
@@ -90,15 +121,8 @@ class GrassmannValue:
     def __mul__(self, other):
         if not isinstance(other, GrassmannValue):
             return self.scaled(other)
-        out = {}
-        for ma, va in self.coeff.items():
-            for mb, vb in other.coeff.items():
-                if ma & mb:
-                    continue
-                value = va * vb * _merge_sign(ma, mb)
-                mask = ma | mb
-                out[mask] = out.get(mask, 0j) + value
-        return GrassmannValue(self.n, out)
+        n = max(self.n, other.n)
+        return GrassmannValue(n, _product(self.coeff, other.coeff, SignRows(n)))
 
     def __rmul__(self, other):
         return self.scaled(other)
@@ -137,15 +161,9 @@ def evaluate(p, assignment):
             raise GradeMismatch(f"{g} assigned a value of the wrong grade")
     if n is None:
         n = next(iter(assignment.values())).n if assignment else 0
-    total = GrassmannValue(n)
-    for mono in p.terms:
-        acc = GrassmannValue.body_value(n, complex(mono.coeff))
-        for g, e in mono.factors:
-            value = assignment[g]
-            for _ in range(e):
-                acc = acc * value
-        total = total + acc
-    return total
+    slot_of = {g: i for i, g in enumerate(gens)}
+    env = [assignment[g].coeff for g in gens]
+    return GrassmannValue(n, run_program(lower(p, slot_of), env, SignRows(n)))
 
 
 @dataclass(frozen=True)
@@ -217,24 +235,6 @@ class FlowResult:
     onsurface_residual: float = 0.0
 
 
-@lru_cache(maxsize=LAMBDA_CAP + 1)
-def product_table(n):
-    """Products in Lambda_n: for each mask a, the pairs (b, a|b) over the
-    masks b disjoint from a, split into those where a*b keeps its sign and
-    those where it flips.  For a fixed a every b lands on its own a|b, so
-    the order inside one entry does not change any sum."""
-    masks = tuple(range(1 << n))
-    table = []
-    for a in masks:
-        keep, flip = [], []
-        for b in masks:
-            if not a & b:
-                # masks[a | b] shares one int object per mask in large tables
-                (keep if _merge_sign(a, b) > 0 else flip).append((b, masks[a | b]))
-        table.append((tuple(keep), tuple(flip)))
-    return tuple(table)
-
-
 def lower(p, slot_of):
     """Flatten p into a program over an environment of slot values.
 
@@ -254,52 +254,28 @@ def lower(p, slot_of):
     return program
 
 
-def run_program(program, env, table):
-    """Value of a lowered polynomial, as 2^n slots, under env (a list of
-    2^n-slot values) with the products of `product_table(n)`.
+def run_program(program, env, rows):
+    """Value of a lowered polynomial under env, a list of mask -> complex
+    dicts in which a missing slot is zero, with the products of `rows`.
 
-    A term's first factor scales its coefficient slot by slot and the first
-    term starts the total, which leaves out only products with one and sums
-    with zero.  Products that land on one slot are summed in mask order,
-    where `evaluate` sums them in the order its dicts were filled.  Below
-    n = 3 at most two products land on one slot, so there every nonzero
-    slot equals evaluate's bit for bit.
+    A term's first factor scales its coefficient slot by slot, and the
+    first term starts the total.  The result may hold exact zeros.
     """
     total = None
     for coeff, slots in program:
-        if slots:
-            acc = [coeff * v for v in env[slots[0]]]
-        else:
-            acc = [0j] * len(table)
-            acc[0] = coeff
+        acc = {m: coeff * v for m, v in env[slots[0]].items()} if slots else {0: coeff}
         for slot in slots[1:]:
-            value = env[slot]
-            out = [0j] * len(table)
-            for a, va in enumerate(acc):
-                if va:
-                    keep, flip = table[a]
-                    for b, ab in keep:
-                        vb = value[b]
-                        if vb:
-                            out[ab] += va * vb
-                    for b, ab in flip:
-                        vb = value[b]
-                        if vb:
-                            out[ab] -= va * vb
-            acc = out
-        total = acc if total is None else [t + v for t, v in zip(total, acc)]
-    return [0j] * len(table) if total is None else total
+            acc = _product(acc, env[slot], rows)
+        if total is None:
+            total = acc
+        else:
+            for m, v in acc.items():
+                total[m] = total.get(m, 0j) + v
+    return {} if total is None else total
 
 
-def _slots(value):
-    out = [0j] * (1 << value.n)
-    for mask, v in value.coeff.items():
-        out[mask] = v
-    return out
-
-
-def _value(n, slots):
-    return GrassmannValue(n, dict(enumerate(slots)))
+def _largest(value):
+    return max(map(abs, value.values()), default=0.0)
 
 
 # how far the initial state may lie off the constraint surface
@@ -317,7 +293,7 @@ def integrate_flow(tds, path, init, report):
 
     Every polynomial the run needs is lowered once against a fixed
     generator -> slot map, and grades are checked once on the initial
-    assignment; the RK4 steps then work on lists of 2^n complex slots.
+    assignment; the RK4 steps then work on the nonzero slots of each value.
     """
     return _integrate(make_flow(tds, report), path, init)
 
@@ -371,39 +347,51 @@ def _integrate(flow, path, init):
         if not lifted[g].pure_grade(g.parity):
             raise GradeMismatch(f"{g} assigned a value of the wrong grade")
 
-    table = product_table(n)
-    env = [None if g == sys.p0 else _slots(lifted[g]) for g in order]
-    env[p0_slot] = [-v for v in run_program(h0, env, table)]
+    rows = SignRows(n)
+    env = [None if g == sys.p0 else lifted[g].coeff for g in order]
+    env[p0_slot] = {m: -v for m, v in run_program(h0, env, rows).items()}
     state, constants = env[:p0_slot + 1], env[p0_slot + 1:]
 
     def sample(point):
-        return (tuple(point), {g: _value(n, v) for g, v in zip(state_gens, state)})
+        return (tuple(point),
+                {g: GrassmannValue(n, v) for g, v in zip(state_gens, state)})
 
     residual = 0.0
     for label, prog in invariants:
-        residual = max(residual, max(map(abs, run_program(prog, env, table))))
+        residual = max(residual, _largest(run_program(prog, env, rows)))
     if residual > _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
 
-    zero = [0j] * len(table)
-    z = zero
+    # a slot missing from a value is 0j wherever it enters a sum
+    z = {}
     drift = 0.0
     drift_by = {label: 0.0 for label, _ in invariants}
     samples = [sample(path.waypoints[0])]
 
+    def add(into, value, factor):
+        for m, v in value.items():
+            into[m] = into.get(m, 0j) + v * factor
+        return into
+
     def deriv(env, moving):
-        ks = [zero] * len(state)
-        zdot = zero
+        ks = [{} for _ in state]
+        zdot = {}
         for i, vf in moving:
             for j, prog in rhs[i]:
-                ks[j] = [a + v * vf for a, v in zip(ks[j], run_program(prog, env, table))]
-            zdot = [a + v * vf for a, v in zip(zdot, run_program(dz[i], env, table))]
+                add(ks[j], run_program(prog, env, rows), vf)
+            add(zdot, run_program(dz[i], env, rows), vf)
         return ks, zdot
 
     def shifted(k, factor):
-        return [[a + b * factor for a, b in zip(s, d)]
-                for s, d in zip(state, k)] + constants
+        return [add(dict(s), d, factor) for s, d in zip(state, k)] + constants
+
+    def advance(s, a, b, c, d):
+        out = dict(s)
+        for m in {**a, **b, **c, **d}:
+            out[m] = out.get(m, 0j) + (a.get(m, 0j) + b.get(m, 0j) * two
+                                       + c.get(m, 0j) * two + d.get(m, 0j)) * sixth
+        return out
 
     h = 1.0 / path.steps
     half, full, sixth = complex(h / 2), complex(h), complex(h / 6)
@@ -414,20 +402,17 @@ def _integrate(flow, path, init):
             k2, z2 = deriv(shifted(k1, half), moving)
             k3, z3 = deriv(shifted(k2, half), moving)
             k4, z4 = deriv(shifted(k3, full), moving)
-            state = [[s + (a + b * two + c * two + d) * sixth
-                      for s, a, b, c, d in zip(*parts)]
-                     for parts in zip(state, k1, k2, k3, k4)]
-            z = [s + (a + b * two + c * two + d * one) * sixth
-                 for s, a, b, c, d in zip(z, z1, z2, z3, z4)]
+            state = [advance(*parts) for parts in zip(state, k1, k2, k3, k4)]
+            z = advance(z, z1, z2, z3, {m: v * one for m, v in z4.items()})
             env = state + constants
             for label, prog in invariants:
-                value = max(map(abs, run_program(prog, env, table)))
+                value = _largest(run_program(prog, env, rows))
                 if value > drift_by[label]:
                     drift_by[label] = value
                     if value > drift:
                         drift = value
         samples.append(sample(w1))
-    return FlowResult(samples, _value(n, z), drift, drift_by, residual)
+    return FlowResult(samples, GrassmannValue(n, z), drift, drift_by, residual)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from supermech.brackets import PhaseBasis, berezin
 from supermech.errors import ParityMismatch, UnsolvableConstraint
 from supermech.hamilton_jacobi import _family_surface
 from supermech.legendre import ModelBuilder, RankSplit, analyze
+from supermech.numeric_flow import GrassmannValue
 from supermech.smatrix import SpanReducer, body_matrix, body_rank
 from supermech.superalgebra import (
     Coefficient,
@@ -186,6 +187,40 @@ def random_graded_body(rng, n):
                     else:
                         body[i][j] = body[i][j] + u[i] * w[j] - w[i] * u[j]
     return [[const_poly(c) for c in row] for row in body], parities
+
+
+# ------------------------------------------------------- reference Lambda_n
+
+def reference_sign(a, b):
+    """Sign of sorting the generators of subset a followed by those of b:
+    one flip per pair i in a, j in b with i > j."""
+    swaps = sum(1 for i in range(a.bit_length()) if a >> i & 1
+                for j in range(i) if b >> j & 1)
+    return -1 if swaps & 1 else 1
+
+
+def reference_product(x, y):
+    """x*y in Lambda_n with one sign per pair of masks; the sign rows of
+    numeric_flow must agree with it."""
+    out = {}
+    for ma, va in x.coeff.items():
+        for mb, vb in y.coeff.items():
+            if not ma & mb:
+                out[ma | mb] = out.get(ma | mb, 0j) + va * vb * reference_sign(ma, mb)
+    return GrassmannValue(max(x.n, y.n), out)
+
+
+def reference_evaluate(p, assignment, n):
+    """p in Lambda_n under generator -> GrassmannValue, walking its terms
+    and factors with reference_product and summing in dict order."""
+    total = GrassmannValue(n)
+    for mono in p.terms:
+        acc = GrassmannValue.body_value(n, complex(mono.coeff))
+        for g, e in mono.factors:
+            for _ in range(e):
+                acc = reference_product(acc, assignment[g])
+        total = total + acc
+    return total
 
 
 # ------------------------------------------------------------- test models

@@ -568,6 +568,22 @@ def test_bracket_table_kept_until_the_surface_is_rebuilt():
     assert analysis.bracket_table is rebuilt
 
 
+def test_dirac_brackets_unchanged_by_rescaling_a_second_class_record():
+    # delta and Delta^-1 follow the records, so a constraint scaled by 2
+    # scales its row and column of delta by 2 and of Delta^-1 by 1/2, and
+    # {psi, psibar}_D keeps its value
+    fo = build_fermionic()
+    analysis = run_dirac(fo.legres)
+    psi, psibar = gen_poly(fo.gens["psi"]), gen_poly(fo.gens["psibar"])
+    before = dirac_bracket(psi, psibar, analysis)
+    assert before == const_poly(MI)
+    rec = analysis.second_class_records()[0]
+    rec.expr = rec.expr * const_poly(2)
+    assert analysis.delta[0][1] == analysis.delta[1][0] == const_poly(2 * MI)
+    assert analysis.delta_inverse[0][1] == const_poly(C_I / 2)
+    assert dirac_bracket(psi, psibar, analysis) == before
+
+
 def test_lift_null_vector_lets_unexpected_errors_through(monkeypatch):
     # only singular or non-numeric blocks mean "try the next pivot"
     import supermech.dirac as dirac

@@ -1,4 +1,5 @@
 """Parser, elaborator, pipeline, CLI and report determinism."""
+import cmath
 import contextlib
 import io
 import json
@@ -35,6 +36,11 @@ ALL_FIXTURES = [
 ]
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def data_text(name):
+    return (DATA / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -276,6 +282,15 @@ def test_flow_structured_output_matches_golden(model, cfg):
     assert render_json(result) == golden
 
 
+def test_lambda6_flow_structured_output_matches_golden():
+    # three flavours in Lambda_6, where several products land on one slot,
+    # so a reordered sum would move the last bits of the pinned values
+    result = run_pipeline(parse_model(data_text("flavour3.smf")), stage="flow",
+                          path_text=data_text("flavour3_flow.cfg"))
+    golden = (GOLDEN / "flow" / "flavour3_flow.json").read_text(encoding="utf-8")
+    assert render_json(result) == golden
+
+
 def _cli_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -302,6 +317,33 @@ def test_flow_free_parameter_starts_at_first_waypoint():
     assert start["q2"].coeff == {0: 0.5}
     assert abs(end["q2"].body - 1.5) < 1e-12
     assert abs(end["q1"].body - 1.0) < 1e-12
+
+
+FERMIONIC_AT_CAP = """\
+params t0
+0
+1
+steps 200
+psi = 1*g1
+psibar = 1*g12
+p_psi = 0.5j*g12
+p_psibar = 0.5j*g1
+m = 1
+"""
+
+
+def test_fermionic_flow_at_the_lambda_cap(tmp_path):
+    # Lambda_12, the largest algebra a flow may use, with values that touch
+    # two of its 12 generators: the phase rotation of the mass term
+    cfg = tmp_path / "fermionic_cap.cfg"
+    cfg.write_text(FERMIONIC_AT_CAP, encoding="utf-8")
+    code, out, _ = _cli_main("analyze", str(FIXTURES / "fermionic_oscillator.smf"),
+                             "--stage", "flow", "--path", str(cfg),
+                             "--format", "structured")
+    assert code == 0
+    coeff, gens = json.loads(out)["flow"]["endpoint"]["psi"].split(")*")
+    assert gens == "g1"
+    assert abs(complex(coeff.lstrip("(")) - cmath.exp(-1j)) < 1e-8
 
 
 def test_flow_assignment_disagreeing_with_first_waypoint(tmp_path):

@@ -11,6 +11,9 @@ from helpers import (
     build_gauge_toy,
     build_sho,
     random_poly,
+    reference_evaluate,
+    reference_product,
+    reference_sign,
     small_basis,
 )
 from supermech import numeric_flow
@@ -19,13 +22,14 @@ from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import build_hj_system, closure_loop, total_differentials
 from supermech.numeric_flow import (
+    LAMBDA_CAP,
     GrassmannValue,
     PathSpec,
+    SignRows,
     evaluate,
     integrate_flow,
     lower,
     path_independence_check,
-    product_table,
     run_program,
 )
 from supermech.superalgebra import Generator, Kind, Parity, const_poly, gen_poly
@@ -44,6 +48,18 @@ def test_product_signs_and_nilpotency():
     # soul nilpotency: (g1 g2)^2 = 0
     u = g1 * g2
     assert (u * u).coeff == {}
+
+
+def test_products_landing_on_one_slot_sum_in_left_mask_order():
+    # three products land on g1 g2 g3; 1 + 1e16 - 1e16 is 0 in floating
+    # point, summed the other way round it is 1
+    left = GrassmannValue(3, {0b100: -1e16, 0b010: -1e16, 0b001: 1.0})
+    right = GrassmannValue(3, {0b011: 1, 0b101: 1, 0b110: 1})
+    want = 0j
+    for a in (0b001, 0b010, 0b100):
+        want += left.coeff[a] * reference_sign(a, 0b111 ^ a)
+    assert want == 0
+    assert (left * right).coeff.get(0b111, 0j) == want
 
 
 def test_evaluate_examples():
@@ -269,13 +285,14 @@ def test_lowered_programs_match_evaluate(n, count):
     rng = random.Random(400 + n)
     gens = [g for pair in small_basis().pairs for g in pair]
     slot_of = {g: i for i, g in enumerate(gens)}
-    table = product_table(n)
+    rows = SignRows(n)
     for _ in range(count):
         values = {g: _random_graded(rng, n, g.parity) for g in gens}
-        env = [[values[g].coeff.get(m, 0j) for m in range(1 << n)] for g in gens]
+        env = [values[g].coeff for g in gens]
         p = random_poly(rng, gens, max_terms=4, max_degree=4)
-        want = evaluate(p, values)
-        got = GrassmannValue(n, dict(enumerate(run_program(lower(p, slot_of), env, table))))
+        want = reference_evaluate(p, values, n)
+        got = GrassmannValue(n, run_program(lower(p, slot_of), env, rows))
+        assert evaluate(p, values).coeff == got.coeff
         if n <= 2:
             # at most two products land on one slot, so no sum is reordered
             assert got.coeff == want.coeff
@@ -289,20 +306,32 @@ def test_lowered_programs_match_evaluate(n, count):
         assert (got - want).max_abs <= 1e-12 * scale
 
 
-def test_product_table_matches_grassmann_product():
+def test_sign_rows_match_grassmann_product():
     n = 4
-    table = product_table(n)
+    rows = SignRows(n)
     for a in range(1 << n):
-        keep, flip = table[a]
+        row = rows[a]
         for b in range(1 << n):
-            prod = GrassmannValue(n, {a: 1}) * GrassmannValue(n, {b: 1})
+            x, y = GrassmannValue(n, {a: 1}), GrassmannValue(n, {b: 1})
+            prod = reference_product(x, y)
+            assert (x * y).coeff == prod.coeff
             if a & b:
                 assert prod.coeff == {}
-                assert b not in {x for x, _ in keep + flip}
+                assert b not in row
             else:
-                sign = 1 if (b, a | b) in keep else -1
-                assert (b, a | b) in keep + flip
-                assert prod.coeff == {a | b: complex(sign)}
+                ab = row[b]
+                assert (ab if ab >= 0 else ~ab) == a | b
+                assert prod.coeff == {a | b: complex(1 if ab >= 0 else -1)}
+    # at the cap, rows are built only for the left masks asked for
+    rng = random.Random(12)
+    rows = SignRows(LAMBDA_CAP)
+    left = [rng.getrandbits(LAMBDA_CAP) for _ in range(4)]
+    for a in left:
+        assert len(rows[a]) == 1 << (LAMBDA_CAP - bin(a).count("1"))
+        for b, ab in rows[a].items():
+            assert not a & b
+            assert (ab >= 0) == (reference_sign(a, b) > 0)
+    assert sorted(rows) == sorted(set(left))
 
 
 def test_flow_makes_no_per_step_evaluation(monkeypatch):
