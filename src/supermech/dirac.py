@@ -356,26 +356,35 @@ def first_class_recombination(delta, records, basis):
     new_records = []
     while remaining:
         block = [[delta[i][j].body for j in remaining] for i in remaining]
-        if body_rank(block) == len(remaining):
+        nullity = len(remaining) - body_rank(block)
+        if not nullity:
             for i in remaining:
                 active[i].cls = "second"
             break
         # the active set loses a record with every supersede below
         surface = Surface(records)
-        lifted = None
+        # body equations: sum_s body(Delta[s][t]) v0_s = 0 for all t; the
+        # body of a mixed-parity bracket is 0, so the parities' null spaces
+        # add up to the block's
+        nulls = {}
         for target in (Parity.EVEN, Parity.ODD):
             cols = [i for i in remaining if active[i].parity == target]
-            if not cols:
-                continue
-            # body equations: sum_s body(Delta[s][t]) v0_s = 0 for all t
-            bmat = [[delta[s][t].body for s in cols] for t in remaining]
-            null = body_nullspace(bmat)
-            if not null:
-                continue
-            v0 = null[0]
+            if cols and nullity:
+                bmat = [[delta[s][t].body for s in cols] for t in remaining]
+                null = body_nullspace(bmat)
+                if null:
+                    nulls[target] = (cols, null)
+                    nullity -= len(null)
+        # one null direction is lifted at a time; the free columns of the
+        # others get no correction, or the block the lift solves is singular
+        free = {cols[fc] for cols, null in nulls.values() for fc in null}
+        lifted = None
+        for target, (cols, null) in nulls.items():
+            fc, v0 = next(iter(null.items()))
             support = [cols[k] for k, c in enumerate(v0) if not c.is_zero]
             lifted = _lift_null_vector(delta, active, remaining, cols, v0,
-                                       support, target, surface)
+                                       support, target, surface,
+                                       free - {cols[fc]})
             if lifted is not None:
                 break
         if lifted is None:
@@ -401,12 +410,16 @@ def first_class_recombination(delta, records, basis):
     return new_records
 
 
-def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi, surface):
-    """Extend a body null vector with soul corrections; None when it fails."""
+def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi,
+                      surface, held):
+    """Extend a body null vector with soul corrections; None when it fails.
+
+    The records in held get no correction.
+    """
     from .superalgebra import const_poly
 
     for pivot in support:
-        rest = [i for i in remaining if i != pivot]
+        rest = [i for i in remaining if i != pivot and i not in held]
         if not rest:
             continue
         sign = _classification_sign

@@ -21,6 +21,29 @@ from .superalgebra import Parity, as_poly
 LAMBDA_CAP = 12
 
 
+def _flips(a, bit):
+    """1 when generator `bit` of b, moved to its place in a*b, passes an odd
+    number of generators of a (those above it), else 0."""
+    return bin(a & -(bit << 1)).count("1") & 1
+
+
+def _pair_rows(left, right):
+    """The entries of SignRows that left*right reads, each built alone."""
+    rows = {}
+    for a in left:
+        row = rows[a] = {}
+        for b in right:
+            if a & b:
+                continue
+            odd, rest = 0, b
+            while rest:
+                bit = rest & -rest
+                odd ^= _flips(a, bit)
+                rest ^= bit
+            row[b] = ~(a | b) if odd else a | b
+    return rows
+
+
 class SignRows(dict):
     """Products in Lambda_n, one row per left mask a, built on first use.
 
@@ -33,10 +56,9 @@ class SignRows(dict):
         self.n = n
 
     def __missing__(self, a):
-        # generator j of b passes every generator of a above it, so each
-        # bit of b brings its own sign and an entry follows from the entry
-        # of b without its lowest bit
-        flips = {1 << j for j in range(self.n) if bin(a >> (j + 1)).count("1") & 1}
+        # each bit of b brings its own sign, so an entry follows from the
+        # entry of b without its lowest bit
+        flips = {1 << j for j in range(self.n) if _flips(a, 1 << j)}
         free = ((1 << self.n) - 1) & ~a
         row = {0: a}
         b = 0
@@ -122,7 +144,8 @@ class GrassmannValue:
         if not isinstance(other, GrassmannValue):
             return self.scaled(other)
         n = max(self.n, other.n)
-        return GrassmannValue(n, _product(self.coeff, other.coeff, SignRows(n)))
+        rows = _pair_rows(self.coeff, other.coeff)
+        return GrassmannValue(n, _product(self.coeff, other.coeff, rows))
 
     def __rmul__(self, other):
         return self.scaled(other)

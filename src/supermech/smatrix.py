@@ -91,11 +91,15 @@ def body_inverse(b):
 
 
 def body_nullspace(b):
-    """Right null vectors of a Coefficient matrix, first component normalized."""
+    """Right null vectors of a Coefficient matrix, keyed by free column.
+
+    The vector of free column fc is 1 there and 0 on every other free
+    column; keys ascend.
+    """
     rows = [list(row) for row in b]
     ncols = len(rows[0]) if rows else 0
     pivots = _eliminate(rows, ncols)
-    basis = []
+    basis = {}
     for fc in range(ncols):
         if fc in pivots:
             continue
@@ -103,7 +107,7 @@ def body_nullspace(b):
         vec[fc] = C_ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][fc]
-        basis.append(vec)
+        basis[fc] = vec
     return basis
 
 

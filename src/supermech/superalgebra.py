@@ -36,6 +36,10 @@ class Generator:
     The global order is (kind, order, name, index): coordinates first, then
     velocities, momenta, parameters and auxiliaries, each group in
     declaration order.  Canonical forms depend on this order being stable.
+
+    Equality compares the fields.  The hash of those fields is taken once,
+    here, because factor tuples key every polynomial map and hashing a tuple
+    hashes each of its generators.
     """
 
     name: str
@@ -51,6 +55,14 @@ class Generator:
             (int(self.kind), self.order, self.name,
              -1 if self.index is None else self.index),
         )
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.name, self.parity, self.kind, self.index, self.order)),
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         if self.index is None:
@@ -58,12 +70,21 @@ class Generator:
         return f"{self.name}[{self.index}]"
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 class Coefficient:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational a + b*i with exact Fraction components.
+
+    Both parts are always Fractions, in lowest terms as Fraction keeps them,
+    and never floats.  Most coefficients are real, so multiplication skips the
+    products of a zero imaginary part; these fast paths give exactly the
+    value of the full formula.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=_FRACTION_ZERO, im=_FRACTION_ZERO):
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
@@ -87,6 +108,12 @@ class Coefficient:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if not other.im:
+            if not self.im:
+                return Coefficient(self.re * other.re)
+            return Coefficient(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return Coefficient(self.re * other.re, self.re * other.im)
         return Coefficient(self.re * other.re - self.im * other.im,
                            self.re * other.im + self.im * other.re)
 

@@ -28,6 +28,7 @@ from supermech.superalgebra import (
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "supermech" / "fixtures"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 HALF = Fraction(1, 2)
 HALF_I = Coefficient(0, HALF)
@@ -35,6 +36,10 @@ HALF_I = Coefficient(0, HALF)
 
 def fixture_text(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def data_text(name):
+    return (DATA / name).read_text(encoding="utf-8")
 
 
 # ----------------------------------------------------------- random inputs

@@ -11,6 +11,7 @@ from helpers import (
     build_gauge_toy,
     build_qed,
     build_sho,
+    data_text,
     gamma_matrices,
     random_homogeneous,
     reference_substitute,
@@ -228,8 +229,8 @@ def test_body_elimination_kernel():
                      > body_rank([row[:j] for row in b]))
             assert grows == (j in pivots)
         null = body_nullspace(b)
-        assert len(null) == ncols - rank
-        for vec in null:
+        assert list(null) == [j for j in range(ncols) if j not in pivots]
+        for vec in null.values():
             assert all(sum((row[j] * vec[j] for j in range(ncols)), zero).is_zero
                        for row in b)
         if nrows != ncols:
@@ -636,3 +637,26 @@ lagrangian: 1/2*i*(a*dot(a) + 2*b*dot(b) + c*dot(c)) + 1/2*i*(a*dot(b) + b*dot(a
     path.write_text(source, encoding="utf-8")
     assert cli.main(["analyze", str(path)]) == 2
     assert "no body-invertible pivot" in capsys.readouterr().err
+
+
+def _classes(analysis):
+    return {(str(rec.expr), rec.cls, rec.superseded) for rec in analysis.records}
+
+
+def test_independent_gauss_sectors_classify_as_alone():
+    # two Gauss sectors give two even body null directions; each must be
+    # lifted with the other one held out of its block
+    both = run_pipeline(parse_model(data_text("two_gauss.smf")), stage="dirac")
+    alone = [run_pipeline(parse_model(data_text(name)), stage="dirac").analysis
+             for name in ("gauss_sector_a.smf", "gauss_sector_c.smf")]
+    analysis = both.analysis
+    assert _classes(analysis) == _classes(alone[0]) | _classes(alone[1])
+    assert not any(rec.cls == "undetermined" for rec in analysis.active())
+    assert [rec.name for rec in analysis.active() if rec.cls == "first"] == [
+        "Phi1", "Phi2", "Phi11~rec", "Phi12~rec"]
+    assert len(analysis.second_class) == 8
+    gens = [g for pair in analysis.basis.pairs for g in pair]
+    for rec in analysis.second_class_records():
+        for g in gens:
+            value = dirac_bracket(rec.expr, gen_poly(g), analysis)
+            assert weak_reduce(value, analysis.records).is_zero

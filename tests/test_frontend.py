@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from helpers import FIXTURES, fixture_text
+from helpers import FIXTURES, data_text, fixture_text
 from supermech import superalgebra
 from supermech.errors import (
     IndexOutOfRange,
@@ -36,11 +36,6 @@ ALL_FIXTURES = [
 ]
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-DATA = pathlib.Path(__file__).resolve().parent / "data"
-
-
-def data_text(name):
-    return (DATA / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

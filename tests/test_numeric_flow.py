@@ -18,6 +18,7 @@ from helpers import (
 )
 from supermech import numeric_flow
 from supermech.errors import FlowError, GradeMismatch, SupermechError
+from supermech.frontend.flowconfig import parse_value
 from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import build_hj_system, closure_loop, total_differentials
@@ -269,6 +270,47 @@ def test_path_independence_builds_one_flow(monkeypatch, name):
 def test_lambda_cap():
     with pytest.raises(ValueError):
         GrassmannValue(13)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_single_products_match_reference(n):
+    # small integer parts keep every sum exact, so the order of summation
+    # cannot matter and the products must agree bit for bit
+    rng = random.Random(700 + n)
+
+    def value(size):
+        return GrassmannValue(size, {
+            rng.getrandbits(size): complex(rng.randint(-3, 3), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 1 << size))})
+
+    for _ in range(60):
+        x, y = value(n), value(rng.randint(max(n - 1, 0), n))
+        assert (x * y).coeff == reference_product(x, y).coeff
+        assert (x * y).n == max(x.n, y.n)
+
+
+def test_lambda12_literal_builds_only_the_signs_it_meets(monkeypatch):
+    built = []
+    pair_rows = numeric_flow._pair_rows
+
+    def counting(left, right):
+        rows = pair_rows(left, right)
+        built.append(sum(len(row) for row in rows.values()))
+        return rows
+
+    def no_full_row(self, a):
+        raise AssertionError("a single product built a full sign row")
+
+    monkeypatch.setattr(numeric_flow, "_pair_rows", counting)
+    monkeypatch.setattr(SignRows, "__missing__", no_full_row)
+    g = GrassmannValue.body_value(12, 1) * GrassmannValue.generator(12, 5)
+    assert g.coeff == {1 << 4: 1 + 0j}
+    assert built == [1]
+    built.clear()
+    value = parse_value("2*g12*g1*g7 - 0.5j*g3", LAMBDA_CAP)
+    assert value.coeff == {0b100001000001: 2 + 0j, 0b100: -0.5j}
+    # one entry per generator factor, 3 + 1; the body's full row holds 4096
+    assert built == [1, 1, 1, 1]
 
 
 def _random_graded(rng, n, parity):

@@ -1,12 +1,14 @@
 """Kernel tests: canonical forms, graded arithmetic and derivatives."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_homogeneous, random_poly, reference_substitute, small_basis
 from supermech import superalgebra
-from supermech.errors import MixedParity, ParityMismatch
+from supermech.errors import MixedParity, ParityMismatch, SingularBody
 from supermech.superalgebra import (
     Coefficient,
     Generator,
@@ -246,3 +248,101 @@ def test_gradient_matches_derive():
         odd_seen += any(g.parity for g in present)
     assert high_even and odd_seen
     assert gradient(ZERO, False) == {} and gradient(ZERO, True) == {}
+
+
+# ------------------------------------------- Coefficient and Generator laws
+
+_PROPERTY = settings(max_examples=300, derandomize=True, database=None,
+                     deadline=None)
+_FRACTIONS = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+# zero parts, int operands and Fraction operands each get a branch of their own
+_SCALARS = st.one_of(st.just(0), st.integers(-9, 9), _FRACTIONS)
+_COEFFS = st.builds(Coefficient, _SCALARS, _SCALARS)
+_OPERANDS = st.one_of(_COEFFS, _COEFFS, st.integers(-9, 9), _FRACTIONS)
+
+
+def _parts(x):
+    if isinstance(x, Coefficient):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def _four_fraction(op, x, y):
+    """(re, im) of x op y by the plain formula on four Fractions."""
+    (a, b), (c, d) = _parts(x), _parts(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def _exact(result, want):
+    assert isinstance(result, Coefficient)
+    assert type(result.re) is Fraction and type(result.im) is Fraction
+    assert (result.re, result.im) == want
+
+
+@_PROPERTY
+@given(_COEFFS, _OPERANDS)
+def test_coefficient_arithmetic_matches_four_fraction_formula(x, y):
+    _exact(x + y, _four_fraction("+", x, y))
+    _exact(y + x, _four_fraction("+", y, x))
+    _exact(x - y, _four_fraction("-", x, y))
+    _exact(x * y, _four_fraction("*", x, y))
+    _exact(y * x, _four_fraction("*", y, x))
+    _exact(-x, _four_fraction("-", 0, x))
+    if _parts(y) == (0, 0):
+        with pytest.raises(SingularBody):
+            x / y
+    else:
+        _exact(x / y, _four_fraction("/", x, y))
+    if x.is_zero:
+        with pytest.raises(SingularBody):
+            x.inv()
+    else:
+        _exact(x.inv(), _four_fraction("/", 1, x))
+
+
+@_PROPERTY
+@given(_SCALARS, _SCALARS)
+def test_coefficient_parts_are_fractions(re, im):
+    for c in (Coefficient(re, im), Coefficient(re), Coefficient()):
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+    assert Coefficient(re, im) == Coefficient(Fraction(re), Fraction(im))
+    assert hash(Coefficient(re)) == hash(Coefficient(Fraction(re), 0))
+
+
+_GENERATORS = st.builds(
+    Generator,
+    st.text("abpqz_", min_size=1, max_size=4),
+    st.sampled_from(Parity),
+    st.sampled_from(Kind),
+    st.one_of(st.none(), st.integers(0, 9)),
+    st.integers(0, 30),
+)
+
+
+def _copy(g):
+    return Generator(g.name, g.parity, g.kind, g.index, g.order)
+
+
+@_PROPERTY
+@given(_GENERATORS, _GENERATORS)
+def test_generator_hash_follows_its_fields(g, other):
+    twin = _copy(g)
+    assert twin is not g and twin == g and hash(twin) == hash(g)
+    moved = replace(g, order=g.order + 1)
+    assert moved != g
+    back = replace(moved, order=g.order)
+    assert back == g and hash(back) == hash(g)
+    if other == g:
+        assert hash(other) == hash(g)
+    # dict keys made of factor tuples find entries under equal copies
+    table = {((g, 1),): "g", ((g, 2), (other, 1)): "g2 other"}
+    assert table[((twin, 1),)] == "g"
+    assert table[((back, 2), (_copy(other), 1))] == "g2 other"
+    assert ((moved, 1),) not in table
