@@ -416,29 +416,28 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi,
 
     The records in held get no correction.
     """
-    from .superalgebra import const_poly
-
+    # signed[s][t] is Delta_st with the sign it takes in the closure condition
+    signed = {s: {t: delta[s][t] if _classification_sign(
+        p_phi, active[t].parity, active[s].parity) > 0 else -delta[s][t]
+        for t in remaining} for s in remaining}
+    weights = {s: v0[cols.index(s)] for s in support}
     for pivot in support:
         rest = [i for i in remaining if i != pivot and i not in held]
         if not rest:
             continue
-        sign = _classification_sign
-        block = [[const_poly(sign(p_phi, active[t].parity, active[s].parity))
-                  * delta[s][t] for s in rest] for t in rest]
-        fixed = {s: const_poly(v0[cols.index(s)]) for s in support}
+        block = [[signed[s][t] for s in rest] for t in rest]
         rhs = []
         for t in rest:
             acc = ZERO
             for s in support:
-                acc = acc + const_poly(
-                    sign(p_phi, active[t].parity, active[s].parity)) \
-                    * delta[s][t] * fixed[s]
+                acc = acc + signed[s][t] * weights[s]
             rhs.append(-acc)
         try:
             correction = solve_left(block, rhs)
         except (SingularBody, NonNumericBody):
             continue
-        vector = dict(fixed)
+        # Coefficient weights on the support, poly corrections on the rest
+        vector = dict(weights)
         for s, w in zip(rest, correction):
             w = surface.reduce(w)
             if not w.is_zero:
@@ -448,9 +447,7 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi,
         for t in remaining:
             acc = ZERO
             for s, vs in vector.items():
-                acc = acc + const_poly(
-                    sign(p_phi, active[t].parity, active[s].parity)) \
-                    * delta[s][t] * vs
+                acc = acc + signed[s][t] * vs
             if not surface.reduce(acc).is_zero:
                 ok = False
                 break

@@ -40,11 +40,11 @@ class ElaboratedModel:
     sizes: dict  # name -> size or None
     params: dict  # name -> Generator
     tensors: dict  # name -> tuple of tuples of Coefficient
-    odd_slots: dict  # odd coordinate Generator -> 1-based Lambda_n slot
 
     @property
     def n_odd(self):
-        return len(self.odd_slots)
+        """The number of odd coordinates, the Lambda_n a flow needs at least."""
+        return sum(q.parity == Parity.ODD for q in self.model.coordinates)
 
     def lookup(self, name, index=None):
         """Resolve a printed generator name (coordinates, momenta, params)."""
@@ -114,11 +114,7 @@ def elaborate(doc):
     except MixedParity:
         raise MixedParity("the Lagrangian must be even") from None
     model = builder.finish(lagrangian)
-    odd_slots = {}
-    for q in model.coordinates:
-        if q.parity == Parity.ODD:
-            odd_slots[q] = len(odd_slots) + 1
-    return ElaboratedModel(doc, model, families, sizes, params, tensors, odd_slots)
+    return ElaboratedModel(doc, model, families, sizes, params, tensors)
 
 
 def _constant(node, tensor_name):

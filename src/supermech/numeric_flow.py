@@ -8,81 +8,51 @@ parameters move along their dt relations; free parameters follow the
 requested path exactly.
 
 Every polynomial is lowered once into a program (`lower`) that
-`run_program` runs on those sparse values, with the product signs of
-`SignRows`; `evaluate` and a flow's RK4 steps both run such programs.
+`run_program` runs on those sparse values; `evaluate` and a flow's RK4 steps
+both run such programs.  Every product goes through `_product`, which fills
+a sign table with the pairs of masks it meets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .brackets import berezin
 from .errors import FlowError, GradeMismatch
-from .superalgebra import Parity, as_poly
+from .superalgebra import Parity, as_poly, gen_poly
 
 LAMBDA_CAP = 12
 
 
-def _flips(a, bit):
-    """1 when generator `bit` of b, moved to its place in a*b, passes an odd
-    number of generators of a (those above it), else 0."""
-    return bin(a & -(bit << 1)).count("1") & 1
+def _signed(a, b):
+    """a|b where a*b keeps its sign and ~(a|b) where it flips, for disjoint
+    masks: one flip per generator of a above a generator of b."""
+    odd, rest = 0, b
+    while rest:
+        low = rest & -rest
+        odd += bin(a & -(low << 1)).count("1")
+        rest ^= low
+    return ~(a | b) if odd & 1 else a | b
 
 
-def _pair_rows(left, right):
-    """The entries of SignRows that left*right reads, each built alone."""
-    rows = {}
-    for a in left:
-        row = rows[a] = {}
-        for b in right:
-            if a & b:
-                continue
-            odd, rest = 0, b
-            while rest:
-                bit = rest & -rest
-                odd ^= _flips(a, bit)
-                rest ^= bit
-            row[b] = ~(a | b) if odd else a | b
-    return rows
-
-
-class SignRows(dict):
-    """Products in Lambda_n, one row per left mask a, built on first use.
-
-    Row a maps every b disjoint from a to a|b where a*b keeps its sign and
-    to ~(a|b) where it flips.
-    """
-
-    def __init__(self, n):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, a):
-        # each bit of b brings its own sign, so an entry follows from the
-        # entry of b without its lowest bit
-        flips = {1 << j for j in range(self.n) if _flips(a, 1 << j)}
-        free = ((1 << self.n) - 1) & ~a
-        row = {0: a}
-        b = 0
-        while b != free:
-            b = (b - free) & free  # the next submask of free
-            low = b & -b
-            rest = row[b ^ low]
-            ab = rest + low if rest >= 0 else rest - low  # a|b, rest's sign
-            row[b] = ~ab if low in flips else ab
-        self[a] = row
-        return row
-
-
-def _product(left, right, rows):
+def _product(left, right, signs):
     """left*right on mask -> complex dicts.  Products that land on one slot
-    are summed in ascending order of the left mask."""
+    are summed in ascending order of the left mask.
+
+    signs is a table {a: {b: _signed(a, b)}} that the product fills with the
+    disjoint pairs it meets; callers that multiply often share one.
+    """
     out = {}
     for a in sorted(left):
         va = left[a]
-        row = rows[a]
+        row = signs.get(a)
+        if row is None:
+            row = signs[a] = {}
         for b, vb in right.items():
+            if a & b:
+                continue
             ab = row.get(b)
             if ab is None:
-                continue
+                ab = row[b] = _signed(a, b)
             if ab >= 0:
                 out[ab] = out.get(ab, 0j) + va * vb
             else:
@@ -144,8 +114,7 @@ class GrassmannValue:
         if not isinstance(other, GrassmannValue):
             return self.scaled(other)
         n = max(self.n, other.n)
-        rows = _pair_rows(self.coeff, other.coeff)
-        return GrassmannValue(n, _product(self.coeff, other.coeff, rows))
+        return GrassmannValue(n, _product(self.coeff, other.coeff, {}))
 
     def __rmul__(self, other):
         return self.scaled(other)
@@ -186,7 +155,7 @@ def evaluate(p, assignment):
         n = next(iter(assignment.values())).n if assignment else 0
     slot_of = {g: i for i, g in enumerate(gens)}
     env = [assignment[g].coeff for g in gens]
-    return GrassmannValue(n, run_program(lower(p, slot_of), env, SignRows(n)))
+    return GrassmannValue(n, run_program(lower(p, slot_of), env, {}))
 
 
 @dataclass(frozen=True)
@@ -277,9 +246,10 @@ def lower(p, slot_of):
     return program
 
 
-def run_program(program, env, rows):
+def run_program(program, env, signs):
     """Value of a lowered polynomial under env, a list of mask -> complex
-    dicts in which a missing slot is zero, with the products of `rows`.
+    dicts in which a missing slot is zero, with the sign table `signs` of
+    `_product`.
 
     A term's first factor scales its coefficient slot by slot, and the
     first term starts the total.  The result may hold exact zeros.
@@ -288,7 +258,7 @@ def run_program(program, env, rows):
     for coeff, slots in program:
         acc = {m: coeff * v for m, v in env[slots[0]].items()} if slots else {0: coeff}
         for slot in slots[1:]:
-            acc = _product(acc, env[slot], rows)
+            acc = _product(acc, env[slot], signs)
         if total is None:
             total = acc
         else:
@@ -370,9 +340,9 @@ def _integrate(flow, path, init):
         if not lifted[g].pure_grade(g.parity):
             raise GradeMismatch(f"{g} assigned a value of the wrong grade")
 
-    rows = SignRows(n)
+    signs = {}
     env = [None if g == sys.p0 else lifted[g].coeff for g in order]
-    env[p0_slot] = {m: -v for m, v in run_program(h0, env, rows).items()}
+    env[p0_slot] = {m: -v for m, v in run_program(h0, env, signs).items()}
     state, constants = env[:p0_slot + 1], env[p0_slot + 1:]
 
     def sample(point):
@@ -381,7 +351,7 @@ def _integrate(flow, path, init):
 
     residual = 0.0
     for label, prog in invariants:
-        residual = max(residual, _largest(run_program(prog, env, rows)))
+        residual = max(residual, _largest(run_program(prog, env, signs)))
     if residual > _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
@@ -402,8 +372,8 @@ def _integrate(flow, path, init):
         zdot = {}
         for i, vf in moving:
             for j, prog in rhs[i]:
-                add(ks[j], run_program(prog, env, rows), vf)
-            add(zdot, run_program(dz[i], env, rows), vf)
+                add(ks[j], run_program(prog, env, signs), vf)
+            add(zdot, run_program(dz[i], env, signs), vf)
         return ks, zdot
 
     def shifted(k, factor):
@@ -429,7 +399,7 @@ def _integrate(flow, path, init):
             z = advance(z, z1, z2, z3, {m: v * one for m, v in z4.items()})
             env = state + constants
             for label, prog in invariants:
-                value = _largest(run_program(prog, env, rows))
+                value = _largest(run_program(prog, env, signs))
                 if value > drift_by[label]:
                     drift_by[label] = value
                     if value > drift:
@@ -489,9 +459,6 @@ def path_independence_check(tds, path_a, path_b, init, report, tol=1e-8):
 
 
 def _weak_observables(sys, report):
-    from .brackets import berezin
-    from .superalgebra import gen_poly
-
     out = set()
     for g in sys.basis.coordinates + sys.basis.momenta:
         if g == sys.t0 or g == sys.p0:

@@ -11,6 +11,7 @@ from .errors import NonNumericBody, SingularBody
 from .superalgebra import (
     C_ONE,
     C_ZERO,
+    Monomial,
     SuperPoly,
     ZERO,
     as_poly,
@@ -315,6 +316,4 @@ class SpanReducer:
                         break
             monos.append((key, c, factors))
         monos.sort(key=lambda item: item[0])
-        from .superalgebra import Monomial
-
         return SuperPoly(tuple(Monomial(c, f) for _, c, f in monos))

@@ -104,6 +104,12 @@ class Coefficient:
             return NotImplemented
         return Coefficient(self.re - other.re, self.im - other.im)
 
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
@@ -131,6 +137,12 @@ class Coefficient:
 
     def __truediv__(self, other):
         return self * _as_coeff(other).inv()
+
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inv()
 
     def __eq__(self, other):
         if not isinstance(other, Coefficient):

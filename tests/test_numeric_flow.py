@@ -10,6 +10,7 @@ from helpers import (
     build_free_singular,
     build_gauge_toy,
     build_sho,
+    data_text,
     random_poly,
     reference_evaluate,
     reference_product,
@@ -26,7 +27,6 @@ from supermech.numeric_flow import (
     LAMBDA_CAP,
     GrassmannValue,
     PathSpec,
-    SignRows,
     evaluate,
     integrate_flow,
     lower,
@@ -291,18 +291,14 @@ def test_single_products_match_reference(n):
 
 def test_lambda12_literal_builds_only_the_signs_it_meets(monkeypatch):
     built = []
-    pair_rows = numeric_flow._pair_rows
+    product = numeric_flow._product
 
-    def counting(left, right):
-        rows = pair_rows(left, right)
-        built.append(sum(len(row) for row in rows.values()))
-        return rows
+    def counting(left, right, signs):
+        out = product(left, right, signs)
+        built.append(sum(len(row) for row in signs.values()))
+        return out
 
-    def no_full_row(self, a):
-        raise AssertionError("a single product built a full sign row")
-
-    monkeypatch.setattr(numeric_flow, "_pair_rows", counting)
-    monkeypatch.setattr(SignRows, "__missing__", no_full_row)
+    monkeypatch.setattr(numeric_flow, "_product", counting)
     g = GrassmannValue.body_value(12, 1) * GrassmannValue.generator(12, 5)
     assert g.coeff == {1 << 4: 1 + 0j}
     assert built == [1]
@@ -311,6 +307,36 @@ def test_lambda12_literal_builds_only_the_signs_it_meets(monkeypatch):
     assert value.coeff == {0b100001000001: 2 + 0j, 0b100: -0.5j}
     # one entry per generator factor, 3 + 1; the body's full row holds 4096
     assert built == [1, 1, 1, 1]
+
+
+def test_flow_sign_table_holds_the_pairs_it_meets(monkeypatch):
+    # the three-flavour flow in Lambda_6 shares one table over its RK4 steps
+    tables, met = {}, {}
+    product, run = numeric_flow._product, numeric_flow.run_program
+
+    def recording_product(left, right, signs):
+        met.setdefault(id(signs), set()).update(
+            (a, b) for a in left for b in right if not a & b)
+        return product(left, right, signs)
+
+    def recording_run(program, env, signs):
+        tables[id(signs)] = signs
+        return run(program, env, signs)
+
+    monkeypatch.setattr(numeric_flow, "_product", recording_product)
+    monkeypatch.setattr(numeric_flow, "run_program", recording_run)
+    run_pipeline(parse_model(data_text("flavour3.smf")), stage="flow",
+                 path_text=data_text("flavour3_flow.cfg"))
+    assert len(tables) == 1
+    (key, signs), = tables.items()
+    entries = {(a, b): ab for a, row in signs.items() for b, ab in row.items()}
+    assert set(entries) == met[key]
+    for (a, b), ab in entries.items():
+        assert not a & b
+        assert (ab if ab >= 0 else ~ab) == a | b
+        assert (ab >= 0) == (reference_sign(a, b) > 0)
+    # full rows for the same left masks held 361 entries
+    assert len(entries) == 100
 
 
 def _random_graded(rng, n, parity):
@@ -327,13 +353,13 @@ def test_lowered_programs_match_evaluate(n, count):
     rng = random.Random(400 + n)
     gens = [g for pair in small_basis().pairs for g in pair]
     slot_of = {g: i for i, g in enumerate(gens)}
-    rows = SignRows(n)
+    signs = {}
     for _ in range(count):
         values = {g: _random_graded(rng, n, g.parity) for g in gens}
         env = [values[g].coeff for g in gens]
         p = random_poly(rng, gens, max_terms=4, max_degree=4)
         want = reference_evaluate(p, values, n)
-        got = GrassmannValue(n, run_program(lower(p, slot_of), env, rows))
+        got = GrassmannValue(n, run_program(lower(p, slot_of), env, signs))
         assert evaluate(p, values).coeff == got.coeff
         if n <= 2:
             # at most two products land on one slot, so no sum is reordered
@@ -348,32 +374,40 @@ def test_lowered_programs_match_evaluate(n, count):
         assert (got - want).max_abs <= 1e-12 * scale
 
 
-def test_sign_rows_match_grassmann_product():
+def test_sign_table_matches_grassmann_product():
     n = 4
-    rows = SignRows(n)
+    signs = {}
     for a in range(1 << n):
-        row = rows[a]
         for b in range(1 << n):
             x, y = GrassmannValue(n, {a: 1}), GrassmannValue(n, {b: 1})
             prod = reference_product(x, y)
             assert (x * y).coeff == prod.coeff
+            assert numeric_flow._product(x.coeff, y.coeff, signs) == prod.coeff
             if a & b:
                 assert prod.coeff == {}
-                assert b not in row
+                assert b not in signs[a]
             else:
-                ab = row[b]
+                ab = signs[a][b]
                 assert (ab if ab >= 0 else ~ab) == a | b
                 assert prod.coeff == {a | b: complex(1 if ab >= 0 else -1)}
-    # at the cap, rows are built only for the left masks asked for
+    # at the cap, the table holds only the disjoint pairs a product meets
     rng = random.Random(12)
-    rows = SignRows(LAMBDA_CAP)
-    left = [rng.getrandbits(LAMBDA_CAP) for _ in range(4)]
-    for a in left:
-        assert len(rows[a]) == 1 << (LAMBDA_CAP - bin(a).count("1"))
-        for b, ab in rows[a].items():
-            assert not a & b
+    signs = {}
+
+    def mask():
+        # about a quarter of the bits, so that many pairs are disjoint
+        return rng.getrandbits(LAMBDA_CAP) & rng.getrandbits(LAMBDA_CAP)
+
+    left = {mask(): 1j for _ in range(4)}
+    right = {mask(): 1j for _ in range(40)}
+    numeric_flow._product(left, right, signs)
+    assert sorted(signs) == sorted(left)
+    assert sum(len(row) for row in signs.values()) > 40
+    for a, row in signs.items():
+        assert set(row) == {b for b in right if not a & b}
+        for b, ab in row.items():
+            assert (ab if ab >= 0 else ~ab) == a | b
             assert (ab >= 0) == (reference_sign(a, b) > 0)
-    assert sorted(rows) == sorted(set(left))
 
 
 def test_flow_makes_no_per_step_evaluation(monkeypatch):

@@ -292,6 +292,7 @@ def test_coefficient_arithmetic_matches_four_fraction_formula(x, y):
     _exact(x + y, _four_fraction("+", x, y))
     _exact(y + x, _four_fraction("+", y, x))
     _exact(x - y, _four_fraction("-", x, y))
+    _exact(y - x, _four_fraction("-", y, x))
     _exact(x * y, _four_fraction("*", x, y))
     _exact(y * x, _four_fraction("*", y, x))
     _exact(-x, _four_fraction("-", 0, x))
@@ -303,8 +304,11 @@ def test_coefficient_arithmetic_matches_four_fraction_formula(x, y):
     if x.is_zero:
         with pytest.raises(SingularBody):
             x.inv()
+        with pytest.raises(SingularBody):
+            y / x
     else:
         _exact(x.inv(), _four_fraction("/", 1, x))
+        _exact(y / x, _four_fraction("/", y, x))
 
 
 @_PROPERTY
