@@ -25,9 +25,11 @@ from .superalgebra import (
 
 @dataclass(frozen=True)
 class PhaseBasis:
-    """Ordered conjugate pairs (coordinate, momentum); the bracket sums over them."""
+    """Ordered conjugate pairs (coordinate, momentum); the bracket sums over
+    them.  momentum maps each coordinate to its conjugate momentum."""
 
     pairs: tuple[tuple[Generator, Generator], ...]
+    momentum: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -38,6 +40,7 @@ class PhaseBasis:
                 if g in seen:
                     raise ValueError(f"generator {g} appears in two pairs")
                 seen.add(g)
+        object.__setattr__(self, "momentum", dict(self.pairs))
 
     @property
     def coordinates(self):
@@ -59,22 +62,22 @@ def berezin(f, g, basis):
                 - (-1)^{P(f)P(g)} d_r g/dq^i * d_l f/dp_i
 
     The derivatives come from `gradient`, which each operand builds once and
-    keeps, and a product is formed only for the pairs where both of its
-    factors are nonzero.
+    keeps.  Only the coordinates that occur in an operand are visited, and a
+    product is formed only for the pairs where both of its factors are
+    nonzero; the sum is exact, so the order of the pairs does not matter.
     """
     pf = parity_of(f)
     pg = parity_of(g)
     sign = 1 if pf == Parity.ODD and pg == Parity.ODD else -1
     f_right, f_left = gradient(f, False), gradient(f, True)
     g_right, g_left = gradient(g, False), gradient(g, True)
+    momentum = basis.momentum
     acc = {}
-    for q, p in basis.pairs:
-        a, b = f_right.get(q), g_left.get(p)
-        if a is not None and b is not None:
-            accumulate(acc, a * b)
-        a, b = g_right.get(q), f_left.get(p)
-        if a is not None and b is not None:
-            accumulate(acc, a * b, sign)
+    for right, left, factor in ((f_right, g_left, 1), (g_right, f_left, sign)):
+        for q, a in right.items():
+            b = left.get(momentum.get(q))
+            if b is not None:
+                accumulate(acc, a * b, factor)
     return SuperPoly._from_map(acc)
 
 

@@ -7,10 +7,14 @@ integrated with a fixed-step classical 4th-order scheme.  Dependent
 parameters move along their dt relations; free parameters follow the
 requested path exactly.
 
-Every polynomial is lowered once into a program (`lower`) that
-`run_program` runs on those sparse values; `evaluate` and a flow's RK4 steps
-both run such programs.  Every product goes through `_product`, which fills
-a sign table with the pairs of masks it meets.
+Every polynomial is lowered once into a program (`lower`).  `evaluate`
+runs it with `run_program` on those sparse values, and every such product
+goes through `_product`, which fills a sign table with the pairs of masks
+it meets.  A flow plans its programs once instead: it finds the masks each
+value can hold during the run, lays every value out as a flat run of
+complex registers, and turns every product into precomputed (output, left,
+right, sign) entries, which one table-driven loop, `_run`, applies at every
+RK4 stage, for any n.
 """
 from __future__ import annotations
 
@@ -268,11 +272,16 @@ def run_program(program, env, signs):
 
 
 def _largest(value):
-    return max(map(abs, value.values()), default=0.0)
+    return max(map(abs, value), default=0.0)
 
 
 # how far the initial state may lie off the constraint surface
 _SURFACE_TOL = 1e-12
+
+# the most product entries a flow may plan, which holds its plan to about
+# 10 MB: tracemalloc reads 93-121 bytes per entry, registers included, on
+# the plans of three-flavour flows with dense values in Lambda_6..Lambda_9
+PLAN_LIMIT = 100_000
 
 
 def integrate_flow(tds, path, init, report):
@@ -286,9 +295,187 @@ def integrate_flow(tds, path, init, report):
 
     Every polynomial the run needs is lowered once against a fixed
     generator -> slot map, and grades are checked once on the initial
-    assignment; the RK4 steps then work on the nonzero slots of each value.
+    assignment.  The programs the steps run are then planned once on the
+    masks each value can hold (`_static_layouts`, `_Plan`), and every RK4
+    stage runs one plan (`_run`) on flat lists of complex numbers.  A flow
+    whose plan, or whose P0 program alone, needs more than PLAN_LIMIT
+    product entries fails with FlowError before any entry is built.
     """
     return _integrate(make_flow(tds, report), path, init)
+
+
+def _span(masks):
+    """The generators any of masks uses, as one mask."""
+    span = 0
+    for m in masks:
+        span |= m
+    return span
+
+
+def _partners(a, right, span):
+    """The masks of right that share no generator with a, where span is
+    _span(right).  right is scanned or the submasks of span & ~a are
+    looked up in it, whichever is shorter, so a product of two dense
+    values costs at most 3^n lookups."""
+    free = span & ~a
+    count = 1 << free.bit_count()
+    if len(right) <= count:
+        return [b for b in right if not a & b]
+    out = []
+    b = free
+    for _ in range(count):
+        if b in right:
+            out.append(b)
+        b = (b - 1) & free
+    return out
+
+
+def _support(program, supports, budget):
+    """The masks program can give a nonzero slot when each env slot holds
+    the masks in supports, and the number of product entries its plan
+    holds.  Raises FlowError as soon as that number passes budget."""
+    out = set()
+    entries = 0
+    for _, slots in program:
+        acc = {0}
+        for slot in slots:
+            right = supports[slot]
+            span = _span(right)
+            masks = set()
+            for a in acc:
+                partners = _partners(a, right, span)
+                entries += len(partners)
+                if entries > budget:
+                    raise FlowError(
+                        f"the flow needs more than PLAN_LIMIT = {PLAN_LIMIT:,} "
+                        f"product entries")
+                masks.update([a | b for b in partners])
+            acc = masks
+        out |= acc
+    return out, entries
+
+
+def _static_layouts(supports, n, p0_slot, h0, rows, dz, audited):
+    """The masks each env value can hold during a flow, and those of Z's
+    derivative, each as a sorted tuple.
+
+    supports holds the masks of each initial value; P0's follow from h0.
+    They grow to the fixpoint of the (state slot, program) rows the RK4
+    steps run.  The plans of the rows, of the dz programs and of the
+    audited ones are counted on the final supports against PLAN_LIMIT
+    before any of them is built.
+    """
+    supports[p0_slot] = _support(h0, supports, PLAN_LIMIT)[0]
+    # every round but the last adds a mask to some state value
+    for _ in range((len(rows) << n) + 1):
+        budget = PLAN_LIMIT
+        grown = []
+        for j, prog in rows:
+            masks, entries = _support(prog, supports, budget)
+            budget -= entries
+            grown.append((j, masks - supports[j]))
+        if not any(masks for _, masks in grown):
+            break
+        for j, masks in grown:
+            supports[j] |= masks
+    else:
+        raise FlowError("the static supports of the flow did not settle")
+    z = set()
+    for prog in dz:
+        masks, entries = _support(prog, supports, budget)
+        budget -= entries
+        z |= masks
+    for prog in audited:
+        budget -= _support(prog, supports, budget)[1]
+    return [tuple(sorted(masks)) for masks in supports], tuple(sorted(z))
+
+
+class _Plan:
+    """Programs lowered onto one register file of complex numbers.
+
+    `reg` starts with the env bank, each env value a run of registers, one
+    per mask of its layout in ascending order.  Planning a program gives it
+    fresh registers for its partial products and its value, and each
+    distinct coefficient one register.  A plan is a list of (output, left,
+    right, sign) entries, which `_run` applies in order.
+    """
+
+    def __init__(self, values, layouts):
+        self.reg = []
+        self.env = []  # env slot -> {mask: register}
+        self.consts = {}
+        for value, layout in zip(values, layouts):
+            self.env.append(self.alloc(layout))
+            for m, r in self.env[-1].items():
+                self.reg[r] = value.get(m, 0j)
+
+    def alloc(self, keys):
+        """{key: register} for a fresh run of zeroed registers."""
+        start = len(self.reg)
+        self.reg.extend([0j] * len(keys))
+        return dict(zip(keys, range(start, len(self.reg))))
+
+    def const(self, value):
+        """The register that holds value."""
+        if value not in self.consts:
+            self.consts[value] = len(self.reg)
+            self.reg.append(value)
+        return self.consts[value]
+
+    def program(self, program, entries):
+        """Append to entries what leaves program's value in a fresh run of
+        registers, and return them as {mask: register}.
+
+        A term starts as its coefficient on mask 0 and multiplies in one env
+        slot per step.  The entries of a step run in ascending order of the
+        left mask, so products that land on one register are summed in the
+        order `_product` sums them.  The first term lands on the value's
+        registers.  A later term's last step lands there too when it puts
+        one product on each mask; otherwise it lands on registers of its
+        own, which are then added.
+        """
+        terms = []
+        for coeff, slots in program:
+            steps = []
+            acc = (0,)
+            for slot in slots:
+                right = self.env[slot]
+                span = _span(right)
+                pairs = [(a, b) for a in acc for b in _partners(a, right, span)]
+                acc = tuple(sorted({a | b for a, b in pairs}))
+                steps.append((right, pairs, acc))
+            terms.append((coeff, steps, acc))
+        total = self.alloc(sorted(set().union(*(acc for _, _, acc in terms))))
+        for t, (coeff, steps, _) in enumerate(terms):
+            acc = {0: self.const(coeff)}
+            for k, (right, pairs, layout) in enumerate(steps):
+                if k == len(steps) - 1 and (t == 0 or len(pairs) == len(layout)):
+                    out = total
+                else:
+                    out = self.alloc(layout)
+                for a, b in pairs:
+                    ab = _signed(a, b)
+                    if ab >= 0:
+                        entries.append((out[ab], acc[a], right[b], 1))
+                    else:
+                        entries.append((out[~ab], acc[a], right[b], -1))
+                acc = out
+            if acc is not total:
+                entries.extend((total[m], r, 0, 0) for m, r in acc.items())
+        return total
+
+
+def _run(plan, reg):
+    """Apply a plan's entries in order to the register file reg: for sign 1
+    reg[output] += reg[left] * reg[right], for -1 -=, and for 0
+    reg[output] += reg[left]."""
+    for out, left, right, sign in plan:
+        if sign > 0:
+            reg[out] += reg[left] * reg[right]
+        elif sign:
+            reg[out] -= reg[left] * reg[right]
+        else:
+            reg[out] += reg[left]
 
 
 def _integrate(flow, path, init):
@@ -322,7 +509,7 @@ def _integrate(flow, path, init):
         moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
                   if w1[i] - w0[i] != 0.0]
         segments.append((w1, moving))
-    moved = {i for _, moving in segments for i, _ in moving}
+    moved = sorted({i for _, moving in segments for i, _ in moving})
     h0 = lower(sys.legres.h0, slot_of)
     invariants = [(label, lower(expr, slot_of)) for label, expr in flow.invariants]
     dz = {i: lower(flow.dz[path.params[i]], slot_of) for i in moved}
@@ -340,72 +527,94 @@ def _integrate(flow, path, init):
         if not lifted[g].pure_grade(g.parity):
             raise GradeMismatch(f"{g} assigned a value of the wrong grade")
 
+    # the masks each value can hold, and the plan's size, before any entry
+    # or sign is built
+    layouts, z_layout = _static_layouts(
+        [set() if g == sys.p0 else set(lifted[g].coeff) for g in order], n,
+        p0_slot, h0, [row for i in moved for row in rhs[i]], dz.values(),
+        [prog for _, prog in invariants])
+
     signs = {}
     env = [None if g == sys.p0 else lifted[g].coeff for g in order]
     env[p0_slot] = {m: -v for m, v in run_program(h0, env, signs).items()}
-    state, constants = env[:p0_slot + 1], env[p0_slot + 1:]
-
-    def sample(point):
-        return (tuple(point),
-                {g: GrassmannValue(n, v) for g, v in zip(state_gens, state)})
-
     residual = 0.0
     for label, prog in invariants:
-        residual = max(residual, _largest(run_program(prog, env, signs)))
+        residual = max(residual, _largest(run_program(prog, env, signs).values()))
     if residual > _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
 
-    # a slot missing from a value is 0j wherever it enters a sum
-    z = {}
+    # registers: the env bank (the state first), the rates of the moving
+    # parameters, the derivatives (k in the state's layout, then Z's), then
+    # the planned programs' own
+    plan = _Plan(env, layouts)
+    reg = plan.reg
+    width = sum(map(len, layouts[:p0_slot + 1]))
+    rate = {i: plan.alloc((0,))[0] for i in moved}
+    k0 = len(reg)
+    k_regs = [plan.alloc(where) for where in plan.env[:p0_slot + 1]]
+    z_regs = plan.alloc(z_layout)
+    derivs = {}
+    for i in moved:
+        entries = []
+        for j, prog in rhs[i]:
+            for m, r in plan.program(prog, entries).items():
+                entries.append((k_regs[j][m], r, rate[i], 1))
+        for m, r in plan.program(dz[i], entries).items():
+            entries.append((z_regs[m], r, rate[i], 1))
+        derivs[i] = entries
+    # each family member's value is one run of registers
+    audit, audited = [], []
+    for label, prog in invariants:
+        value = plan.program(prog, audit)
+        audited.append((label, min(value.values(), default=0), len(value)))
+    reset = reg[k0:]
+
+    def sample(point, state):
+        return (tuple(point),
+                {g: GrassmannValue(n, {m: state[r] for m, r in where.items()})
+                 for g, where in zip(state_gens, plan.env)})
+
+    def stage(state, plans):
+        """Run plans on state with every other register reset, and return
+        the derivatives of the state and of Z."""
+        reg[:width] = state
+        reg[k0:] = reset
+        for entries in plans:
+            _run(entries, reg)
+        return reg[k0:k0 + width], reg[k0 + width:k0 + width + len(z_layout)]
+
+    state = reg[:width]
+    z = [0j] * len(z_layout)
     drift = 0.0
     drift_by = {label: 0.0 for label, _ in invariants}
-    samples = [sample(path.waypoints[0])]
-
-    def add(into, value, factor):
-        for m, v in value.items():
-            into[m] = into.get(m, 0j) + v * factor
-        return into
-
-    def deriv(env, moving):
-        ks = [{} for _ in state]
-        zdot = {}
-        for i, vf in moving:
-            for j, prog in rhs[i]:
-                add(ks[j], run_program(prog, env, signs), vf)
-            add(zdot, run_program(dz[i], env, signs), vf)
-        return ks, zdot
-
-    def shifted(k, factor):
-        return [add(dict(s), d, factor) for s, d in zip(state, k)] + constants
-
-    def advance(s, a, b, c, d):
-        out = dict(s)
-        for m in {**a, **b, **c, **d}:
-            out[m] = out.get(m, 0j) + (a.get(m, 0j) + b.get(m, 0j) * two
-                                       + c.get(m, 0j) * two + d.get(m, 0j)) * sixth
-        return out
-
+    samples = [sample(path.waypoints[0], state)]
     h = 1.0 / path.steps
     half, full, sixth = complex(h / 2), complex(h), complex(h / 6)
     one, two = complex(1), complex(2)
     for w1, moving in segments:
+        for i, vf in moving:
+            reg[rate[i]] = vf
+        plans = [derivs[i] for i, _ in moving]
         for _ in range(path.steps):
-            k1, z1 = deriv(state + constants, moving)
-            k2, z2 = deriv(shifted(k1, half), moving)
-            k3, z3 = deriv(shifted(k2, half), moving)
-            k4, z4 = deriv(shifted(k3, full), moving)
-            state = [advance(*parts) for parts in zip(state, k1, k2, k3, k4)]
-            z = advance(z, z1, z2, z3, {m: v * one for m, v in z4.items()})
-            env = state + constants
-            for label, prog in invariants:
-                value = _largest(run_program(prog, env, signs))
+            k1, z1 = stage(state, plans)
+            k2, z2 = stage([s + d * half for s, d in zip(state, k1)], plans)
+            k3, z3 = stage([s + d * half for s, d in zip(state, k2)], plans)
+            k4, z4 = stage([s + d * full for s, d in zip(state, k3)], plans)
+            state = [s + (((a + b * two) + c * two) + d) * sixth
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            z = [s + (((a + b * two) + c * two) + d * one) * sixth
+                 for s, a, b, c, d in zip(z, z1, z2, z3, z4)]
+            stage(state, (audit,))
+            for label, start, size in audited:
+                value = _largest(reg[start:start + size])
                 if value > drift_by[label]:
                     drift_by[label] = value
                     if value > drift:
                         drift = value
-        samples.append(sample(w1))
-    return FlowResult(samples, GrassmannValue(n, z), drift, drift_by, residual)
+        samples.append(sample(w1, state))
+    return FlowResult(samples, GrassmannValue(n, dict(zip(z_layout, z))), drift,
+                      drift_by, residual)
 
 
 @dataclass

@@ -7,10 +7,16 @@ from itertools import combinations
 from fractions import Fraction
 
 from supermech.brackets import PhaseBasis, berezin
-from supermech.errors import ParityMismatch, UnsolvableConstraint
 from supermech.hamilton_jacobi import _family_surface
 from supermech.legendre import ModelBuilder, RankSplit, analyze
-from supermech.numeric_flow import GrassmannValue
+from supermech.errors import FlowError, GradeMismatch, ParityMismatch, UnsolvableConstraint
+from supermech.numeric_flow import (
+    FlowResult,
+    GrassmannValue,
+    lower,
+    make_flow,
+    run_program,
+)
 from supermech.smatrix import SpanReducer, body_matrix, body_rank
 from supermech.superalgebra import (
     Coefficient,
@@ -227,6 +233,119 @@ def reference_evaluate(p, assignment, n):
         total = total + acc
     return total
 
+
+
+def reference_integrate(tds, path, init, report):
+    """numeric_flow.integrate_flow as a dict-based RK4 loop: every value a
+    mask -> complex dict of the slots it holds, every program run with
+    run_program on one sign table, and the update summed as
+    ((k1 + 2k2) + 2k3) + k4, then times h/6, with z4*1 for Z.  A slot
+    missing from a value is 0j wherever it enters a sum.  The planned flow
+    must equal it bit for bit, but for the sign of zero parts."""
+    flow = make_flow(tds, report)
+    sys = flow.tds.system
+    n = max((v.n for v in init.values()), default=0)
+    lifted = {g: v if v.n == n else GrassmannValue(n, v.coeff)
+              for g, v in init.items()}
+    state_gens = [g for g in flow.state_gens if g != sys.p0]
+    for g in state_gens:
+        if g not in lifted:
+            raise FlowError(f"initial state misses {g}")
+    state_gens.append(sys.p0)
+    order = state_gens + [g for g in lifted if g not in flow.state_gens]
+    slot_of = {g: i for i, g in enumerate(order)}
+    p0_slot = len(state_gens) - 1
+
+    segments = []
+    for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
+        moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
+                  if w1[i] - w0[i] != 0.0]
+        segments.append((w1, moving))
+    moved = {i for _, moving in segments for i, _ in moving}
+    h0 = lower(sys.legres.h0, slot_of)
+    invariants = [(label, lower(expr, slot_of)) for label, expr in flow.invariants]
+    dz = {i: lower(flow.dz[path.params[i]], slot_of) for i in moved}
+    rhs = {}
+    for i in moved:
+        row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of))
+               for j, g in enumerate(state_gens))
+        rhs[i] = [(j, prog) for j, prog in row if prog]
+    programs = [h0, *(prog for _, prog in invariants), *dz.values(),
+                *(prog for row in rhs.values() for _, prog in row)]
+    used = {slot for prog in programs for _, slots in prog for slot in slots}
+    for slot in sorted(used - {p0_slot}):
+        g = order[slot]
+        if not lifted[g].pure_grade(g.parity):
+            raise GradeMismatch(f"{g} assigned a value of the wrong grade")
+
+    def largest(value):
+        return max(map(abs, value.values()), default=0.0)
+
+    signs = {}
+    env = [None if g == sys.p0 else lifted[g].coeff for g in order]
+    env[p0_slot] = {m: -v for m, v in run_program(h0, env, signs).items()}
+    state, constants = env[:p0_slot + 1], env[p0_slot + 1:]
+
+    def sample(point):
+        return (tuple(point),
+                {g: GrassmannValue(n, v) for g, v in zip(state_gens, state)})
+
+    residual = 0.0
+    for label, prog in invariants:
+        residual = max(residual, largest(run_program(prog, env, signs)))
+    if residual > 1e-12:
+        raise FlowError(
+            f"initial state violates the constraint surface by {residual:.3e}")
+
+    z = {}
+    drift = 0.0
+    drift_by = {label: 0.0 for label, _ in invariants}
+    samples = [sample(path.waypoints[0])]
+
+    def add(into, value, factor):
+        for m, v in value.items():
+            into[m] = into.get(m, 0j) + v * factor
+        return into
+
+    def deriv(env, moving):
+        ks = [{} for _ in state]
+        zdot = {}
+        for i, vf in moving:
+            for j, prog in rhs[i]:
+                add(ks[j], run_program(prog, env, signs), vf)
+            add(zdot, run_program(dz[i], env, signs), vf)
+        return ks, zdot
+
+    def shifted(k, factor):
+        return [add(dict(s), d, factor) for s, d in zip(state, k)] + constants
+
+    def advance(s, a, b, c, d):
+        out = dict(s)
+        for m in {**a, **b, **c, **d}:
+            out[m] = out.get(m, 0j) + (a.get(m, 0j) + b.get(m, 0j) * two
+                                       + c.get(m, 0j) * two + d.get(m, 0j)) * sixth
+        return out
+
+    h = 1.0 / path.steps
+    half, full, sixth = complex(h / 2), complex(h), complex(h / 6)
+    one, two = complex(1), complex(2)
+    for w1, moving in segments:
+        for _ in range(path.steps):
+            k1, z1 = deriv(state + constants, moving)
+            k2, z2 = deriv(shifted(k1, half), moving)
+            k3, z3 = deriv(shifted(k2, half), moving)
+            k4, z4 = deriv(shifted(k3, full), moving)
+            state = [advance(*parts) for parts in zip(state, k1, k2, k3, k4)]
+            z = advance(z, z1, z2, z3, {m: v * one for m, v in z4.items()})
+            env = state + constants
+            for label, prog in invariants:
+                value = largest(run_program(prog, env, signs))
+                if value > drift_by[label]:
+                    drift_by[label] = value
+                    if value > drift:
+                        drift = value
+        samples.append(sample(w1))
+    return FlowResult(samples, GrassmannValue(n, z), drift, drift_by, residual)
 
 # ------------------------------------------------------------- test models
 

@@ -11,15 +11,17 @@ from helpers import (
     build_gauge_toy,
     build_sho,
     data_text,
+    fixture_text,
     random_poly,
     reference_evaluate,
+    reference_integrate,
     reference_product,
     reference_sign,
     small_basis,
 )
 from supermech import numeric_flow
 from supermech.errors import FlowError, GradeMismatch, SupermechError
-from supermech.frontend.flowconfig import parse_value
+from supermech.frontend.flowconfig import parse_path_config, parse_value
 from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import build_hj_system, closure_loop, total_differentials
@@ -309,34 +311,151 @@ def test_lambda12_literal_builds_only_the_signs_it_meets(monkeypatch):
     assert built == [1, 1, 1, 1]
 
 
-def test_flow_sign_table_holds_the_pairs_it_meets(monkeypatch):
-    # the three-flavour flow in Lambda_6 shares one table over its RK4 steps
-    tables, met = {}, {}
-    product, run = numeric_flow._product, numeric_flow.run_program
+def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
+    # the three-flavour flow in Lambda_6: every register of the plan holds
+    # one mask of a value (coefficients and rates hold mask 0)
+    masks, plans, layouts = {}, {}, []
+    alloc, run = numeric_flow._Plan.alloc, numeric_flow._run
+    static = numeric_flow._static_layouts
 
-    def recording_product(left, right, signs):
-        met.setdefault(id(signs), set()).update(
-            (a, b) for a in left for b in right if not a & b)
-        return product(left, right, signs)
+    def recording_alloc(self, keys):
+        out = alloc(self, keys)
+        masks.update((r, m) for m, r in out.items())
+        return out
 
-    def recording_run(program, env, signs):
-        tables[id(signs)] = signs
-        return run(program, env, signs)
+    def recording_run(plan, reg):
+        plans.setdefault(id(plan), plan)
+        return run(plan, reg)
 
-    monkeypatch.setattr(numeric_flow, "_product", recording_product)
-    monkeypatch.setattr(numeric_flow, "run_program", recording_run)
+    def recording_static(*args):
+        layouts.append(static(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(numeric_flow._Plan, "alloc", recording_alloc)
+    monkeypatch.setattr(numeric_flow, "_run", recording_run)
+    monkeypatch.setattr(numeric_flow, "_static_layouts", recording_static)
     run_pipeline(parse_model(data_text("flavour3.smf")), stage="flow",
                  path_text=data_text("flavour3_flow.cfg"))
-    assert len(tables) == 1
-    (key, signs), = tables.items()
-    entries = {(a, b): ab for a, row in signs.items() for b, ab in row.items()}
-    assert set(entries) == met[key]
-    for (a, b), ab in entries.items():
-        assert not a & b
-        assert (ab if ab >= 0 else ~ab) == a | b
-        assert (ab >= 0) == (reference_sign(a, b) > 0)
-    # full rows for the same left masks held 361 entries
-    assert len(entries) == 100
+    (values, z_layout), = layouts
+    # x, psi[1..3], psibar[1..3], p_x, p_psi[1..3], p_psibar[1..3], P0, m
+    # and g each hold at most 7 of the 64 slots of Lambda_6
+    assert [len(v) for v in values] == [7, 4, 4, 4, 4, 4, 4, 7, 4, 4, 4, 4, 4, 4, 3, 1, 1]
+    assert len(z_layout) == 4
+    # one plan for the RK4 derivative, one for the drift audit
+    deriv, audit = plans.values()
+    assert (len(deriv), len(audit)) == (419, 185)
+    for out, left, right, sign in deriv + audit:
+        a, b = masks.get(left, 0), masks.get(right, 0)
+        if sign:
+            assert not a & b
+            assert masks[out] == a | b
+            assert sign == reference_sign(a, b)
+        else:
+            assert masks[out] == a
+
+
+def _assert_same_flow(got, want):
+    """Bit for bit, with zeros compared by value."""
+    assert len(got.samples) == len(want.samples)
+    for (point, values), (want_point, want_values) in zip(got.samples, want.samples):
+        assert point == want_point
+        assert list(values) == list(want_values)
+        for g, value in values.items():
+            assert (value.n, value.coeff) == (want_values[g].n, want_values[g].coeff)
+    assert (got.z.n, got.z.coeff) == (want.z.n, want.z.coeff)
+    assert got.drift == want.drift
+    assert got.drift_by_invariant == want.drift_by_invariant
+    assert got.onsurface_residual == want.onsurface_residual
+
+
+@pytest.mark.parametrize("model,cfg", [
+    ("sho.smf", "sho_flow.cfg"),
+    ("free_singular.smf", "free_singular_flow.cfg"),
+    ("gauge_toy.smf", "gauge_toy_flow.cfg"),
+    ("fermionic_oscillator.smf", "fermionic_flow.cfg"),
+])
+def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
+    result = run_pipeline(parse_model(fixture_text(model)), stage="hj")
+    path, init = parse_path_config(fixture_text(cfg), result.elaborated,
+                                   result.hj_system)
+    _assert_same_flow(integrate_flow(result.tds, path, init, report=result.closure),
+                      reference_integrate(result.tds, path, init, result.closure))
+
+
+def _seeded_init(elab, n, rng, flavours, evens):
+    """Random values of Lambda_n on the surface p_psi = i/2 psibar,
+    p_psibar = i/2 psi: four to six odd slots per fermion (every odd slot
+    of Lambda_2), so that three or more products land on one slot, and a
+    body with at most one even soul slot for each of evens."""
+    def value(parity, count):
+        masks = [m for m in range(1 << n) if bin(m).count("1") % 2 == parity]
+        return GrassmannValue(n, {
+            m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for m in rng.sample(masks, min(count, len(masks)))})
+
+    init = {}
+    for index in flavours:
+        psi, psibar = value(1, rng.randint(4, 6)), value(1, rng.randint(4, 6))
+        init[elab.lookup("psi", index)] = psi
+        init[elab.lookup("psibar", index)] = psibar
+        init[elab.lookup("p_psi", index)] = psibar.scaled(0.5j)
+        init[elab.lookup("p_psibar", index)] = psi.scaled(0.5j)
+    for name in evens:
+        init[elab.lookup(name)] = (GrassmannValue.body_value(n, rng.uniform(0.5, 1.5))
+                                   + value(0, rng.randint(0, 1)))
+    return init
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("text,n,flavours,evens", [
+    (fixture_text("fermionic_oscillator.smf"), 2, (None,), ("m",)),
+    (data_text("flavour3.smf"), 6, (1, 2, 3), ("x", "p_x", "m", "g")),
+], ids=["fermionic", "flavour3"])
+def test_planned_flow_matches_dict_reference_on_seeded_flows(seed, text, n,
+                                                               flavours, evens):
+    result = run_pipeline(parse_model(text), stage="hj")
+    rng = random.Random(1300 + seed)
+    init = _seeded_init(result.elaborated, n, rng, flavours, evens)
+    path = PathSpec((result.hj_system.t0,), ((0.0,), (rng.uniform(0.5, 2.0),)), 12)
+    _assert_same_flow(integrate_flow(result.tds, path, init, report=result.closure),
+                      reference_integrate(result.tds, path, init, result.closure))
+
+
+@pytest.mark.parametrize("dense", ["x", "fermions"])
+def test_flow_plan_above_the_limit_fails_before_any_entry(monkeypatch, dense):
+    # the three-flavour flow in Lambda_12 with a dense x, whose supports
+    # outgrow the limit on the way to their fixpoint, or with dense
+    # fermions, whose P0 program alone passes it; either way no sign is
+    # worked out
+    result = run_pipeline(parse_model(data_text("flavour3.smf")), stage="hj")
+    elab, n = result.elaborated, LAMBDA_CAP
+    init = {elab.lookup(name): GrassmannValue.body_value(n, 1.0)
+            for name in ("x", "p_x", "m", "g")}
+    for index in (1, 2, 3):
+        psi = GrassmannValue.generator(n, index)
+        psibar = GrassmannValue.generator(n, index + 3)
+        if dense == "fermions":
+            psi = psibar = GrassmannValue(n, {
+                m: 1e-3 for m in range(1 << n) if bin(m).count("1") % 2})
+        init[elab.lookup("psi", index)] = psi
+        init[elab.lookup("psibar", index)] = psibar
+        init[elab.lookup("p_psi", index)] = psibar.scaled(0.5j)
+        init[elab.lookup("p_psibar", index)] = psi.scaled(0.5j)
+    if dense == "x":
+        init[elab.lookup("x")] = GrassmannValue(n, {
+            m: 1e-3 for m in range(1 << n) if not bin(m).count("1") % 2})
+    signed = []
+    sign = numeric_flow._signed
+
+    def counting(a, b):
+        signed.append((a, b))
+        return sign(a, b)
+
+    monkeypatch.setattr(numeric_flow, "_signed", counting)
+    path = PathSpec((result.hj_system.t0,), ((0.0,), (1.0,)), 1)
+    with pytest.raises(FlowError, match=f"PLAN_LIMIT = {numeric_flow.PLAN_LIMIT:,}"):
+        integrate_flow(result.tds, path, init, report=result.closure)
+    assert signed == []
 
 
 def _random_graded(rng, n, parity):
