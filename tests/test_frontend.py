@@ -138,6 +138,17 @@ def test_headline_structured_output_matches_golden():
     assert render_json(result) == golden
 
 
+def test_rational_model_outputs_match_golden():
+    # a gauge field, a fermion pair and a Gauss-law coupling whose reports
+    # hold proper fractions (1/2, 1/3, 1/4, 1/6, 2/5, 5/2), which the
+    # fixtures barely reach: pins exact rational arithmetic end to end
+    result = run_pipeline(parse_model(data_text("sweep_gauss_fermi.smf")), stage="all")
+    assert result.crosscheck.verdict == "equivalent"
+    golden = GOLDEN / "sweep_gauss_fermi"
+    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
+    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+
+
 def test_structured_output_shape():
     doc = parse_model(fixture_text("gauge_toy.smf"))
     result = run_pipeline(doc, stage="all")
