@@ -70,23 +70,22 @@ class Generator:
         return f"{self.name}[{self.index}]"
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 class Coefficient:
-    """Gaussian rational a + b*i with exact Fraction components.
+    """Gaussian rational a + b*i with exact parts.
 
-    Both parts are always Fractions, in lowest terms as Fraction keeps them,
-    and never floats.  Most coefficients are real, so multiplication skips the
-    products of a zero imaginary part; these fast paths give exactly the
-    value of the full formula.
+    Each part is canonical: an int when its value is integral, otherwise a
+    Fraction in lowest terms with denominator > 1, and never a float.  So
+    integer +, - and * run on machine ints, and an int part hashes and prints
+    as the equal Fraction would.  Most coefficients are real, so
+    multiplication skips the products of a zero imaginary part; these fast
+    paths give exactly the value of the full formula.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=_FRACTION_ZERO, im=_FRACTION_ZERO):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    def __init__(self, re=0, im=0):
+        self.re = re if type(re) is int else _part(re)
+        self.im = im if type(im) is int else _part(im)
 
     @property
     def is_zero(self):
@@ -133,7 +132,7 @@ class Coefficient:
         norm = self.re * self.re + self.im * self.im
         if not norm:
             raise SingularBody("division by zero coefficient")
-        return Coefficient(self.re / norm, -self.im / norm)
+        return Coefficient(Fraction(self.re, norm), Fraction(-self.im, norm))
 
     def __truediv__(self, other):
         return self * _as_coeff(other).inv()
@@ -170,6 +169,15 @@ class Coefficient:
         if not tail.startswith("-"):
             tail = "+" + tail
         return f"{self.re}{tail}"
+
+
+def _part(value):
+    """The canonical form of a Coefficient part that is not a plain int."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"a coefficient part must be an int or a Fraction, not {value!r}")
 
 
 def _imag_str(im):

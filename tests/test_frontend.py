@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -147,6 +148,25 @@ def test_rational_model_outputs_match_golden():
     golden = GOLDEN / "sweep_gauss_fermi"
     assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
     assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", [fixture_text("dirac_maxwell_reduced.smf"),
+                                  data_text("sweep_gauss_fermi.smf")],
+                         ids=["dirac_maxwell_reduced", "sweep_gauss_fermi"])
+def test_pipeline_coefficients_are_canonical(text):
+    # every part is an int when integral, otherwise a Fraction with
+    # denominator > 1, through every stage that inverts or divides
+    result = run_pipeline(parse_model(text), stage="all")
+    analysis, family = result.analysis, result.closure.family
+    polys = [rec.expr for rec in analysis.records]
+    polys += [rec.solved[1] for rec in analysis.records if rec.solved]
+    polys += [entry for row in analysis.delta_inverse for entry in row]
+    polys += [value for _, _, value in analysis.bracket_table]
+    polys += [h.expr for h in family] + [h.solved[1] for h in family if h.solved]
+    parts = [part for p in polys for m in p.terms for part in (m.coeff.re, m.coeff.im)]
+    assert any(type(part) is Fraction for part in parts)
+    for part in parts:
+        assert type(part) is (int if part.denominator == 1 else Fraction)
 
 
 def test_structured_output_shape():

@@ -10,6 +10,7 @@ from helpers import random_homogeneous, random_poly, reference_substitute, small
 from supermech import superalgebra
 from supermech.errors import MixedParity, ParityMismatch, SingularBody
 from supermech.superalgebra import (
+    C_I,
     Coefficient,
     Generator,
     Kind,
@@ -263,7 +264,7 @@ _OPERANDS = st.one_of(_COEFFS, _COEFFS, st.integers(-9, 9), _FRACTIONS)
 
 def _parts(x):
     if isinstance(x, Coefficient):
-        return x.re, x.im
+        return Fraction(x.re), Fraction(x.im)
     return Fraction(x), Fraction(0)
 
 
@@ -280,10 +281,16 @@ def _four_fraction(op, x, y):
     return (a * c + b * d) / norm, (b * c - a * d) / norm
 
 
+def _canonical_part(part):
+    # an int when integral, otherwise a Fraction with denominator > 1
+    return type(part) is (int if part.denominator == 1 else Fraction)
+
+
 def _exact(result, want):
     assert isinstance(result, Coefficient)
-    assert type(result.re) is Fraction and type(result.im) is Fraction
+    assert _canonical_part(result.re) and _canonical_part(result.im)
     assert (result.re, result.im) == want
+    assert result == Coefficient(*want) and hash(result) == hash(want)
 
 
 @_PROPERTY
@@ -313,11 +320,42 @@ def test_coefficient_arithmetic_matches_four_fraction_formula(x, y):
 
 @_PROPERTY
 @given(_SCALARS, _SCALARS)
-def test_coefficient_parts_are_fractions(re, im):
-    for c in (Coefficient(re, im), Coefficient(re), Coefficient()):
-        assert type(c.re) is Fraction and type(c.im) is Fraction
-    assert Coefficient(re, im) == Coefficient(Fraction(re), Fraction(im))
+def test_coefficient_parts_are_canonical(re, im):
+    for c in (Coefficient(re, im), Coefficient(re), Coefficient(),
+              Coefficient(Fraction(re), Fraction(im))):
+        assert _canonical_part(c.re) and _canonical_part(c.im)
+        assert (c.re, c.im) in ((re, im), (re, 0), (0, 0))
+    c, twin = Coefficient(re, im), Coefficient(Fraction(re), Fraction(im))
+    assert c == twin and hash(c) == hash(twin) and str(c) == str(twin)
     assert hash(Coefficient(re)) == hash(Coefficient(Fraction(re), 0))
+    assert hash(c) == hash((Fraction(re), Fraction(im)))
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, 1j, complex(3, 0), True, False])
+def test_coefficient_rejects_inexact_parts(bad):
+    # a float would enter the exact kernel as its binary expansion
+    with pytest.raises(TypeError):
+        Coefficient(bad)
+    with pytest.raises(TypeError):
+        Coefficient(1, bad)
+    with pytest.raises(TypeError):
+        superalgebra._as_coeff(bad)
+
+
+def test_coefficient_operands_compare_and_coerce_by_value():
+    half = Coefficient(Fraction(1, 2))
+    assert half == Fraction(1, 2) and half != 1 and half == Coefficient(Fraction(2, 4))
+    assert Coefficient(2) == 2 and Coefficient(2) == Fraction(4, 2)
+    assert Coefficient(0, 1) != 1 and Coefficient(0, 1) == C_I
+    assert half != 0.5 and (half == 0.5) is False
+    assert superalgebra._coerce(half) is half
+    assert superalgebra._coerce(0.5) is None and superalgebra._coerce("1") is None
+    for value in (3, Fraction(6, 2), Parity.ODD):
+        c = superalgebra._coerce(value)
+        assert c == value and type(c.re) is int and type(c.im) is int
+    assert superalgebra._coerce(Fraction(-1, 3)).re == Fraction(-1, 3)
+    with pytest.raises(TypeError):
+        half + 0.5
 
 
 _GENERATORS = st.builds(
