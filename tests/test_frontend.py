@@ -304,8 +304,9 @@ FLOW_CONFIGS = [
 def test_flow_structured_output_matches_golden(model, cfg):
     result = run_pipeline(parse_model(fixture_text(model)), stage="flow",
                           path_text=fixture_text(cfg + ".cfg"))
-    golden = (GOLDEN / "flow" / (cfg + ".json")).read_text(encoding="utf-8")
-    assert render_json(result) == golden
+    golden = GOLDEN / "flow" / cfg
+    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
 
 
 def test_lambda6_flow_structured_output_matches_golden():
@@ -313,8 +314,9 @@ def test_lambda6_flow_structured_output_matches_golden():
     # so a reordered sum would move the last bits of the pinned values
     result = run_pipeline(parse_model(data_text("flavour3.smf")), stage="flow",
                           path_text=data_text("flavour3_flow.cfg"))
-    golden = (GOLDEN / "flow" / "flavour3_flow.json").read_text(encoding="utf-8")
-    assert render_json(result) == golden
+    golden = GOLDEN / "flow" / "flavour3_flow"
+    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
 
 
 def _cli_main(*argv):
