@@ -42,7 +42,6 @@ from .hamilton_jacobi import (
     HJSystem,
     IntegrabilityReport,
     TotalDifferentialSystem,
-    apply_X,
     build_hj_system,
     closure_loop,
     cross_check_dirac,

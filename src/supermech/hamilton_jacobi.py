@@ -129,13 +129,6 @@ def total_differentials(sys):
     return TotalDifferentialSystem(sys, dq, dp, dz)
 
 
-def apply_X(sys, alpha, f):
-    """The flow operator of parameter alpha applied to f: {f, H'_alpha}."""
-    if isinstance(alpha, int):
-        alpha = sys.parameters[alpha]
-    return berezin(f, sys.hamiltonians[alpha], sys.basis)
-
-
 def _family_surface(family):
     return Surface([
         ConstraintRecord(m.label, m.expr, 0, solved=m.solved)

@@ -7,14 +7,13 @@ integrated with a fixed-step classical 4th-order scheme.  Dependent
 parameters move along their dt relations; free parameters follow the
 requested path exactly.
 
-Every polynomial is lowered once into a program (`lower`).  `evaluate`
-runs it with `run_program` on those sparse values, and every such product
-goes through `_product`, which fills a sign table with the pairs of masks
-it meets.  A flow plans its programs once instead: it finds the masks each
-value can hold during the run, lays every value out as a flat run of
-complex registers, and turns every product into precomputed (output, left,
-right, sign) entries, which one table-driven loop, `_run`, applies at every
-RK4 stage, for any n.
+One-off values (literals, products, `evaluate`, a flow's P0) are sparse
+dicts that `_product` multiplies.  A flow instead lowers its polynomials
+once (`lower`), finds the masks each value can hold during the run, lays
+every value out as a flat run of complex registers, and plans every product
+as (output, left, right, sign) entries, which one loop, `_run`, applies at
+every RK4 stage and every drift audit, for any n.  Both engines sum the
+products that land on one slot in ascending order of the left mask.
 """
 from __future__ import annotations
 
@@ -38,29 +37,45 @@ def _signed(a, b):
     return ~(a | b) if odd & 1 else a | b
 
 
-def _product(left, right, signs):
-    """left*right on mask -> complex dicts.  Products that land on one slot
-    are summed in ascending order of the left mask.
+def _span(masks):
+    """The generators any of masks uses, as one mask."""
+    span = 0
+    for m in masks:
+        span |= m
+    return span
 
-    signs is a table {a: {b: _signed(a, b)}} that the product fills with the
-    disjoint pairs it meets; callers that multiply often share one.
-    """
+
+def _partners(a, right, span):
+    """The masks of right that share no generator with a, where span is
+    _span(right).  right is scanned or the submasks of span & ~a are
+    looked up in it, whichever is shorter, so a product of two dense
+    values costs at most 3^n lookups."""
+    free = span & ~a
+    count = 1 << free.bit_count()
+    if len(right) <= count:
+        return [b for b in right if not a & b]
+    out = []
+    b = free
+    for _ in range(count):
+        if b in right:
+            out.append(b)
+        b = (b - 1) & free
+    return out
+
+
+def _product(left, right):
+    """left*right on mask -> complex dicts.  Products that land on one slot
+    are summed in ascending order of the left mask."""
     out = {}
+    span = _span(right)
     for a in sorted(left):
         va = left[a]
-        row = signs.get(a)
-        if row is None:
-            row = signs[a] = {}
-        for b, vb in right.items():
-            if a & b:
-                continue
-            ab = row.get(b)
-            if ab is None:
-                ab = row[b] = _signed(a, b)
+        for b in _partners(a, right, span):
+            ab = _signed(a, b)
             if ab >= 0:
-                out[ab] = out.get(ab, 0j) + va * vb
+                out[ab] = out.get(ab, 0j) + va * right[b]
             else:
-                out[~ab] = out.get(~ab, 0j) - va * vb
+                out[~ab] = out.get(~ab, 0j) - va * right[b]
     return out
 
 
@@ -99,13 +114,10 @@ class GrassmannValue:
         out = dict(self.coeff)
         for mask, value in other.coeff.items():
             out[mask] = out.get(mask, 0j) + value
-        return GrassmannValue(self.n, out)
+        return GrassmannValue(max(self.n, other.n), out)
 
     def __sub__(self, other):
-        out = dict(self.coeff)
-        for mask, value in other.coeff.items():
-            out[mask] = out.get(mask, 0j) - value
-        return GrassmannValue(self.n, out)
+        return self + (-other)
 
     def __neg__(self):
         return GrassmannValue(self.n, {m: -v for m, v in self.coeff.items()})
@@ -118,7 +130,7 @@ class GrassmannValue:
         if not isinstance(other, GrassmannValue):
             return self.scaled(other)
         n = max(self.n, other.n)
-        return GrassmannValue(n, _product(self.coeff, other.coeff, {}))
+        return GrassmannValue(n, _product(self.coeff, other.coeff))
 
     def __rmul__(self, other):
         return self.scaled(other)
@@ -142,8 +154,6 @@ def evaluate(p, assignment):
     """
     p = as_poly(p)
     gens = p.generators()
-    if not gens and not p.terms:
-        return GrassmannValue(0)
     n = None
     for g in gens:
         value = assignment.get(g)
@@ -157,9 +167,19 @@ def evaluate(p, assignment):
             raise GradeMismatch(f"{g} assigned a value of the wrong grade")
     if n is None:
         n = next(iter(assignment.values())).n if assignment else 0
-    slot_of = {g: i for i, g in enumerate(gens)}
-    env = [assignment[g].coeff for g in gens]
-    return GrassmannValue(n, run_program(lower(p, slot_of), env, {}))
+    total = None
+    for mono in p.terms:
+        coeff = complex(mono.coeff)
+        factors = [assignment[g].coeff for g, e in mono.factors for _ in range(e)]
+        acc = {m: coeff * v for m, v in factors[0].items()} if factors else {0: coeff}
+        for value in factors[1:]:
+            acc = _product(acc, value)
+        if total is None:
+            total = acc
+        else:
+            for m, v in acc.items():
+                total[m] = total.get(m, 0j) + v
+    return GrassmannValue(n, total)
 
 
 @dataclass(frozen=True)
@@ -236,7 +256,7 @@ def lower(p, slot_of):
 
     A program is a list of (complex coefficient, env slots) terms in the
     order of p's terms, with one slot per unit of exponent: the order in
-    which `evaluate` multiplies and sums.
+    which `evaluate` and a flow's plan multiply and sum.
     """
     program = []
     for mono in as_poly(p).terms:
@@ -248,27 +268,6 @@ def lower(p, slot_of):
             slots += [slot] * e
         program.append((complex(mono.coeff), tuple(slots)))
     return program
-
-
-def run_program(program, env, signs):
-    """Value of a lowered polynomial under env, a list of mask -> complex
-    dicts in which a missing slot is zero, with the sign table `signs` of
-    `_product`.
-
-    A term's first factor scales its coefficient slot by slot, and the
-    first term starts the total.  The result may hold exact zeros.
-    """
-    total = None
-    for coeff, slots in program:
-        acc = {m: coeff * v for m, v in env[slots[0]].items()} if slots else {0: coeff}
-        for slot in slots[1:]:
-            acc = _product(acc, env[slot], signs)
-        if total is None:
-            total = acc
-        else:
-            for m, v in acc.items():
-                total[m] = total.get(m, 0j) + v
-    return {} if total is None else total
 
 
 def _largest(value):
@@ -297,37 +296,14 @@ def integrate_flow(tds, path, init, report):
     generator -> slot map, and grades are checked once on the initial
     assignment.  The programs the steps run are then planned once on the
     masks each value can hold (`_static_layouts`, `_Plan`), and every RK4
-    stage runs one plan (`_run`) on flat lists of complex numbers.  A flow
+    stage runs one plan (`_run`) on flat lists of complex numbers.  P0 is
+    `-evaluate(h0)` on the initial state.  The family members are measured
+    only by the drift-audit plan: its first run, on the initial state, gives
+    the surface residual, and its run after every step the drift.  A flow
     whose plan, or whose P0 program alone, needs more than PLAN_LIMIT
     product entries fails with FlowError before any entry is built.
     """
     return _integrate(make_flow(tds, report), path, init)
-
-
-def _span(masks):
-    """The generators any of masks uses, as one mask."""
-    span = 0
-    for m in masks:
-        span |= m
-    return span
-
-
-def _partners(a, right, span):
-    """The masks of right that share no generator with a, where span is
-    _span(right).  right is scanned or the submasks of span & ~a are
-    looked up in it, whichever is shorter, so a product of two dense
-    values costs at most 3^n lookups."""
-    free = span & ~a
-    count = 1 << free.bit_count()
-    if len(right) <= count:
-        return [b for b in right if not a & b]
-    out = []
-    b = free
-    for _ in range(count):
-        if b in right:
-            out.append(b)
-        b = (b - 1) & free
-    return out
 
 
 def _support(program, supports, budget):
@@ -534,20 +510,12 @@ def _integrate(flow, path, init):
         p0_slot, h0, [row for i in moved for row in rhs[i]], dz.values(),
         [prog for _, prog in invariants])
 
-    signs = {}
-    env = [None if g == sys.p0 else lifted[g].coeff for g in order]
-    env[p0_slot] = {m: -v for m, v in run_program(h0, env, signs).items()}
-    residual = 0.0
-    for label, prog in invariants:
-        residual = max(residual, _largest(run_program(prog, env, signs).values()))
-    if residual > _SURFACE_TOL:
-        raise FlowError(
-            f"initial state violates the constraint surface by {residual:.3e}")
+    lifted[sys.p0] = -evaluate(sys.legres.h0, lifted)
 
     # registers: the env bank (the state first), the rates of the moving
     # parameters, the derivatives (k in the state's layout, then Z's), then
     # the planned programs' own
-    plan = _Plan(env, layouts)
+    plan = _Plan([lifted[g].coeff for g in order], layouts)
     reg = plan.reg
     width = sum(map(len, layouts[:p0_slot + 1]))
     rate = {i: plan.alloc((0,))[0] for i in moved}
@@ -585,6 +553,12 @@ def _integrate(flow, path, init):
         return reg[k0:k0 + width], reg[k0 + width:k0 + width + len(z_layout)]
 
     state = reg[:width]
+    stage(state, (audit,))
+    residual = max((_largest(reg[start:start + size]) for _, start, size in audited),
+                   default=0.0)
+    if residual > _SURFACE_TOL:
+        raise FlowError(
+            f"initial state violates the constraint surface by {residual:.3e}")
     z = [0j] * len(z_layout)
     drift = 0.0
     drift_by = {label: 0.0 for label, _ in invariants}

@@ -13,9 +13,9 @@ from supermech.errors import FlowError, GradeMismatch, ParityMismatch, Unsolvabl
 from supermech.numeric_flow import (
     FlowResult,
     GrassmannValue,
+    _product,
     lower,
     make_flow,
-    run_program,
 )
 from supermech.smatrix import SpanReducer, body_matrix, body_rank
 from supermech.superalgebra import (
@@ -211,8 +211,8 @@ def reference_sign(a, b):
 
 
 def reference_product(x, y):
-    """x*y in Lambda_n with one sign per pair of masks; the sign rows of
-    numeric_flow must agree with it."""
+    """x*y in Lambda_n with one sign per pair of masks; numeric_flow's
+    products must agree with it."""
     out = {}
     for ma, va in x.coeff.items():
         for mb, vb in y.coeff.items():
@@ -234,11 +234,30 @@ def reference_evaluate(p, assignment, n):
     return total
 
 
+def run_program(program, env):
+    """Value of a lowered polynomial under env, a list of mask -> complex
+    dicts in which a missing slot is zero, multiplied with `_product`.
+
+    A term's first factor scales its coefficient slot by slot, and the
+    first term starts the total.  The result may hold exact zeros.
+    """
+    total = None
+    for coeff, slots in program:
+        acc = {m: coeff * v for m, v in env[slots[0]].items()} if slots else {0: coeff}
+        for slot in slots[1:]:
+            acc = _product(acc, env[slot])
+        if total is None:
+            total = acc
+        else:
+            for m, v in acc.items():
+                total[m] = total.get(m, 0j) + v
+    return {} if total is None else total
+
 
 def reference_integrate(tds, path, init, report):
     """numeric_flow.integrate_flow as a dict-based RK4 loop: every value a
     mask -> complex dict of the slots it holds, every program run with
-    run_program on one sign table, and the update summed as
+    run_program, and the update summed as
     ((k1 + 2k2) + 2k3) + k4, then times h/6, with z4*1 for Z.  A slot
     missing from a value is 0j wherever it enters a sum.  The planned flow
     must equal it bit for bit, but for the sign of zero parts."""
@@ -281,9 +300,8 @@ def reference_integrate(tds, path, init, report):
     def largest(value):
         return max(map(abs, value.values()), default=0.0)
 
-    signs = {}
     env = [None if g == sys.p0 else lifted[g].coeff for g in order]
-    env[p0_slot] = {m: -v for m, v in run_program(h0, env, signs).items()}
+    env[p0_slot] = {m: -v for m, v in run_program(h0, env).items()}
     state, constants = env[:p0_slot + 1], env[p0_slot + 1:]
 
     def sample(point):
@@ -292,7 +310,7 @@ def reference_integrate(tds, path, init, report):
 
     residual = 0.0
     for label, prog in invariants:
-        residual = max(residual, largest(run_program(prog, env, signs)))
+        residual = max(residual, largest(run_program(prog, env)))
     if residual > 1e-12:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
@@ -312,8 +330,8 @@ def reference_integrate(tds, path, init, report):
         zdot = {}
         for i, vf in moving:
             for j, prog in rhs[i]:
-                add(ks[j], run_program(prog, env, signs), vf)
-            add(zdot, run_program(dz[i], env, signs), vf)
+                add(ks[j], run_program(prog, env), vf)
+            add(zdot, run_program(dz[i], env), vf)
         return ks, zdot
 
     def shifted(k, factor):
@@ -339,7 +357,7 @@ def reference_integrate(tds, path, init, report):
             z = advance(z, z1, z2, z3, {m: v * one for m, v in z4.items()})
             env = state + constants
             for label, prog in invariants:
-                value = largest(run_program(prog, env, signs))
+                value = largest(run_program(prog, env))
                 if value > drift_by[label]:
                     drift_by[label] = value
                     if value > drift:

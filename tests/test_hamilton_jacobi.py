@@ -20,7 +20,6 @@ from supermech.dirac import run_dirac
 from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import (
-    apply_X,
     build_hj_system,
     closure_loop,
     cross_check_dirac,
@@ -104,15 +103,19 @@ def test_identity_rows_all_fixtures():
 
 
 def test_apply_x_examples():
+    # the flow operator of parameter alpha: X_alpha f = {f, H'_alpha}
     sho = build_sho()
     sys = build_hj_system(sho.legres)
-    assert apply_X(sys, 0, gen_poly(sho.gens["q"])) == gen_poly(sho.gens["pq"])
+    t0 = sys.parameters[0]
+    assert berezin(gen_poly(sho.gens["q"]), sys.hamiltonians[t0],
+                   sys.basis) == gen_poly(sho.gens["pq"])
     gt = build_gauge_toy()
     sys = build_hj_system(gt.legres)
     g = gt.gens
-    assert apply_X(sys, 1, gen_poly(g["q1"])).is_zero
-    assert apply_X(sys, 1, gen_poly(g["p1"])).is_zero
-    assert apply_X(sys, 1, gen_poly(g["q2"])) == const_poly(1)
+    h1 = sys.hamiltonians[sys.parameters[1]]
+    assert berezin(gen_poly(g["q1"]), h1, sys.basis).is_zero
+    assert berezin(gen_poly(g["p1"]), h1, sys.basis).is_zero
+    assert berezin(gen_poly(g["q2"]), h1, sys.basis) == const_poly(1)
 
 
 def test_operator_commutator_identity():

@@ -23,6 +23,7 @@ from supermech import numeric_flow
 from supermech.errors import FlowError, GradeMismatch, SupermechError
 from supermech.frontend.flowconfig import parse_path_config, parse_value
 from supermech.frontend.parser import parse_model
+from supermech.frontend.report import _fmt_grassmann
 from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import build_hj_system, closure_loop, total_differentials
 from supermech.numeric_flow import (
@@ -33,7 +34,6 @@ from supermech.numeric_flow import (
     integrate_flow,
     lower,
     path_independence_check,
-    run_program,
 )
 from supermech.superalgebra import Generator, Kind, Parity, const_poly, gen_poly
 
@@ -78,6 +78,9 @@ def test_evaluate_examples():
     value = evaluate(gen_poly(q) * gen_poly(th1),
                      {q: GrassmannValue.body_value(2, 2.0), th1: g1})
     assert value.coeff == {0b01: 2 + 0j}
+    # a zero polynomial lies in the assignment's Lambda_n, as a constant does
+    for p in (const_poly(0), gen_poly(th1) - gen_poly(th1), const_poly(3)):
+        assert evaluate(p, {th1: g1}).n == 2
 
 
 def test_evaluate_grade_mismatch():
@@ -291,24 +294,54 @@ def test_single_products_match_reference(n):
         assert (x * y).n == max(x.n, y.n)
 
 
+def test_sums_across_lambda_n_keep_the_larger_n():
+    g3 = GrassmannValue.generator(3, 3)
+    total = GrassmannValue(2) + g3
+    assert (total.n, total.coeff) == (3, {0b100: 1 + 0j})
+    assert _fmt_grassmann(total) == "(1)*g3"
+    diff = GrassmannValue.body_value(1, 1) - g3 * GrassmannValue.generator(3, 1)
+    assert (diff.n, diff.coeff) == (3, {0: 1 + 0j, 0b101: 1 + 0j})
+    assert _fmt_grassmann(diff) == "1 + (1)*g1*g3"
+    # x - y is x + (-y) bit for bit, the sign of zero parts included
+    rng = random.Random(15)
+
+    def part():
+        return rng.choice((0.0, -0.0, rng.uniform(-1, 1)))
+
+    def value():
+        n = rng.randint(0, 3)
+        return GrassmannValue(n, {rng.getrandbits(n): complex(part(), part())
+                                  for _ in range(3)})
+
+    for _ in range(50):
+        x, y = value(), value()
+        assert repr(x - y) == repr(x + (-y))
+        assert (x - y).n == max(x.n, y.n)
+
+
+def _count_signs(monkeypatch):
+    """The mask pairs whose sign is worked out from now on."""
+    signed = []
+    sign = numeric_flow._signed
+
+    def counting(a, b):
+        signed.append((a, b))
+        return sign(a, b)
+
+    monkeypatch.setattr(numeric_flow, "_signed", counting)
+    return signed
+
+
 def test_lambda12_literal_builds_only_the_signs_it_meets(monkeypatch):
-    built = []
-    product = numeric_flow._product
-
-    def counting(left, right, signs):
-        out = product(left, right, signs)
-        built.append(sum(len(row) for row in signs.values()))
-        return out
-
-    monkeypatch.setattr(numeric_flow, "_product", counting)
+    signed = _count_signs(monkeypatch)
     g = GrassmannValue.body_value(12, 1) * GrassmannValue.generator(12, 5)
     assert g.coeff == {1 << 4: 1 + 0j}
-    assert built == [1]
-    built.clear()
+    assert len(signed) == 1
+    signed.clear()
     value = parse_value("2*g12*g1*g7 - 0.5j*g3", LAMBDA_CAP)
     assert value.coeff == {0b100001000001: 2 + 0j, 0b100: -0.5j}
-    # one entry per generator factor, 3 + 1; the body's full row holds 4096
-    assert built == [1, 1, 1, 1]
+    # one sign per generator factor, 3 + 1; the body's full row holds 4096
+    assert len(signed) == 4
 
 
 def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
@@ -341,8 +374,9 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
     # and g each hold at most 7 of the 64 slots of Lambda_6
     assert [len(v) for v in values] == [7, 4, 4, 4, 4, 4, 4, 7, 4, 4, 4, 4, 4, 4, 3, 1, 1]
     assert len(z_layout) == 4
-    # one plan for the RK4 derivative, one for the drift audit
-    deriv, audit = plans.values()
+    # one plan for the drift audit, which first measures the initial state,
+    # and one for the RK4 derivative
+    audit, deriv = plans.values()
     assert (len(deriv), len(audit)) == (419, 185)
     for out, left, right, sign in deriv + audit:
         a, b = masks.get(left, 0), masks.get(right, 0)
@@ -444,14 +478,7 @@ def test_flow_plan_above_the_limit_fails_before_any_entry(monkeypatch, dense):
     if dense == "x":
         init[elab.lookup("x")] = GrassmannValue(n, {
             m: 1e-3 for m in range(1 << n) if not bin(m).count("1") % 2})
-    signed = []
-    sign = numeric_flow._signed
-
-    def counting(a, b):
-        signed.append((a, b))
-        return sign(a, b)
-
-    monkeypatch.setattr(numeric_flow, "_signed", counting)
+    signed = _count_signs(monkeypatch)
     path = PathSpec((result.hj_system.t0,), ((0.0,), (1.0,)), 1)
     with pytest.raises(FlowError, match=f"PLAN_LIMIT = {numeric_flow.PLAN_LIMIT:,}"):
         integrate_flow(result.tds, path, init, report=result.closure)
@@ -469,16 +496,21 @@ def _random_graded(rng, n, parity):
 
 @pytest.mark.parametrize("n,count", [(0, 150), (1, 150), (2, 150), (3, 80), (6, 25)])
 def test_lowered_programs_match_evaluate(n, count):
+    # a flow's plan of one lowered program, on values that hold about half
+    # their slots, against evaluate and the reference
     rng = random.Random(400 + n)
     gens = [g for pair in small_basis().pairs for g in pair]
     slot_of = {g: i for i, g in enumerate(gens)}
-    signs = {}
     for _ in range(count):
         values = {g: _random_graded(rng, n, g.parity) for g in gens}
-        env = [values[g].coeff for g in gens]
         p = random_poly(rng, gens, max_terms=4, max_degree=4)
         want = reference_evaluate(p, values, n)
-        got = GrassmannValue(n, run_program(lower(p, slot_of), env, signs))
+        plan = numeric_flow._Plan([values[g].coeff for g in gens],
+                                  [tuple(sorted(values[g].coeff)) for g in gens])
+        entries = []
+        out = plan.program(lower(p, slot_of), entries)
+        numeric_flow._run(entries, plan.reg)
+        got = GrassmannValue(n, {m: plan.reg[r] for m, r in out.items()})
         assert evaluate(p, values).coeff == got.coeff
         if n <= 2:
             # at most two products land on one slot, so no sum is reordered
@@ -493,40 +525,29 @@ def test_lowered_programs_match_evaluate(n, count):
         assert (got - want).max_abs <= 1e-12 * scale
 
 
-def test_sign_table_matches_grassmann_product():
+def test_product_matches_reference_product(monkeypatch):
     n = 4
-    signs = {}
     for a in range(1 << n):
         for b in range(1 << n):
             x, y = GrassmannValue(n, {a: 1}), GrassmannValue(n, {b: 1})
             prod = reference_product(x, y)
             assert (x * y).coeff == prod.coeff
-            assert numeric_flow._product(x.coeff, y.coeff, signs) == prod.coeff
-            if a & b:
-                assert prod.coeff == {}
-                assert b not in signs[a]
-            else:
-                ab = signs[a][b]
-                assert (ab if ab >= 0 else ~ab) == a | b
-                assert prod.coeff == {a | b: complex(1 if ab >= 0 else -1)}
-    # at the cap, the table holds only the disjoint pairs a product meets
+            assert numeric_flow._product(x.coeff, y.coeff) == prod.coeff
+    # at the cap, a product works out the sign of only the disjoint pairs
+    # it meets, each once
     rng = random.Random(12)
-    signs = {}
 
     def mask():
         # about a quarter of the bits, so that many pairs are disjoint
         return rng.getrandbits(LAMBDA_CAP) & rng.getrandbits(LAMBDA_CAP)
 
-    left = {mask(): 1j for _ in range(4)}
-    right = {mask(): 1j for _ in range(40)}
-    numeric_flow._product(left, right, signs)
-    assert sorted(signs) == sorted(left)
-    assert sum(len(row) for row in signs.values()) > 40
-    for a, row in signs.items():
-        assert set(row) == {b for b in right if not a & b}
-        for b, ab in row.items():
-            assert (ab if ab >= 0 else ~ab) == a | b
-            assert (ab >= 0) == (reference_sign(a, b) > 0)
+    x = GrassmannValue(LAMBDA_CAP, {mask(): 1j for _ in range(4)})
+    y = GrassmannValue(LAMBDA_CAP, {mask(): 1j for _ in range(40)})
+    signed = _count_signs(monkeypatch)
+    assert numeric_flow._product(x.coeff, y.coeff) == reference_product(x, y).coeff
+    assert len(signed) > 40
+    assert sorted(signed) == sorted((a, b) for a in x.coeff for b in y.coeff
+                                    if not a & b)
 
 
 def test_flow_makes_no_per_step_evaluation(monkeypatch):
