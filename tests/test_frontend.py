@@ -150,6 +150,17 @@ def test_rational_model_outputs_match_golden():
     assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
 
 
+def test_two_sector_model_outputs_match_golden():
+    # two independent Gauss sectors whose generators differ only by name:
+    # pins that every generator stays distinct from its twin in the other
+    # sector, through classification, recombination and the bracket table
+    result = run_pipeline(parse_model(data_text("two_gauss.smf")), stage="all")
+    assert result.crosscheck.verdict == "equivalent"
+    golden = GOLDEN / "two_gauss"
+    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
+    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("text", [fixture_text("dirac_maxwell_reduced.smf"),
                                   data_text("sweep_gauss_fermi.smf")],
                          ids=["dirac_maxwell_reduced", "sweep_gauss_fermi"])
