@@ -65,6 +65,11 @@ def berezin(f, g, basis):
     keeps.  Only the coordinates that occur in an operand are visited, and a
     product is formed only for the pairs where both of its factors are
     nonzero; the sum is exact, so the order of the pairs does not matter.
+
+    The result is exactly graded antisymmetric: {g, f} is {f, g} when both
+    are odd and -{f, g} otherwise.  dirac.constraint_matrix,
+    DiracAnalysis.bracket_table and hamilton_jacobi.closure_loop rely on
+    that and compute one order of each pair.
     """
     pf = parity_of(f)
     pg = parity_of(g)

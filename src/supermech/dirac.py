@@ -167,11 +167,19 @@ def weak_reduce(p, records):
 
 
 def constraint_matrix(constraints, basis, surface):
-    """Delta_st = {Phi_s, Phi_t}, weakly reduced on surface."""
+    """Delta_st = {Phi_s, Phi_t}, weakly reduced on surface.
+
+    Entries below the diagonal follow by graded antisymmetry."""
     exprs = [c.expr if isinstance(c, ConstraintRecord) else as_poly(c)
              for c in constraints]
-    return [[surface.reduce(berezin(es, et, basis)) for et in exprs]
-            for es in exprs]
+    parities = [parity_of(e) for e in exprs]
+    delta = [[None] * len(exprs) for _ in exprs]
+    for s, es in enumerate(exprs):
+        for t in range(s, len(exprs)):
+            value = surface.reduce(berezin(es, exprs[t], basis))
+            delta[t][s] = value if parities[s] and parities[t] else -value
+            delta[s][t] = value
+    return delta
 
 
 @dataclass
@@ -214,9 +222,9 @@ class DiracAnalysis:
     def bracket_table(self):
         """Nonvanishing {a, b}_D over pairs of basis generators, a before b.
 
-        Generators run over coordinates then momenta.  The columns
-        {x, Phi_s} and {Phi_t, x} are computed once per generator, not once
-        per pair, and the table is kept until the surface is next rebuilt.
+        Generators run over coordinates then momenta.  {x, Phi_s} is computed
+        once per generator, not once per pair, and gives {Phi_t, x} by graded
+        antisymmetry.  The table is kept until the surface is next rebuilt.
         """
         surface = self.surface  # rebuilding it drops a kept table
         if self._bracket_table is not None:
@@ -227,7 +235,8 @@ class DiracAnalysis:
         gens = list(basis.coordinates) + list(basis.momenta)
         polys = [gen_poly(x) for x in gens]
         left = [[berezin(x, rec.expr, basis) for rec in second] for x in polys]
-        right = [[berezin(rec.expr, x, basis) for rec in second] for x in polys]
+        right = [[v if x.parity and rec.parity else -v
+                  for v, rec in zip(row, second)] for row, x in zip(left, gens)]
         table = []
         for i, a in enumerate(gens):
             for j in range(i + 1, len(gens)):

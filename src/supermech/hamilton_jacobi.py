@@ -177,13 +177,17 @@ def closure_loop(sys, max_rounds=32):
     # rebuilt whenever a member joins the family
     surface = _family_surface(family)
     # {H'_b, H'_a} by (label_b, label_a): a bracket never changes between
-    # rounds, so each one is computed once
+    # rounds, so each pair is computed once; graded antisymmetry gives the other
     brackets = {}
 
     def bracket(mb, ma):
         key = (mb.label, ma.label)
         if key not in brackets:
-            brackets[key] = berezin(mb.expr, ma.expr, sys.basis)
+            twin = brackets.get(key[::-1])
+            if twin is None:
+                brackets[key] = berezin(mb.expr, ma.expr, sys.basis)
+            else:
+                brackets[key] = twin if ma.parity and mb.parity else -twin
         return brackets[key]
 
     # the first members are the parameters' H'_alpha, in parameter order

@@ -11,11 +11,11 @@ from .errors import NonNumericBody, SingularBody
 from .superalgebra import (
     C_ONE,
     C_ZERO,
-    Monomial,
     SuperPoly,
     ZERO,
     as_poly,
     const_poly,
+    factor_order,
 )
 
 
@@ -259,61 +259,30 @@ class SpanReducer:
 
     Coefficients of the eliminating combinations are rational constants,
     so the reduction never invents relations that do not already hold.
+    Rows are keyed by factor tuples, which hash and compare by generator
+    identity, and pivots follow the global term order.
     """
 
-    def __init__(self, exprs=()):
-        self.pivots = []  # (pivot fkey, {fkey: coeff}, {fkey: factors})
-        for e in exprs:
-            self.add(e)
+    def __init__(self):
+        self.pivots = []  # (pivot factors, {factors: coeff})
 
-    @staticmethod
-    def _vec(p):
-        coeffs = {}
-        shapes = {}
-        for m in as_poly(p).terms:
-            key = m.fkey
-            coeffs[key] = m.coeff
-            shapes[key] = m.factors
-        return coeffs, shapes
-
-    def _reduce_vec(self, coeffs):
-        for key, row, _ in self.pivots:
+    def _reduce_vec(self, p):
+        coeffs = {m.factors: m.coeff for m in as_poly(p).terms}
+        for key, row in self.pivots:
             c = coeffs.get(key)
-            if c is None or c.is_zero:
-                continue
-            for k, v in row.items():
-                nv = coeffs.get(k, C_ZERO) - c * v
-                if nv.is_zero:
-                    coeffs.pop(k, None)
-                else:
-                    coeffs[k] = nv
+            if c is not None and not c.is_zero:
+                for k, v in row.items():
+                    coeffs[k] = coeffs.get(k, C_ZERO) - c * v
         return coeffs
 
     def add(self, expr):
-        coeffs, shapes = self._vec(expr)
-        coeffs = self._reduce_vec(coeffs)
-        live = sorted((k for k, v in coeffs.items() if not v.is_zero))
-        if not live:
+        coeffs = {k: v for k, v in self._reduce_vec(expr).items() if not v.is_zero}
+        if not coeffs:
             return
-        pivot = live[0]
+        pivot = min(coeffs, key=factor_order)
         inv = coeffs[pivot].inv()
-        row = {k: v * inv for k, v in coeffs.items() if not v.is_zero}
-        self.pivots.append((pivot, row, shapes))
-        self.pivots.sort(key=lambda item: item[0])
+        self.pivots.append((pivot, {k: v * inv for k, v in coeffs.items()}))
+        self.pivots.sort(key=lambda item: factor_order(item[0]))
 
     def reduce(self, p):
-        coeffs, shapes = self._vec(p)
-        coeffs = self._reduce_vec(coeffs)
-        monos = []
-        for key, c in coeffs.items():
-            if c.is_zero:
-                continue
-            factors = shapes.get(key)
-            if factors is None:
-                for _, row, rshapes in self.pivots:
-                    if key in rshapes:
-                        factors = rshapes[key]
-                        break
-            monos.append((key, c, factors))
-        monos.sort(key=lambda item: item[0])
-        return SuperPoly(tuple(Monomial(c, f) for _, c, f in monos))
+        return SuperPoly._from_map(self._reduce_vec(p))

@@ -8,7 +8,7 @@ nondeterministically.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import weakref
 from fractions import Fraction
 
 from .errors import MixedParity, ParityMismatch, SingularBody
@@ -29,40 +29,44 @@ class Kind(enum.IntEnum):
     AUXILIARY = 4
 
 
-@dataclass(frozen=True)
 class Generator:
-    """A single even or odd symbol.
+    """A single even or odd symbol, interned and immutable.
 
     The global order is (kind, order, name, index): coordinates first, then
     velocities, momenta, parameters and auxiliaries, each group in
     declaration order.  Canonical forms depend on this order being stable.
 
-    Equality compares the fields.  The hash of those fields is taken once,
-    here, because factor tuples key every polynomial map and hashing a tuple
-    hashes each of its generators.
+    Constructing equal fields returns the one live generator that holds
+    them, so equality and hashing are object identity.  Factor tuples key
+    every polynomial map, and they hash and compare without a Python call.
+    Copies and pickle round trips return the interned object.  The table
+    holds generators weakly, so one that nothing references is dropped.
     """
 
-    name: str
-    parity: Parity = Parity.EVEN
-    kind: Kind = Kind.COORDINATE
-    index: int | None = None
-    order: int = 0
+    __slots__ = ("name", "parity", "kind", "index", "order", "skey", "__weakref__")
+    _live = weakref.WeakValueDictionary()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "skey",
-            (int(self.kind), self.order, self.name,
-             -1 if self.index is None else self.index),
-        )
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.name, self.parity, self.kind, self.index, self.order)),
-        )
+    def __new__(cls, name, parity=Parity.EVEN, kind=Kind.COORDINATE, index=None,
+                order=0):
+        fields = (name, Parity(parity), Kind(kind), index, order)
+        g = cls._live.get(fields)
+        if g is None:
+            g = cls._live[fields] = object.__new__(cls)
+            skey = (int(kind), order, name, -1 if index is None else index)
+            for slot, value in zip(cls.__slots__, fields + (skey,)):
+                object.__setattr__(g, slot, value)
+        return g
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, *_):
+        raise AttributeError(f"generator {self} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Generator, (self.name, self.parity, self.kind, self.index, self.order)
+
+    def __repr__(self):
+        return f"Generator{self.__reduce__()[1]!r}"
 
     def __str__(self):
         if self.index is None:
@@ -266,6 +270,15 @@ def _merge_factors(fa, fb):
     return sign, tuple(out)
 
 
+def factor_order(factors):
+    """Sort key of a canonical factor tuple in the global generator order."""
+    return [(g.skey, e) for g, e in factors]
+
+
+def _term_order(m):
+    return [(g.skey, e) for g, e in m.factors]
+
+
 class Monomial:
     """A coefficient times an ordered product of generator powers.
 
@@ -278,10 +291,6 @@ class Monomial:
     def __init__(self, coeff, factors=()):
         self.coeff = coeff
         self.factors = factors
-
-    @property
-    def fkey(self):
-        return tuple((g.skey, e) for g, e in self.factors)
 
     @property
     def parity(self):
@@ -326,7 +335,7 @@ class SuperPoly:
     @staticmethod
     def _from_map(acc):
         monos = [Monomial(c, f) for f, c in acc.items() if not c.is_zero]
-        monos.sort(key=lambda m: m.fkey)
+        monos.sort(key=_term_order)
         return SuperPoly(tuple(monos))
 
     @property
@@ -412,7 +421,7 @@ class SuperPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple((m.fkey, m.coeff) for m in self.terms))
+        return hash(tuple((m.factors, m.coeff) for m in self.terms))
 
     def __repr__(self):
         return f"SuperPoly({self})"

@@ -7,6 +7,7 @@ from itertools import combinations
 from fractions import Fraction
 
 from supermech.brackets import PhaseBasis, berezin
+from supermech.dirac import dirac_bracket
 from supermech.hamilton_jacobi import _family_surface
 from supermech.legendre import ModelBuilder, RankSplit, analyze
 from supermech.errors import FlowError, GradeMismatch, ParityMismatch, UnsolvableConstraint
@@ -150,6 +151,27 @@ def integrability_matrix(sys, family=None):
             raw[(mb.label, ma.label)] = entry
             reduced[(mb.label, ma.label)] = surface.reduce(entry)
     return raw, reduced
+
+
+def reference_constraint_matrix(records, basis, surface):
+    """Delta_st = {Phi_s, Phi_t} with all n^2 brackets computed, each one
+    reduced on surface; dirac.constraint_matrix must match it."""
+    return [[surface.reduce(berezin(rs.expr, rt.expr, basis)) for rt in records]
+            for rs in records]
+
+
+def reference_bracket_table(analysis):
+    """Every nonvanishing {a, b}_D, a before b, by dirac_bracket, which
+    computes both {a, Phi_s} and {Phi_t, b}; bracket_table must match it."""
+    basis = analysis.basis
+    gens = list(basis.coordinates) + list(basis.momenta)
+    table = []
+    for i, a in enumerate(gens):
+        for b in gens[i + 1:]:
+            value = dirac_bracket(gen_poly(a), gen_poly(b), analysis)
+            if not value.is_zero:
+                table.append((a, b, value))
+    return table
 
 
 def reference_rank_and_split(hess):

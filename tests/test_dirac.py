@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    DATA,
     FIXTURES,
     build_fermionic,
     build_free_singular,
@@ -14,6 +15,8 @@ from helpers import (
     data_text,
     gamma_matrices,
     random_homogeneous,
+    reference_bracket_table,
+    reference_constraint_matrix,
     reference_substitute,
     reference_weak_reduce,
     small_basis,
@@ -487,14 +490,15 @@ def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
     path = FIXTURES / "dirac_maxwell_reduced.smf"
     assert main(["analyze", str(path), "--stage", "all"]) == 0
     capsys.readouterr()
-    # 962 reductions, of which 35 hold a bound generator; the other 94
+    # 872 reductions, of which 27 hold a bound generator; the other 94
     # calls come from try_solve, the consistency rows and closing the
-    # bindings of each surface (1,151 calls, two per reduction, before the
-    # bindings were closed)
-    assert len(per_reduce) == 962
+    # bindings of each surface.  Each delta entry below the diagonal is
+    # derived from its mirror, not reduced (962 reductions, 35 of them
+    # substituting, when both were reduced)
+    assert len(per_reduce) == 872
     assert max(per_reduce) == 1
-    assert sum(per_reduce) == 35
-    assert len(calls) == 129
+    assert sum(per_reduce) == 27
+    assert len(calls) == 121
 
 
 def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
@@ -660,3 +664,17 @@ def test_independent_gauss_sectors_classify_as_alone():
         for g in gens:
             value = dirac_bracket(rec.expr, gen_poly(g), analysis)
             assert weak_reduce(value, analysis.records).is_zero
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.smf")) + sorted(DATA.glob("*.smf")),
+                         ids=lambda path: path.stem)
+def test_antisymmetric_halves_match_full_reference(path):
+    # constraint_matrix and bracket_table compute one order of each pair and
+    # derive the other by graded antisymmetry; the references compute both
+    analysis = run_pipeline(parse_model(path.read_text(encoding="utf-8")),
+                            stage="dirac").analysis
+    active, surface = analysis.active(), analysis.surface
+    delta = constraint_matrix(active, analysis.basis, surface)
+    assert delta == reference_constraint_matrix(active, analysis.basis, surface)
+    assert analysis.delta == delta
+    assert analysis.bracket_table == reference_bracket_table(analysis)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FIXTURES, data_text, fixture_text
+from helpers import DATA, FIXTURES, data_text, fixture_text
 from supermech import superalgebra
 from supermech.errors import (
     IndexOutOfRange,
@@ -189,13 +189,16 @@ def test_structured_output_shape():
     assert payload["legendre"]["rank"] == 1
 
 
-def _run_cli(*args, env=None, text=True):
+def _run_python(*args, env=None, text=True):
     # the child must import this checkout's package, installed or not
     env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    return subprocess.run(
-        [sys.executable, "-m", "supermech.frontend.cli", *args],
-        capture_output=True, text=text, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=text, env=env)
+
+
+def _run_cli(*args, env=None, text=True):
+    return _run_python("-m", "supermech.frontend.cli", *args, env=env, text=text)
 
 
 def test_cli_text_and_exit_codes():
@@ -255,8 +258,10 @@ def test_cli_inconsistent_dynamics_exit(tmp_path):
       "--path", "fermionic_flow.cfg"), "flow/fermionic_flow.json"),
 ])
 def test_output_independent_of_hash_seed(args, golden):
-    # gradients and surfaces are dicts keyed by generators, whose hashes
-    # follow string hashing: no output byte may depend on the hash seed
+    # gradients, surfaces and bracket memos are dicts keyed by generators,
+    # factor tuples and labels.  Labels and names hash by the string hash
+    # seed, which this test varies; generators hash by their addresses,
+    # which the next test varies.  No output byte may depend on either
     args = [str(FIXTURES / a) if a.endswith((".smf", ".cfg")) else a
             for a in args]
     expected = (GOLDEN / golden).read_bytes()
@@ -265,6 +270,48 @@ def test_output_independent_of_hash_seed(args, golden):
                        text=False)
         assert out.returncode == 0, out.stderr
         assert out.stdout == expected, seed
+
+
+# Runs each model twice in one interpreter.  Between the runs the first
+# run's generators are freed and their memory is refilled, so the second
+# run's generators get new addresses.  Prints both runs' reports and the
+# overlap of the two runs' generator addresses as JSON.
+_TWO_RUNS = """
+import gc, json, pathlib, sys
+from supermech.superalgebra import Generator
+from supermech.frontend.parser import parse_model
+from supermech.frontend.pipeline import run_pipeline
+from supermech.frontend.report import render_json, render_text
+texts = {pathlib.Path(path).stem: pathlib.Path(path).read_text(encoding="utf-8")
+         for path in sys.argv[1:]}
+reports, addresses, ballast = {}, {}, []
+for run in range(2):
+    for name, text in texts.items():
+        result = run_pipeline(parse_model(text), stage="all")
+        reports.setdefault(name, []).append([render_text(result), render_json(result)])
+        addresses.setdefault(name, []).append(
+            {id(g) for pair in result.analysis.basis.pairs for g in pair})
+        del result
+    gc.collect()
+    ballast.append([Generator(f"ballast{run}_{k}") for k in range(4000)])
+overlap = {name: len(a & b) for name, (a, b) in addresses.items()}
+print(json.dumps({"reports": reports, "overlap": overlap}))
+"""
+
+
+def test_output_independent_of_generator_addresses():
+    # a generator is interned and hashes by its address, so the layout of
+    # every dict keyed by generators or factor tuples follows the addresses:
+    # both runs must still print the golden bytes
+    out = _run_python("-c", _TWO_RUNS, str(FIXTURES / "dirac_maxwell_reduced.smf"),
+                      str(DATA / "sweep_gauss_fermi.smf"))
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["overlap"] == {"dirac_maxwell_reduced": 0, "sweep_gauss_fermi": 0}
+    for name, runs in payload["reports"].items():
+        golden = [(GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+                  for suffix in (".txt", ".json")]
+        assert runs == [golden, golden], name
 
 
 def test_qed_derivative_and_gradient_counts(monkeypatch):
@@ -292,6 +339,28 @@ def test_qed_derivative_and_gradient_counts(monkeypatch):
     assert derive_calls[0] == 218
     assert builds
     assert len({(id(p), left) for p, left in builds}) == len(builds)
+
+
+def test_qed_berezin_count(monkeypatch):
+    # a deterministic count for the headline model: each unordered pair of
+    # delta, of the closure family and of the bracket table's columns is
+    # bracketed once, and its other order follows by graded antisymmetry
+    # (1000 brackets when both orders were computed)
+    from supermech import brackets, dirac, hamilton_jacobi, numeric_flow
+
+    calls = [0]
+    berezin = brackets.berezin
+
+    def counting_berezin(f, g, basis):
+        calls[0] += 1
+        return berezin(f, g, basis)
+
+    for module in (brackets, dirac, hamilton_jacobi, numeric_flow):
+        monkeypatch.setattr(module, "berezin", counting_berezin)
+    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
+                          stage="all")
+    render_text(result)
+    assert calls[0] == 663
 
 
 def test_reports_deterministic_across_runs():

@@ -1,6 +1,7 @@
 """Kernel tests: canonical forms, graded arithmetic and derivatives."""
+import copy
+import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -374,17 +375,25 @@ def _copy(g):
 
 @_PROPERTY
 @given(_GENERATORS, _GENERATORS)
-def test_generator_hash_follows_its_fields(g, other):
-    twin = _copy(g)
-    assert twin is not g and twin == g and hash(twin) == hash(g)
-    moved = replace(g, order=g.order + 1)
-    assert moved != g
-    back = replace(moved, order=g.order)
-    assert back == g and hash(back) == hash(g)
-    if other == g:
-        assert hash(other) == hash(g)
-    # dict keys made of factor tuples find entries under equal copies
+def test_generator_is_interned(g, other):
+    # equal fields give the one live generator, so equality is identity
+    fields = (g.name, g.parity, g.kind, g.index, g.order)
+    assert _copy(g) is g
+    assert (other is g) == ((other.name, other.parity, other.kind, other.index,
+                             other.order) == fields)
+    moved = Generator(g.name, g.parity, g.kind, g.index, g.order + 1)
+    assert moved is not g and moved != g
+    with pytest.raises(AttributeError):
+        g.order = g.order + 1
+    with pytest.raises(AttributeError):
+        del g.name
+    assert (g.name, g.parity, g.kind, g.index, g.order) == fields
+    # copies and pickle round trips return the interned object
+    assert copy.copy(g) is g and copy.deepcopy(g) is g
+    assert pickle.loads(pickle.dumps(g)) is g
+    assert copy.deepcopy(((g, 2), (other, 1)))[1][0] is other
+    # dict keys made of factor tuples find their entries
     table = {((g, 1),): "g", ((g, 2), (other, 1)): "g2 other"}
-    assert table[((twin, 1),)] == "g"
-    assert table[((back, 2), (_copy(other), 1))] == "g2 other"
+    assert table[((_copy(g), 1),)] == "g"
+    assert table[((_copy(g), 2), (_copy(other), 1))] == "g2 other"
     assert ((moved, 1),) not in table
