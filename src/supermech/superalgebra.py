@@ -8,6 +8,7 @@ nondeterministically.
 from __future__ import annotations
 
 import enum
+import threading
 import weakref
 from fractions import Fraction
 
@@ -45,16 +46,18 @@ class Generator:
 
     __slots__ = ("name", "parity", "kind", "index", "order", "skey", "__weakref__")
     _live = weakref.WeakValueDictionary()
+    _lock = threading.Lock()  # two threads must not intern equal fields twice
 
     def __new__(cls, name, parity=Parity.EVEN, kind=Kind.COORDINATE, index=None,
                 order=0):
         fields = (name, Parity(parity), Kind(kind), index, order)
-        g = cls._live.get(fields)
-        if g is None:
-            g = cls._live[fields] = object.__new__(cls)
-            skey = (int(kind), order, name, -1 if index is None else index)
-            for slot, value in zip(cls.__slots__, fields + (skey,)):
-                object.__setattr__(g, slot, value)
+        with cls._lock:
+            g = cls._live.get(fields)
+            if g is None:
+                g = cls._live[fields] = object.__new__(cls)
+                skey = (int(kind), order, name, -1 if index is None else index)
+                for slot, value in zip(cls.__slots__, fields + (skey,)):
+                    object.__setattr__(g, slot, value)
         return g
 
     def __setattr__(self, *_):

@@ -493,8 +493,7 @@ def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
     # 872 reductions, of which 27 hold a bound generator; the other 94
     # calls come from try_solve, the consistency rows and closing the
     # bindings of each surface.  Each delta entry below the diagonal is
-    # derived from its mirror, not reduced (962 reductions, 35 of them
-    # substituting, when both were reduced)
+    # derived from its mirror, not reduced
     assert len(per_reduce) == 872
     assert max(per_reduce) == 1
     assert sum(per_reduce) == 27

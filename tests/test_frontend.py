@@ -345,7 +345,6 @@ def test_qed_berezin_count(monkeypatch):
     # a deterministic count for the headline model: each unordered pair of
     # delta, of the closure family and of the bracket table's columns is
     # bracketed once, and its other order follows by graded antisymmetry
-    # (1000 brackets when both orders were computed)
     from supermech import brackets, dirac, hamilton_jacobi, numeric_flow
 
     calls = [0]

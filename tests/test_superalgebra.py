@@ -2,6 +2,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -397,3 +399,29 @@ def test_generator_is_interned(g, other):
     assert table[((_copy(g), 1),)] == "g"
     assert table[((_copy(g), 2), (_copy(other), 1))] == "g2 other"
     assert ((moved, 1),) not in table
+
+
+def test_generator_interning_is_thread_safe():
+    # threads racing to construct the same fields still share one generator
+    names = [f"race{k}" for k in range(500)]
+    results = []
+    barrier = threading.Barrier(4)
+
+    def build():
+        barrier.wait(timeout=10)
+        results.append([Generator(name, Parity.ODD) for name in names])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4
+    for built in zip(*results):
+        assert all(g is built[0] for g in built)
