@@ -347,12 +347,13 @@ def _classification_sign(p_phi, p_t, p_s):
     return -1 if (p_phi * p_t + p_t * p_s) & 1 else 1
 
 
-def first_class_recombination(delta, records, basis):
+def first_class_recombination(delta, records, basis, surface):
     """Classify records using delta; recombine null directions into first class.
 
     Null vectors are found on the body of delta and lifted with exact soul
-    corrections; a lift that fails to close leaves the participants
-    undetermined rather than forcing a classification.
+    corrections, reduced on the surface of records; a lift that fails to
+    close leaves the participants undetermined rather than forcing a
+    classification.
     """
     active = [rec for rec in records if not rec.superseded]
     n = len(active)
@@ -370,8 +371,6 @@ def first_class_recombination(delta, records, basis):
             for i in remaining:
                 active[i].cls = "second"
             break
-        # the active set loses a record with every supersede below
-        surface = Surface(records)
         # body equations: sum_s body(Delta[s][t]) v0_s = 0 for all t; the
         # body of a mixed-parity bracket is 0, so the parities' null spaces
         # add up to the block's
@@ -526,8 +525,9 @@ def run_dirac(legres):
     else:
         raise Inconsistent("consistency loop failed to close")
 
-    delta = constraint_matrix(analysis.active(), basis, analysis.surface)
-    new_records = first_class_recombination(delta, analysis.records, basis)
+    surface = analysis.surface
+    delta = constraint_matrix(analysis.active(), basis, surface)
+    new_records = first_class_recombination(delta, analysis.records, basis, surface)
     analysis.records.extend(new_records)
     analysis._classification()  # so a singular second-class block fails here
     return analysis

@@ -322,8 +322,10 @@ class _Parser:
             self.pos += 1
             value = Fraction(int(tok.text))
             if self.accept("sym", "/"):
-                den = self.expect("int", what="denominator").text
-                value = value / int(den)
+                den = self.expect("int", what="denominator")
+                if not int(den.text):
+                    raise ModelSyntaxError("division by zero", den.line, den.col)
+                value = value / int(den.text)
             return Num(value)
         if self.accept("sym", "("):
             node = self.parse_expr()

@@ -1,9 +1,11 @@
-"""Exact linear algebra for supermatrices: body operations plus nilpotent-soul
-corrections.
+"""Exact linear algebra for supermatrices: one Gauss-Jordan elimination.
 
-A supported matrix entry is a constant plus a "soul" in which every term
-contains at least one odd generator; such souls are nilpotent, so inverses
-and linear solves terminate exactly.
+A supported matrix entry is a constant "body" plus a "soul" in which every
+term contains at least one odd generator; such souls are nilpotent.  A pivot
+is an entry with a nonzero body, and rows are scaled and combined by
+multiplying from the left, so the one elimination runs over Coefficient rows
+(body rank, pivots and null space) and over SuperPoly rows (the inverse and
+linear solves of a supermatrix), and it terminates exactly.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from .errors import NonNumericBody, SingularBody
 from .superalgebra import (
     C_ONE,
     C_ZERO,
+    ONE,
     SuperPoly,
     ZERO,
     as_poly,
@@ -19,20 +22,10 @@ from .superalgebra import (
 )
 
 
-def soul_terms(p):
-    return [m for m in as_poly(p).terms if m.factors]
-
-
 def has_nilpotent_soul(p):
     """True when every non-constant term carries an odd generator."""
-    return all(
-        any(g.parity for g, _ in m.factors) for m in soul_terms(as_poly(p))
-    )
-
-
-def soul_of(p):
-    p = as_poly(p)
-    return p - const_poly(p.body)
+    return all(any(g.parity for g, _ in m.factors)
+               for m in as_poly(p).terms if m.factors)
 
 
 def check_numeric_body(p):
@@ -47,24 +40,59 @@ def body_matrix(m):
     return [[as_poly(entry).body for entry in row] for row in m]
 
 
-def _eliminate(rows, ncols):
+def _coefficient_inverse(c):
+    """Pivot inverse of a number; None for zero."""
+    return None if c.is_zero else c.inv()
+
+
+def _poly_inverse(p):
+    """Pivot inverse b^-1 * sum_k (-s*b^-1)^k of body b and soul s; None
+    when b is zero.
+
+    The series ends because the soul is nilpotent: a product of more terms
+    than it has distinct odd generators repeats one of them.
+    """
+    body = p.body
+    if body.is_zero:
+        return None
+    binv = body.inv()
+    series = power = const_poly(binv)
+    if p.is_constant:
+        return series
+    step = SuperPoly(p.terms[1:]) * -binv
+    n_odd = len({g for m in step.terms for g, _ in m.factors if g.parity})
+    for _ in range(n_odd + 1):
+        power = power * step
+        if power.is_zero:
+            return series
+        series = series + power
+    raise NonNumericBody("soul part is not nilpotent")
+
+
+def _eliminate(rows, ncols, pivot_inverse):
     """Gauss-Jordan elimination of rows in place; returns the pivot columns.
 
-    Columns are taken in order, so the pivots are the first column basis.
+    pivot_inverse gives an entry's inverse, or None when the entry is not a
+    pivot.  Rows are scaled and combined from the left, and products with a
+    zero entry are skipped.  Columns are taken in order, so the pivots are
+    the first column basis.
     """
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
-        if pivot is None:
+        for pivot in range(rank, len(rows)):
+            inv = pivot_inverse(rows[pivot][col])
+            if inv is not None:
+                break
+        else:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
+        row = rows[rank] = [x if x.is_zero else inv * x for x in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+            f = rows[r][col]
+            if r != rank and not f.is_zero:
+                rows[r] = [x if y.is_zero else x - f * y
+                           for x, y in zip(rows[r], row)]
         pivots.append(col)
         if len(pivots) == len(rows):
             break
@@ -73,22 +101,13 @@ def _eliminate(rows, ncols):
 
 def body_pivots(b):
     """Pivot columns of a Coefficient matrix: its first column basis."""
-    return tuple(_eliminate([list(row) for row in b], len(b[0]) if b else 0))
+    return tuple(_eliminate([list(row) for row in b], len(b[0]) if b else 0,
+                            _coefficient_inverse))
 
 
 def body_rank(b):
     """Rank of a matrix of Coefficients via fraction-exact elimination."""
     return len(body_pivots(b))
-
-
-def body_inverse(b):
-    """Gauss-Jordan inverse of a Coefficient matrix; raises SingularBody."""
-    n = len(b)
-    aug = [list(row) + [C_ONE if i == j else C_ZERO for j in range(n)]
-           for i, row in enumerate(b)]
-    if len(_eliminate(aug, n)) < n:
-        raise SingularBody("matrix body is singular")
-    return [row[n:] for row in aug]
 
 
 def body_nullspace(b):
@@ -99,7 +118,7 @@ def body_nullspace(b):
     """
     rows = [list(row) for row in b]
     ncols = len(rows[0]) if rows else 0
-    pivots = _eliminate(rows, ncols)
+    pivots = _eliminate(rows, ncols, _coefficient_inverse)
     basis = {}
     for fc in range(ncols):
         if fc in pivots:
@@ -112,75 +131,46 @@ def body_nullspace(b):
     return basis
 
 
-def mat_identity(n):
-    return [[ONE_P if i == j else ZERO for j in range(n)] for i in range(n)]
+def _reduce_augmented(m, rhs):
+    """Eliminate [m | rhs] for square m; returns the rows of m^-1 rhs.
 
-
-ONE_P = const_poly(1)
-
-
-def mat_from_bodies(b):
-    return [[const_poly(x) for x in row] for row in b]
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ZERO
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_is_zero(m):
-    return all(entry.is_zero for row in m for entry in row)
+    Raises NonNumericBody for an entry of m with a non-constant even part
+    and SingularBody when the body of m is singular.
+    """
+    for row in m:
+        for entry in row:
+            check_numeric_body(entry)
+    n = len(m)
+    rows = [[as_poly(x) for x in row] + extra for row, extra in zip(m, rhs)]
+    if len(_eliminate(rows, n, _poly_inverse)) < n:
+        raise SingularBody("matrix body is singular")
+    return [row[n:] for row in rows]
 
 
 def invert_supermatrix(m):
-    """Exact inverse: body inverse composed with a terminating Neumann series.
+    """Exact inverse by eliminating [m | I] on body-invertible pivots.
 
     Requires an invertible body and nilpotent souls; m @ result is exactly
     the identity.
     """
     n = len(m)
-    if n == 0:
-        return []
-    bodies = body_matrix(m)
-    binv = mat_from_bodies(body_inverse(bodies))
-    souls = [[soul_of(entry) for entry in row] for row in m]
-    if mat_is_zero(souls):
-        return binv
-    x = mat_mul(binv, souls)
-    series = mat_identity(n)
-    power = mat_identity(n)
-    n_odd = len({g for row in souls for entry in row
-                 for mono in entry.terms for g, _ in mono.factors if g.parity})
-    for _ in range(n_odd + 1):
-        power = [[-entry for entry in row] for row in mat_mul(power, x)]
-        if mat_is_zero(power):
-            break
-        series = [[series[i][j] + power[i][j] for j in range(n)] for i in range(n)]
-    else:
-        raise NonNumericBody("soul part is not nilpotent")
-    return mat_mul(series, binv)
+    return _reduce_augmented(
+        m, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
 def solve_left(m, rhs):
     """Solve sum_j m[i][j] * x[j] = rhs[i] for the column x."""
-    inv = invert_supermatrix(m)
-    return [sum((inv[i][j] * rhs[j] for j in range(len(rhs))), ZERO)
-            for i in range(len(rhs))]
+    return [row[0] for row in _reduce_augmented(m, [[as_poly(x)] for x in rhs])]
 
 
 def invert_poly(p):
     """Inverse of a ring element with invertible body and nilpotent soul."""
-    return invert_supermatrix([[as_poly(p)]])[0][0]
+    p = as_poly(p)
+    check_numeric_body(p)
+    inv = _poly_inverse(p)
+    if inv is None:
+        raise SingularBody(f"entry {p} has a zero body")
+    return inv
 
 
 def solve_linear_rows(rows, unknowns, reduce_fn):

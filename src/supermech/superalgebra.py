@@ -159,7 +159,8 @@ class Coefficient:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -424,6 +425,9 @@ class SuperPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as its body, so as the equal number
+        if self.is_constant:
+            return hash(self.body)
         return hash(tuple((m.factors, m.coeff) for m in self.terms))
 
     def __repr__(self):

@@ -10,7 +10,14 @@ from supermech.brackets import PhaseBasis, berezin
 from supermech.dirac import dirac_bracket
 from supermech.hamilton_jacobi import _family_surface
 from supermech.legendre import ModelBuilder, RankSplit, analyze
-from supermech.errors import FlowError, GradeMismatch, ParityMismatch, UnsolvableConstraint
+from supermech.errors import (
+    FlowError,
+    GradeMismatch,
+    NonNumericBody,
+    ParityMismatch,
+    SingularBody,
+    UnsolvableConstraint,
+)
 from supermech.numeric_flow import (
     FlowResult,
     GrassmannValue,
@@ -220,6 +227,107 @@ def random_graded_body(rng, n):
                     else:
                         body[i][j] = body[i][j] + u[i] * w[j] - w[i] * u[j]
     return [[const_poly(c) for c in row] for row in body], parities
+
+
+# --------------------------------------------------- reference supermatrices
+
+def mat_mul(a, b):
+    n, k = len(a), len(b)
+    m = len(b[0]) if k else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = SuperPoly()
+            for t in range(k):
+                acc = acc + a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _reference_body_inverse(b):
+    """Gauss-Jordan inverse of a Coefficient matrix; raises SingularBody."""
+    n = len(b)
+    rows = [list(row) + [Coefficient(int(i == j)) for j in range(n)]
+            for i, row in enumerate(b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero), None)
+        if pivot is None:
+            raise SingularBody("matrix body is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].inv()
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and not f.is_zero:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def reference_invert_supermatrix(m):
+    """Inverse as sum_k (-B^-1 S)^k B^-1 for body B and souls S.
+
+    The Neumann series ends because the souls are nilpotent; an oracle for
+    smatrix's elimination on body-invertible pivots.
+    """
+    n = len(m)
+    if n == 0:
+        return []
+    binv = [[const_poly(x) for x in row]
+            for row in _reference_body_inverse(body_matrix(m))]
+    souls = [[as_poly(e) - const_poly(as_poly(e).body) for e in row] for row in m]
+    x = mat_mul(binv, souls)
+    series = power = [[const_poly(int(i == j)) for j in range(n)] for i in range(n)]
+    n_odd = len({g for row in souls for e in row
+                 for mono in e.terms for g, _ in mono.factors if g.parity})
+    for _ in range(n_odd + 1):
+        power = [[-e for e in row] for row in mat_mul(power, x)]
+        if all(e.is_zero for row in power for e in row):
+            return mat_mul(series, binv)
+        series = [[a + b for a, b in zip(r, s)] for r, s in zip(series, power)]
+    raise NonNumericBody("soul part is not nilpotent")
+
+
+def random_supermatrix(rng, n):
+    """Random graded n x n supermatrix over a fixed set of generators.
+
+    Entry (i, j) has the parity of i plus that of j: odd entries are souls
+    alone, even entries a Gaussian-integer body plus an even soul.  Some
+    bodies are singular (a zero row or a repeated row), and now and then a
+    diagonal entry gains a bare even generator, which is not a numeric body.
+    """
+    q = Generator("rq", Parity.EVEN, Kind.COORDINATE, None, 0)
+    odd = [Generator(f"rth{k}", Parity.ODD, Kind.COORDINATE, None, k + 1)
+           for k in range(5)]
+    parities = [rng.randint(0, 1) for _ in range(n)]
+
+    def soul(parity):
+        acc = SuperPoly()
+        for _ in range(rng.randint(0, 2)):
+            factors = rng.sample(odd, rng.choice((1, 1, 3) if parity else (2, 2, 4)))
+            if rng.random() < 0.3:
+                factors.append(q)
+            coeff = Coefficient(rng.randint(-2, 2), rng.choice((0, rng.randint(-1, 1))))
+            acc = acc + normalize([(coeff, factors)])
+        return acc
+
+    bodies = [[Coefficient(rng.randint(-3, 3), rng.choice((0, 0, rng.randint(-2, 2))))
+               if parities[i] == parities[j] else Coefficient()
+               for j in range(n)] for i in range(n)]
+    shape = rng.random()
+    if shape < 0.15:
+        bodies[rng.randrange(n)] = [Coefficient()] * n
+    elif shape < 0.3 and n > 1:
+        i, j = rng.sample(range(n), 2)
+        if parities[i] == parities[j]:
+            bodies[j] = list(bodies[i])
+    m = [[const_poly(bodies[i][j]) + soul((parities[i] + parities[j]) & 1)
+          for j in range(n)] for i in range(n)]
+    if rng.random() < 0.05:
+        i = rng.randrange(n)
+        m[i][i] = m[i][i] + gen_poly(q)
+    return m
 
 
 # ------------------------------------------------------- reference Lambda_n

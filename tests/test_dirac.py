@@ -14,9 +14,12 @@ from helpers import (
     build_sho,
     data_text,
     gamma_matrices,
+    mat_mul,
     random_homogeneous,
+    random_supermatrix,
     reference_bracket_table,
     reference_constraint_matrix,
+    reference_invert_supermatrix,
     reference_substitute,
     reference_weak_reduce,
     small_basis,
@@ -32,17 +35,21 @@ from supermech.dirac import (
     try_solve,
     weak_reduce,
 )
-from supermech.errors import SingularBody, UnsolvableConstraint, UnsupportedLagrangian
+from supermech.errors import (
+    NonNumericBody,
+    SingularBody,
+    UnsolvableConstraint,
+    UnsupportedLagrangian,
+)
 from supermech.frontend import cli
 from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
 from supermech.smatrix import (
-    body_inverse,
     body_nullspace,
     body_pivots,
     body_rank,
     invert_poly,
-    mat_mul,
+    solve_left,
 )
 from supermech.superalgebra import (
     C_I,
@@ -190,7 +197,8 @@ def test_invert_supermatrix_examples():
 
 
 def test_invert_supermatrix_with_soul():
-    # soul entries are handled by the terminating series expansion
+    # soul entries: each pivot's inverse is a series in its soul that ends
+    # because the soul is nilpotent
     fo = build_fermionic()
     g = fo.gens
     th = gen_poly(g["psi"]) * gen_poly(g["psibar"])
@@ -216,7 +224,7 @@ def _random_body(rng, nrows, ncols):
 
 def test_body_elimination_kernel():
     rng = random.Random(7)
-    zero, one = Coefficient(), Coefficient(1)
+    zero = Coefficient()
     inverted = singular = 0
     for trial in range(300):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
@@ -238,17 +246,50 @@ def test_body_elimination_kernel():
                        for row in b)
         if nrows != ncols:
             continue
+        # a constant supermatrix is inverted on its body alone
+        m = [[const_poly(x) for x in row] for row in b]
         if rank < nrows:
             singular += 1
             with pytest.raises(SingularBody):
-                body_inverse(b)
+                invert_supermatrix(m)
             continue
         inverted += 1
-        inv = body_inverse(b)
-        assert [[sum((inv[i][t] * b[t][j] for t in range(nrows)), zero)
-                 for j in range(nrows)] for i in range(nrows)] == \
-            [[one if i == j else zero for j in range(nrows)] for i in range(nrows)]
+        inv = invert_supermatrix(m)
+        assert all(x.is_constant for row in inv for x in row)
+        assert mat_mul(inv, m) == \
+            [[const_poly(int(i == j)) for j in range(nrows)] for i in range(nrows)]
     assert inverted > 10 and singular > 10
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SingularBody, NonNumericBody) as exc:
+        return type(exc)
+
+
+def test_invert_and_solve_graded_supermatrices_match_reference():
+    # the elimination on body-invertible pivots against the body inverse
+    # composed with a Neumann series over the souls
+    rng = random.Random(17)
+    outcomes = {"inverse": 0, SingularBody: 0, NonNumericBody: 0}
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        m = random_supermatrix(rng, n)
+        rhs = [random_supermatrix(rng, 1)[0][0] for _ in range(n)]
+        ref = _outcome(reference_invert_supermatrix, m)
+        inv = _outcome(invert_supermatrix, m)
+        x = _outcome(solve_left, m, rhs)
+        if isinstance(ref, type):
+            assert inv is ref and x is ref
+            outcomes[ref] += 1
+            continue
+        outcomes["inverse"] += 1
+        ident = [[const_poly(int(i == j)) for j in range(n)] for i in range(n)]
+        assert mat_mul(m, inv) == ident and mat_mul(inv, m) == ident
+        assert inv == ref
+        assert x == [row[0] for row in mat_mul(ref, [[v] for v in rhs])]
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 def test_weak_reduce_examples():
@@ -327,8 +368,9 @@ def test_classification_stable_under_rescaling():
                              solved=try_solve(factor * r.expr, basis))
             for r in analysis.records
         ]
-        delta = constraint_matrix(records, basis, Surface(records))
-        first_class_recombination(delta, records, basis)
+        surface = Surface(records)
+        delta = constraint_matrix(records, basis, surface)
+        first_class_recombination(delta, records, basis, surface)
         assert [r.cls for r in records] == [r.cls for r in analysis.records]
 
 
@@ -490,18 +532,18 @@ def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
     path = FIXTURES / "dirac_maxwell_reduced.smf"
     assert main(["analyze", str(path), "--stage", "all"]) == 0
     capsys.readouterr()
-    # 872 reductions, of which 27 hold a bound generator; the other 94
+    # 872 reductions, of which 27 hold a bound generator; the other 85
     # calls come from try_solve, the consistency rows and closing the
     # bindings of each surface.  Each delta entry below the diagonal is
     # derived from its mirror, not reduced
     assert len(per_reduce) == 872
     assert max(per_reduce) == 1
     assert sum(per_reduce) == 27
-    assert len(calls) == 121
+    assert len(calls) == 112
 
 
-def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
-    # surfaces are built only when a record set changes; the count is exact
+def _surface_builds(monkeypatch, capsys, path):
+    """Record count of every surface built in a full CLI run of path."""
     from supermech.frontend.cli import main
 
     builds = []
@@ -512,15 +554,30 @@ def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
         original(self, records)
 
     monkeypatch.setattr(Surface, "__init__", counting_init)
-    path = FIXTURES / "dirac_maxwell_reduced.smf"
     assert main(["analyze", str(path), "--stage", "all"]) == 0
     capsys.readouterr()
-    # record counts per build.  dirac: the 9 primaries, plus the secondary,
-    # one recombination round, the final records; closure: the initial
-    # family and its added member.  The closure's final surface serves its
+    return builds
+
+
+def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
+    # surfaces are built only when a record set changes; the count is exact.
+    # Record counts per build.  dirac: the 9 primaries, plus the secondary,
+    # the final records after one recombination, which reduces on the
+    # surface of the records it classifies; closure: the initial family and
+    # its added member.  The closure's final surface serves its
     # integrability matrix and the cross-check, which also reuses the
     # Dirac surface
-    assert builds == [9, 10, 10, 11, 10, 11]
+    builds = _surface_builds(monkeypatch, capsys,
+                             FIXTURES / "dirac_maxwell_reduced.smf")
+    assert builds == [9, 10, 11, 10, 11]
+
+
+def test_surface_builds_in_full_run_of_two_gauss(monkeypatch, capsys):
+    # dirac: the 10 primaries, with each of the two secondaries, the final
+    # records after two recombinations on one surface; closure: the initial
+    # family, with each of its two added members
+    builds = _surface_builds(monkeypatch, capsys, DATA / "two_gauss.smf")
+    assert builds == [10, 11, 12, 14, 11, 12, 13]
 
 
 def test_dirac_analysis_surface_follows_its_records():

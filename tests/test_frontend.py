@@ -58,6 +58,24 @@ def test_parse_syntax_error_location():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("model m\neven q\nlagrangian: 1/0*dot(q)*dot(q)\n", 3, 15),
+    ("model m\nodd psi[2]\ntensor g[1,2] = [[1, 3/0]]\n"
+     "lagrangian: psi[1]*g[1,2]*psi[2]\n", 3, 24),
+])
+def test_parse_division_by_zero_location(tmp_path, text, line, col):
+    # a zero denominator is a typed syntax error at the denominator, in a
+    # Lagrangian term or a tensor entry, and the CLI exits 2
+    with pytest.raises(ModelSyntaxError, match="division by zero") as err:
+        parse_model(text)
+    assert (err.value.line, err.value.column) == (line, col)
+    bad = tmp_path / "zero.smf"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err_text = _cli_main("analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err_text.startswith("error (model): division by zero")
+
+
 def test_index_out_of_range():
     doc = parse_model("model m\nodd psi[4]\nlagrangian: psi[5]*psi[1]\n")
     with pytest.raises(IndexOutOfRange):

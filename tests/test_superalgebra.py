@@ -289,11 +289,26 @@ def _canonical_part(part):
     return type(part) is (int if part.denominator == 1 else Fraction)
 
 
+def _equal_values_hash_equal(c):
+    # a Coefficient equals its constant SuperPoly and, when real, the int or
+    # Fraction of its value; equal values hash equal, so each finds the
+    # others in a set
+    twins = [c, const_poly(c), Coefficient(Fraction(c.re), Fraction(c.im))]
+    if not c.im:
+        twins.append(Fraction(c.re))
+        if Fraction(c.re).denominator == 1:
+            twins.append(int(c.re))
+    for a in twins:
+        for b in twins:
+            assert a == b and hash(a) == hash(b) and a in {b}
+
+
 def _exact(result, want):
     assert isinstance(result, Coefficient)
     assert _canonical_part(result.re) and _canonical_part(result.im)
     assert (result.re, result.im) == want
-    assert result == Coefficient(*want) and hash(result) == hash(want)
+    assert result == Coefficient(*want)
+    _equal_values_hash_equal(result)
 
 
 @_PROPERTY
@@ -331,7 +346,7 @@ def test_coefficient_parts_are_canonical(re, im):
     c, twin = Coefficient(re, im), Coefficient(Fraction(re), Fraction(im))
     assert c == twin and hash(c) == hash(twin) and str(c) == str(twin)
     assert hash(Coefficient(re)) == hash(Coefficient(Fraction(re), 0))
-    assert hash(c) == hash((Fraction(re), Fraction(im)))
+    _equal_values_hash_equal(c)
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, 1j, complex(3, 0), True, False])
