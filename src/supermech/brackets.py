@@ -1,11 +1,11 @@
 """Graded Poisson (Berezin) bracket over a declared phase basis.
 
-Two independent routes are provided: the direct sum over conjugate pairs
-and the simplectic-metric contraction.  They must agree exactly, which the
-test suite uses as a cross-implementation oracle.  `berezin` reads each
-operand's left and right gradients, which every SuperPoly builds once and
-keeps; `simpletic_bracket` deliberately takes one graded derivative per
-generator, so the two routes share no derivative code.
+Two routes are provided: the direct sum over conjugate pairs and the
+simplectic-metric contraction.  They must agree exactly, which the test
+suite uses as an oracle for the summation.  Both take their graded
+derivatives from the left and right gradients that every SuperPoly builds
+once and keeps; the tests check the derivative itself against a separate
+reference implementation.
 """
 from __future__ import annotations
 

@@ -35,8 +35,8 @@ from .superalgebra import (
     ZERO,
     as_poly,
     contains,
-    derive_right,
     gen_poly,
+    gradient,
     parity_of,
     substitute,
 )
@@ -83,10 +83,11 @@ def try_solve(expr, basis):
     order wins, so solved forms are deterministic.
     """
     candidates = list(basis.momenta) + list(basis.coordinates)
+    grad = gradient(expr, False)
     for g in candidates:
-        if not contains(expr, g):
+        a = grad.get(g)
+        if a is None:
             continue
-        a = derive_right(expr, g)
         if contains(a, g) or a.body.is_zero or not has_nilpotent_soul(a):
             continue
         rest = expr - a * gen_poly(g)
@@ -324,10 +325,11 @@ def _solve_multiplier_rows(rows, symbols, surface):
     """
     prepared = []
     for i, r in enumerate(rows):
+        grad = gradient(r, False)
         coeffs = {}
         for v in symbols:
-            if contains(r, v):
-                a = derive_right(r, v)
+            a = grad.get(v)
+            if a is not None:
                 if any(contains(a, w) for w in symbols):
                     raise UnsupportedLagrangian(
                         f"multiplier {v} enters a consistency row nonlinearly")

@@ -100,10 +100,11 @@ def elaborate(doc):
         params[pd.name] = builder.parameter(
             pd.name, Parity.EVEN if pd.parity == "even" else Parity.ODD)
     tensors = {}
+    constants = _Env(families, sizes, params, {}, builder)
     for td in doc.tensors:
         _check_name(td.name, seen)
         tensors[td.name] = tuple(
-            tuple(_constant(entry, td.name) for entry in row)
+            tuple(_constant(constants, entry, td.name) for entry in row)
             for row in td.entries)
 
     env = _Env(families, sizes, params, tensors, builder)
@@ -117,41 +118,14 @@ def elaborate(doc):
     return ElaboratedModel(doc, model, families, sizes, params, tensors)
 
 
-def _constant(node, tensor_name):
-    value = _fold(node)
-    if value is None:
+def _constant(env, node, tensor_name):
+    # an entry may use any constant expression, but no generator and no
+    # tensor: env has an empty tensor table
+    value = env.eval(node, {})
+    if not value.is_constant:
         raise UnboundConstant(
             f"tensor {tensor_name} entry is not a numeric constant")
-    return value
-
-
-def _fold(node):
-    if isinstance(node, syn.Num):
-        return Coefficient(node.value)
-    if isinstance(node, syn.Imag):
-        return C_I
-    if isinstance(node, syn.Neg):
-        inner = _fold(node.item)
-        return None if inner is None else -inner
-    if isinstance(node, syn.Sum):
-        (_, head), *rest = node.terms
-        total = _fold(head)
-        for sign, term in rest:
-            value = _fold(term)
-            if total is None or value is None:
-                return None
-            total = total + value if sign > 0 else total - value
-        return total
-    if isinstance(node, syn.Product):
-        head, *rest = node.factors
-        total = _fold(head)
-        for factor in rest:
-            value = _fold(factor)
-            if total is None or value is None:
-                return None
-            total = total * value
-        return total
-    return None
+    return value.body
 
 
 class _Env:

@@ -515,52 +515,26 @@ def parity_of(p):
     return parity
 
 
-def _derive(p, g, left):
-    """Graded derivative by g taken from the left or from the right.
-
-    Each occurrence of g is commuted to that end of its monomial, picking up
-    a sign per odd factor it crosses, then removed.  For even g this is the
-    ordinary partial derivative.
-    """
-    acc = {}
-    for m in as_poly(p).terms:
-        for pos, (h, e) in enumerate(m.factors):
-            if h != g:
-                continue
-            if g.parity:
-                crossed = m.factors[:pos] if left else m.factors[pos + 1:]
-                crossings = sum(1 for hh, _ in crossed if hh.parity)
-                coeff = -m.coeff if crossings & 1 else m.coeff
-                factors = m.factors[:pos] + m.factors[pos + 1:]
-            else:
-                coeff = m.coeff * e
-                if e > 1:
-                    factors = m.factors[:pos] + ((g, e - 1),) + m.factors[pos + 1:]
-                else:
-                    factors = m.factors[:pos] + m.factors[pos + 1:]
-            prev = acc.get(factors)
-            acc[factors] = coeff if prev is None else prev + coeff
-            break
-    return SuperPoly._from_map(acc)
-
-
 def derive_right(p, g):
     """Right graded derivative: g is commuted to the rightmost position."""
-    return _derive(p, g, left=False)
+    return gradient(p, False).get(g, ZERO)
 
 
 def derive_left(p, g):
     """Left graded derivative: g is commuted to the leftmost position."""
-    return _derive(p, g, left=True)
+    return gradient(p, True).get(g, ZERO)
 
 
 def gradient(p, left):
     """{generator: graded derivative} for every generator that occurs in p.
 
-    Each value equals _derive(p, generator, left); generators absent from p
-    get no key.  The map is built in one pass over p's terms on first use and
-    kept on the instance, so it lives as long as p.  Callers must not mutate
-    it.
+    The derivative by g is taken from the left or from the right: each
+    occurrence of g is commuted to that end of its monomial, picking up a
+    sign per odd factor it crosses, then removed.  For even g this is the
+    ordinary partial derivative.  Generators absent from p get no key, and
+    no value is zero.  The map is built in one pass over p's terms on first
+    use and kept on the instance, so it lives as long as p.  Callers must
+    not mutate it.
     """
     p = as_poly(p)
     grad = p._grad_left if left else p._grad_right
@@ -574,9 +548,10 @@ def gradient(p, left):
 
 
 def _build_gradient(p, left):
-    # the sign rule of _derive: an odd generator crosses the odd factors
-    # on the side it is commuted to.  Distinct canonical terms have distinct
-    # derivatives by any one generator, so no two terms land on one key.
+    # the graded sign rule, the only copy in the package: an odd generator
+    # crosses the odd factors on the side it is commuted to.  Distinct
+    # canonical terms have distinct derivatives by any one generator, so no
+    # two terms land on one key.
     accs = {}
     for m in p.terms:
         factors = m.factors

@@ -90,6 +90,53 @@ def small_basis():
     return PhaseBasis(((q1, p1), (q2, p2), (th, pth)))
 
 
+# ------------------------------------------------------ reference derivative
+
+def reference_derive(p, g, left):
+    """Graded derivative by g taken from the left or from the right.
+
+    Each occurrence of g is commuted to that end of its monomial, picking up
+    a sign per odd factor it crosses, then removed.  For even g this is the
+    ordinary partial derivative.  superalgebra.gradient must match this
+    reference exactly.
+    """
+    acc = {}
+    for m in as_poly(p).terms:
+        for pos, (h, e) in enumerate(m.factors):
+            if h != g:
+                continue
+            if g.parity:
+                crossed = m.factors[:pos] if left else m.factors[pos + 1:]
+                crossings = sum(1 for hh, _ in crossed if hh.parity)
+                coeff = -m.coeff if crossings & 1 else m.coeff
+                factors = m.factors[:pos] + m.factors[pos + 1:]
+            else:
+                coeff = m.coeff * e
+                if e > 1:
+                    factors = m.factors[:pos] + ((g, e - 1),) + m.factors[pos + 1:]
+                else:
+                    factors = m.factors[:pos] + m.factors[pos + 1:]
+            prev = acc.get(factors)
+            acc[factors] = coeff if prev is None else prev + coeff
+            break
+    return SuperPoly._from_map(acc)
+
+
+def reference_berezin(f, g, basis):
+    """Berezin bracket summed over every basis pair with reference_derive.
+
+    brackets.berezin and brackets.simpletic_bracket must match this
+    reference exactly.
+    """
+    sign = 1 if parity_of(f) == Parity.ODD and parity_of(g) == Parity.ODD else -1
+    acc = {}
+    for q, p in basis.pairs:
+        accumulate(acc, reference_derive(f, q, False) * reference_derive(g, p, True))
+        accumulate(acc, reference_derive(g, q, False) * reference_derive(f, p, True),
+                   sign)
+    return SuperPoly._from_map(acc)
+
+
 # ------------------------------------------------------ reference reduction
 
 def reference_substitute(p, bindings):

@@ -3,7 +3,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import build_qed, gamma_matrices, random_homogeneous, small_basis
+from helpers import (
+    build_qed,
+    gamma_matrices,
+    random_homogeneous,
+    reference_berezin,
+    small_basis,
+)
 from supermech import superalgebra
 from supermech.brackets import (
     PhaseBasis,
@@ -64,7 +70,19 @@ def test_simpletic_entries():
     assert signs[("pth", "th")] == 1
 
 
-def test_simpletic_equals_berezin_randomized():
+def test_simpletic_equals_berezin_randomized(monkeypatch):
+    # both routes read the kept gradients; reference_berezin takes every
+    # derivative from the test-side reference_derive and builds no
+    # gradient, so the agreement checks the gradient's sign rule as well as
+    # the two summations
+    builds = [0]
+    build = superalgebra._build_gradient
+
+    def counting(p, left):
+        builds[0] += 1
+        return build(p, left)
+
+    monkeypatch.setattr(superalgebra, "_build_gradient", counting)
     rng = random.Random(21)
     basis = small_basis()
     metric = SimplecticMetric(basis)
@@ -72,32 +90,11 @@ def test_simpletic_equals_berezin_randomized():
     for _ in range(400):
         f = random_homogeneous(rng, gens)
         g = random_homogeneous(rng, gens)
-        assert simpletic_bracket(f, g, metric) == berezin(f, g, basis)
-
-
-def test_bracket_routes_share_no_derivative(monkeypatch):
-    # berezin reads gradients, simpletic_bracket takes one derivative per
-    # generator: the randomized agreement above compares two implementations
-    calls = [0]
-    derive = superalgebra._derive
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return derive(*args, **kwargs)
-
-    monkeypatch.setattr(superalgebra, "_derive", counting)
-    rng = random.Random(24)
-    basis = small_basis()
-    metric = SimplecticMetric(basis)
-    gens = [g for pair in basis.pairs for g in pair]
-    for _ in range(50):
-        f = random_homogeneous(rng, gens)
-        g = random_homogeneous(rng, gens)
-        before = calls[0]
-        value = berezin(f, g, basis)
-        assert calls[0] == before
-        assert simpletic_bracket(f, g, metric) == value
-        assert calls[0] == before + 2 * len(metric.entries)
+        before = builds[0]
+        expected = reference_berezin(f, g, basis)
+        assert builds[0] == before
+        assert berezin(f, g, basis) == expected
+        assert simpletic_bracket(f, g, metric) == expected
 
 
 def test_graded_antisymmetry():

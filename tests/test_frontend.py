@@ -25,7 +25,7 @@ from supermech.frontend.elaborator import elaborate
 from supermech.frontend.parser import parse_model, to_source
 from supermech.frontend.pipeline import run_pipeline
 from supermech.frontend.report import render_json, render_text
-from supermech.superalgebra import Parity
+from supermech.superalgebra import Coefficient, Parity
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 ALL_FIXTURES = [
@@ -92,6 +92,47 @@ def test_unbound_tensor():
     doc = parse_model("model m\nodd psi[2]\nlagrangian: psi[1]*gam[1,2]*psi[2]\n")
     with pytest.raises(UnboundConstant):
         elaborate(doc)
+
+
+def _tensor_model(entry):
+    return ("model m\neven q\nodd psi[2]\nparam m: even\n"
+            f"tensor g[1,1] = [[{entry}]]\n"
+            "lagrangian: 1/2*dot(q)*dot(q) + i*psi[1]*g[1,1]*psi[2]\n")
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("1/2 + 3/2*i", Coefficient(Fraction(1, 2), Fraction(3, 2))),
+    ("-(1 + i)*2", Coefficient(-2, -2)),
+    # elaborated like any expression, so a constant sum(...) is accepted
+    ("sum(a in 1..3, 1/3)", Coefficient(1)),
+])
+def test_tensor_entry_constant_expression(entry, value):
+    elab = elaborate(parse_model(_tensor_model(entry)))
+    assert elab.tensors["g"] == ((value,),)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("q", "tensor g entry is not a numeric constant"),
+    ("m", "tensor g entry is not a numeric constant"),
+    ("dot(q)", "tensor g entry is not a numeric constant"),
+    # entries are elaborated with an empty tensor table
+    ("g[1,1]", "tensor 'g' is not declared"),
+])
+def test_tensor_entry_not_constant(entry, message):
+    with pytest.raises(UnboundConstant) as info:
+        elaborate(parse_model(_tensor_model(entry)))
+    assert str(info.value) == message
+
+
+def test_tensor_entry_unknown_name(tmp_path):
+    # an undeclared name in an entry is an unknown symbol, a model error
+    with pytest.raises(UnknownSymbol, match="unknown symbol 'w'"):
+        elaborate(parse_model(_tensor_model("1 + w")))
+    bad = tmp_path / "tensor.smf"
+    bad.write_text(_tensor_model("1 + w"), encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error (model): unknown symbol 'w'\n"
 
 
 def test_odd_lagrangian_rejected():
@@ -270,6 +311,30 @@ def test_cli_inconsistent_dynamics_exit(tmp_path):
     assert "inconsistent" in out.stderr
 
 
+def test_cli_closure_round_limit():
+    # the headline model's closure loop needs three rounds: a limit of two
+    # is a ClosureDiverged, reported as inconsistent with exit status 3
+    path = str(FIXTURES / "dirac_maxwell_reduced.smf")
+    code, out, err = _cli_main("analyze", path, "--max-closure-rounds", "2")
+    assert (code, out) == (3, "")
+    assert err == "error (inconsistent): closure loop exceeded 2 rounds\n"
+    code, out, err = _cli_main("analyze", path, "--max-closure-rounds", "2",
+                               "--format", "structured")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {
+        "kind": "inconsistent", "message": "closure loop exceeded 2 rounds"}}
+    code, _, err = _cli_main("analyze", path, "--max-closure-rounds", "3")
+    assert (code, err) == (0, "")
+
+
+def test_cli_structured_io_error(tmp_path):
+    missing = tmp_path / "missing.smf"
+    code, out, err = _cli_main("analyze", str(missing), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "kind": "io", "message": f"[Errno 2] No such file or directory: '{missing}'"}}
+
+
 @pytest.mark.parametrize("args,golden", [
     (("dirac_maxwell_reduced.smf", "--stage", "all"), "dirac_maxwell_reduced.txt"),
     (("fermionic_oscillator.smf", "--stage", "flow", "--format", "structured",
@@ -332,30 +397,26 @@ def test_output_independent_of_generator_addresses():
         assert runs == [golden, golden], name
 
 
-def test_qed_derivative_and_gradient_counts(monkeypatch):
-    # deterministic counts for the headline model: every bracket reads
-    # gradients, each built at most once per polynomial and side, so the
-    # per-generator derivative is left to the Legendre and Dirac solvers
-    derive_calls = [0]
+def test_qed_gradient_counts(monkeypatch):
+    # a deterministic count for the headline model: every derivative, in
+    # the brackets and in the Legendre and Dirac solvers alike, reads a
+    # kept gradient, built at most once per polynomial and side
     builds = []
-    derive = superalgebra._derive
     build = superalgebra._build_gradient
-
-    def counting_derive(*args, **kwargs):
-        derive_calls[0] += 1
-        return derive(*args, **kwargs)
 
     def counting_build(p, left):
         builds.append((p, left))  # keeps p alive, so ids stay distinct
         return build(p, left)
 
-    monkeypatch.setattr(superalgebra, "_derive", counting_derive)
     monkeypatch.setattr(superalgebra, "_build_gradient", counting_build)
+    # the shared ZERO keeps its (empty) gradients too: forget them, so the
+    # count does not depend on which tests ran before
+    monkeypatch.setattr(superalgebra.ZERO, "_grad_right", None)
+    monkeypatch.setattr(superalgebra.ZERO, "_grad_left", None)
     result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
                           stage="all")
     render_text(result)
-    assert derive_calls[0] == 218
-    assert builds
+    assert len(builds) == 111
     assert len({(id(p), left) for p, left in builds}) == len(builds)
 
 

@@ -1,7 +1,13 @@
 """Hamilton-Jacobi family, total differentials, closure and the cross-check."""
+import contextlib
+import io
+import json
 import random
 
+import pytest
+
 from helpers import (
+    FIXTURES,
     HALF,
     HALF_I,
     bilinear,
@@ -16,7 +22,8 @@ from helpers import (
     random_homogeneous,
 )
 from supermech.brackets import berezin
-from supermech.dirac import run_dirac
+from supermech.dirac import ConstraintRecord, run_dirac
+from supermech.frontend import cli, pipeline
 from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
 from supermech.hamilton_jacobi import (
@@ -28,6 +35,7 @@ from supermech.hamilton_jacobi import (
 from supermech.superalgebra import (
     C_I,
     Coefficient,
+    ZERO,
     const_poly,
     gen_poly,
     parity_of,
@@ -376,3 +384,79 @@ def test_cross_check_strict_reduced_model():
     cc = cross_check_dirac(result.closure, result.analysis)
     assert cc.verdict == "mismatch"
     assert f"secondary {secondary.name} has no added member" in cc.mismatched
+
+
+def _hj_run(name):
+    result = run_pipeline(parse_model(fixture_text(name)), stage="hj")
+    assert result.crosscheck.verdict == "equivalent"
+    return result
+
+
+def _determine_q2(result):
+    result.analysis.multipliers[result.elaborated.lookup("q2")] = ZERO
+    return "multiplier for q2 has no dt relation"
+
+
+def _shift_psi_multiplier(result):
+    psi = result.elaborated.lookup("psi")
+    result.analysis.multipliers[psi] += gen_poly(psi)
+    return "multiplier for psi differs from dt relation: psi"
+
+
+def _forget_psibar_multiplier(result):
+    result.analysis.multipliers[result.elaborated.lookup("psibar")] = None
+    return "dt relation for psibar has no determined multiplier"
+
+
+def _add_record_off_hj_surface(result):
+    q1 = result.elaborated.lookup("q1")
+    result.analysis.records.append(ConstraintRecord("Phi3", gen_poly(q1), 1))
+    return "Phi3 not on the HJ surface: q1"
+
+
+def _supersede_secondary(result):
+    secondary = next(rec for rec in result.analysis.records
+                     if rec.origin == "consistency")
+    secondary.superseded = True
+    return "H'2 not on the constraint surface: p_q1"
+
+
+@pytest.mark.parametrize("name, perturb", [
+    ("gauge_toy.smf", _determine_q2),
+    ("fermionic_oscillator.smf", _shift_psi_multiplier),
+    ("fermionic_oscillator.smf", _forget_psibar_multiplier),
+    ("gauge_toy.smf", _add_record_off_hj_surface),
+    ("gauge_toy.smf", _supersede_secondary),
+])
+def test_cross_check_mismatch_lines(name, perturb):
+    # each perturbation of the Dirac analysis breaks one correspondence,
+    # which the cross-check reports as exactly one line
+    result = _hj_run(name)
+    line = perturb(result)
+    cc = cross_check_dirac(result.closure, result.analysis)
+    assert cc.verdict == "mismatch"
+    assert cc.mismatched == [line]
+
+
+def test_cli_mismatch_exits_3(monkeypatch):
+    def perturbed_dirac(legres):
+        analysis = run_dirac(legres)
+        psibar = next(q for q in analysis.multipliers if str(q) == "psibar")
+        analysis.multipliers[psibar] = None
+        return analysis
+
+    monkeypatch.setattr(pipeline, "run_dirac", perturbed_dirac)
+    path = str(FIXTURES / "fermionic_oscillator.smf")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", path, "--stage", "hj"])
+    assert (code, err.getvalue()) == (3, "")
+    assert "  MISMATCH: dt relation for psibar has no determined multiplier\n" \
+        in out.getvalue()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["analyze", path, "--stage", "hj", "--format", "structured"])
+    assert code == 3
+    cc = json.loads(out.getvalue())["hj"]["cross_check"]
+    assert cc["verdict"] == "mismatch"
+    assert cc["mismatched"] == ["dt relation for psibar has no determined multiplier"]

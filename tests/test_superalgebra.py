@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_homogeneous, random_poly, reference_substitute, small_basis
+from helpers import (
+    random_homogeneous,
+    random_poly,
+    reference_derive,
+    reference_substitute,
+    small_basis,
+)
 from supermech import superalgebra
 from supermech.errors import MixedParity, ParityMismatch, SingularBody
 from supermech.superalgebra import (
@@ -245,8 +251,11 @@ def test_gradient_matches_derive():
         for left in (False, True):
             grad = gradient(p, left)
             assert set(grad) == present
+            derive = derive_left if left else derive_right
             for g in gens:
-                assert grad.get(g, ZERO) == superalgebra._derive(p, g, left)
+                expected = reference_derive(p, g, left)
+                assert grad.get(g, ZERO) == expected
+                assert derive(p, g) == expected
             assert gradient(p, left) is grad
         high_even += any(e > 1 and not g.parity for m in p.terms for g, e in m.factors)
         odd_seen += any(g.parity for g in present)
