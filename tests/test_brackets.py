@@ -70,11 +70,22 @@ def test_simpletic_entries():
     assert signs[("pth", "th")] == 1
 
 
-def test_simpletic_equals_berezin_randomized(monkeypatch):
-    # both routes read the kept gradients; reference_berezin takes every
-    # derivative from the test-side reference_derive and builds no
-    # gradient, so the agreement checks the gradient's sign rule as well as
-    # the two summations
+def test_simpletic_equals_berezin_randomized():
+    rng = random.Random(21)
+    basis = small_basis()
+    metric = SimplecticMetric(basis)
+    gens = [g for pair in basis.pairs for g in pair]
+    for _ in range(400):
+        f = random_homogeneous(rng, gens)
+        g = random_homogeneous(rng, gens)
+        assert simpletic_bracket(f, g, metric) == berezin(f, g, basis)
+
+
+def test_bracket_routes_share_no_derivative(monkeypatch):
+    # berezin and simpletic_bracket both read the kept gradients;
+    # reference_berezin takes every derivative from the test-side
+    # reference_derive and builds no gradient, so the agreement checks the
+    # gradient's sign rule as well as the two summations
     builds = [0]
     build = superalgebra._build_gradient
 
@@ -83,7 +94,7 @@ def test_simpletic_equals_berezin_randomized(monkeypatch):
         return build(p, left)
 
     monkeypatch.setattr(superalgebra, "_build_gradient", counting)
-    rng = random.Random(21)
+    rng = random.Random(24)
     basis = small_basis()
     metric = SimplecticMetric(basis)
     gens = [g for pair in basis.pairs for g in pair]
