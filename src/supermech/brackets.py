@@ -9,10 +9,7 @@ reference implementation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .superalgebra import (
-    Generator,
     Parity,
     SuperPoly,
     accumulate,
@@ -23,24 +20,26 @@ from .superalgebra import (
 )
 
 
-@dataclass(frozen=True)
 class PhaseBasis:
     """Ordered conjugate pairs (coordinate, momentum); the bracket sums over
     them.  momentum maps each coordinate to its conjugate momentum."""
 
-    pairs: tuple[tuple[Generator, Generator], ...]
-    momentum: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("pairs", "momentum")
 
-    def __post_init__(self):
+    def __init__(self, pairs):
         seen = set()
-        for q, p in self.pairs:
+        for q, p in pairs:
             if q.parity != p.parity:
                 raise ValueError(f"pair ({q}, {p}) mixes parities")
             for g in (q, p):
                 if g in seen:
                     raise ValueError(f"generator {g} appears in two pairs")
                 seen.add(g)
-        object.__setattr__(self, "momentum", dict(self.pairs))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "momentum", dict(pairs))
+
+    def __setattr__(self, *_):
+        raise AttributeError("a phase basis is read-only")
 
     @property
     def coordinates(self):
@@ -86,7 +85,6 @@ def berezin(f, g, basis):
     return SuperPoly._from_map(acc)
 
 
-@dataclass(frozen=True)
 class SimplecticMetric:
     """Sparse E^{IJ} over the flattened basis (q_0, p_0, q_1, p_1, ...).
 
@@ -94,15 +92,18 @@ class SimplecticMetric:
     (momentum, coordinate) entry is -(-1)^{P(pair)}; everything else vanishes.
     """
 
-    basis: PhaseBasis
-    entries: tuple[tuple[Generator, Generator, int], ...] = field(init=False)
+    __slots__ = ("basis", "entries")
 
-    def __post_init__(self):
+    def __init__(self, basis):
         entries = []
-        for q, p in self.basis.pairs:
+        for q, p in basis.pairs:
             entries.append((q, p, 1))
             entries.append((p, q, 1 if q.parity else -1))
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "entries", tuple(entries))
+
+    def __setattr__(self, *_):
+        raise AttributeError("a simplectic metric is read-only")
 
 
 def simpletic_bracket(f, g, metric):

@@ -7,8 +7,6 @@ and provides Dirac brackets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .brackets import berezin
 from .errors import (
     Inconsistent,
@@ -55,21 +53,23 @@ __all__ = [
 ]
 
 
-@dataclass
 class ConstraintRecord:
     """One constraint with its stage, class and solved form when available."""
 
-    name: str
-    expr: SuperPoly
-    stage: int
-    cls: str = "undetermined"  # "first" | "second" | "undetermined"
-    solved: tuple[Generator, SuperPoly] | None = None
-    coordinate: Generator | None = None
-    origin: str = "primary"  # "primary" | "consistency" | "recombination"
-    superseded: bool = False
+    __slots__ = ("name", "expr", "stage", "cls", "solved", "coordinate", "origin",
+                 "superseded")
 
-    def __post_init__(self):
-        parity_of(self.expr)
+    def __init__(self, name, expr, stage, cls="undetermined", solved=None,
+                 coordinate=None, origin="primary", superseded=False):
+        parity_of(expr)
+        self.name: str = name
+        self.expr: SuperPoly = expr
+        self.stage: int = stage
+        self.cls: str = cls  # "first" | "second" | "undetermined"
+        self.solved: tuple[Generator, SuperPoly] | None = solved
+        self.coordinate: Generator | None = coordinate
+        self.origin: str = origin  # "primary" | "consistency" | "recombination"
+        self.superseded: bool = superseded
 
     @property
     def parity(self):
@@ -183,26 +183,29 @@ def constraint_matrix(constraints, basis, surface):
     return delta
 
 
-@dataclass
 class DiracAnalysis:
     """Outcome of the full constraint algorithm for one model."""
 
-    model: object
-    basis: object
-    h0: SuperPoly
-    hp: SuperPoly
-    records: list[ConstraintRecord] = field(default_factory=list)
-    multipliers: dict[Generator, SuperPoly | None] = field(default_factory=dict)
-    multiplier_symbols: dict[Generator, Generator] = field(default_factory=dict)
-    _surface: Surface | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _surface_key: tuple = field(
-        default=(), init=False, repr=False, compare=False)
-    _bracket_table: list | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # (surface, delta, second-class rows, Delta^-1)
-    _classified: tuple = field(
-        default=(None,), init=False, repr=False, compare=False)
+    __slots__ = ("model", "basis", "h0", "hp", "records", "multipliers",
+                 "multiplier_symbols", "_surface", "_surface_key", "_bracket_table",
+                 "_classified")
+
+    def __init__(self, model, basis, h0, hp, records=None, multipliers=None,
+                 multiplier_symbols=None):
+        self.model = model
+        self.basis = basis
+        self.h0: SuperPoly = h0
+        self.hp: SuperPoly = hp
+        self.records: list[ConstraintRecord] = [] if records is None else records
+        # coordinate -> its multiplier (None until determined), and its symbol
+        self.multipliers = {} if multipliers is None else multipliers
+        self.multiplier_symbols = (
+            {} if multiplier_symbols is None else multiplier_symbols)
+        self._surface: Surface | None = None
+        self._surface_key: tuple = ()
+        self._bracket_table: list | None = None
+        # (surface, delta, second-class rows, Delta^-1)
+        self._classified: tuple = (None,)
 
     @property
     def surface(self):

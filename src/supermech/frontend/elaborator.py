@@ -6,8 +6,6 @@ comes from canonicalization, never from the frontend.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import (
     IndexOutOfRange,
     MixedParity,
@@ -32,14 +30,16 @@ RESERVED = {"t0", "P0", "Z", "i", "dot", "sum", "in", "model", "even", "odd",
             "param", "tensor", "lagrangian", "steps", "params"}
 
 
-@dataclass
 class ElaboratedModel:
-    document: syn.ModelDocument
-    model: LagrangianModel
-    families: dict  # name -> list of coordinate Generators (1-based families)
-    sizes: dict  # name -> size or None
-    params: dict  # name -> Generator
-    tensors: dict  # name -> tuple of tuples of Coefficient
+    __slots__ = ("document", "model", "families", "sizes", "params", "tensors")
+
+    def __init__(self, document, model, families, sizes, params, tensors):
+        self.document: syn.ModelDocument = document
+        self.model: LagrangianModel = model
+        self.families = families  # name -> list of coordinate Generators (1-based)
+        self.sizes = sizes  # name -> size or None
+        self.params = params  # name -> Generator
+        self.tensors = tensors  # name -> tuple of tuples of Coefficient
 
     @property
     def n_odd(self):
@@ -100,7 +100,8 @@ def elaborate(doc):
         params[pd.name] = builder.parameter(
             pd.name, Parity.EVEN if pd.parity == "even" else Parity.ODD)
     tensors = {}
-    constants = _Env(families, sizes, params, {}, builder)
+    constants = _Env(families, sizes, params,
+                     dict.fromkeys(td.name for td in doc.tensors), builder)
     for td in doc.tensors:
         _check_name(td.name, seen)
         tensors[td.name] = tuple(
@@ -118,14 +119,20 @@ def elaborate(doc):
     return ElaboratedModel(doc, model, families, sizes, params, tensors)
 
 
+class _TensorInEntry(Exception):
+    """A tensor entry names a declared tensor."""
+
+
 def _constant(env, node, tensor_name):
     # an entry may use any constant expression, but no generator and no
-    # tensor: env has an empty tensor table
-    value = env.eval(node, {})
-    if not value.is_constant:
-        raise UnboundConstant(
-            f"tensor {tensor_name} entry is not a numeric constant")
-    return value.body
+    # tensor: env's tensor table holds every declared tensor without entries
+    try:
+        value = env.eval(node, {})
+        if value.is_constant:
+            return value.body
+    except _TensorInEntry:
+        pass
+    raise UnboundConstant(f"tensor {tensor_name} entry is not a numeric constant")
 
 
 class _Env:
@@ -197,6 +204,8 @@ class _Env:
                 entries = self.tensors[node.name]
                 if len(node.indices) != 2:
                     raise IndexOutOfRange(f"tensor {node.name} needs two indices")
+                if entries is None:
+                    raise _TensorInEntry
                 r = self.resolve_index(node.indices[0], bindings)
                 c = self.resolve_index(node.indices[1], bindings)
                 if not (1 <= r <= len(entries) and 1 <= c <= len(entries[0])):

@@ -26,7 +26,6 @@ chains may be any length.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import ModelSyntaxError
@@ -49,12 +48,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "int" | "name" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind  # "int" | "name" | "sym" | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def tokenize(text):
@@ -85,83 +86,93 @@ def tokenize(text):
 
 # ---------------------------------------------------------------- AST nodes
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Node:
+    """A read-only syntax-tree value, equal to a node of its class with equal fields."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + ", ".join(
+            f"{name}={value!r}" for name, value in self.__dict__.items()) + ")"
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are read-only")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Imag:
+class Num(Node):
+    def __init__(self, value):
+        self.__dict__.update(value=value)  # a Fraction
+
+
+class Imag(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
-    indices: tuple = ()
+class Ref(Node):
+    def __init__(self, name, indices=()):
+        self.__dict__.update(name=name, indices=indices)
 
 
-@dataclass(frozen=True)
-class Dot:
-    name: str
-    indices: tuple = ()
+class Dot(Node):
+    def __init__(self, name, indices=()):
+        self.__dict__.update(name=name, indices=indices)
 
 
-@dataclass(frozen=True)
-class SumExpr:
-    var: str
-    lo: int
-    hi: int
-    body: object
+class SumExpr(Node):
+    def __init__(self, var, lo, hi, body):
+        self.__dict__.update(var=var, lo=lo, hi=hi, body=body)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Node):
     """A '+'/'-' chain of two or more terms, flat however long it is."""
 
-    terms: tuple  # ((sign, term), ...); sign is 1 or -1, the first is 1
+    def __init__(self, terms):
+        # ((sign, term), ...); sign is 1 or -1, the first is 1
+        self.__dict__.update(terms=terms)
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Node):
     """A '*' chain of two or more factors, in written order."""
 
-    factors: tuple
+    def __init__(self, factors):
+        self.__dict__.update(factors=factors)
 
 
-@dataclass(frozen=True)
-class Neg:
-    item: object
+class Neg(Node):
+    def __init__(self, item):
+        self.__dict__.update(item=item)
 
 
-@dataclass(frozen=True)
-class CoordDecl:
-    name: str
-    parity: str  # "even" | "odd"
-    size: int | None
+class CoordDecl(Node):
+    def __init__(self, name, parity, size):
+        # parity is "even" or "odd"; size is None for a single coordinate
+        self.__dict__.update(name=name, parity=parity, size=size)
 
 
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    parity: str
+class ParamDecl(Node):
+    def __init__(self, name, parity):
+        self.__dict__.update(name=name, parity=parity)
 
 
-@dataclass(frozen=True)
-class TensorDecl:
-    name: str
-    rows: int
-    cols: int
-    entries: tuple  # tuple of tuples of expression ASTs (constant)
+class TensorDecl(Node):
+    def __init__(self, name, rows, cols, entries):
+        # entries: a tuple of row tuples of constant expression ASTs
+        self.__dict__.update(name=name, rows=rows, cols=cols, entries=entries)
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    name: str
-    declarations: tuple  # CoordDecl, in file order
-    params: tuple  # ParamDecl
-    tensors: tuple  # TensorDecl
-    lagrangian: object
+class ModelDocument(Node):
+    def __init__(self, name, declarations, params, tensors, lagrangian):
+        # CoordDecls in file order, then ParamDecls and TensorDecls
+        self.__dict__.update(name=name, declarations=declarations, params=params,
+                             tensors=tensors, lagrangian=lagrangian)
 
 
 class _Parser:

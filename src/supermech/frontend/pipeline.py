@@ -1,8 +1,6 @@
 """Stage orchestration: model -> legendre -> dirac -> hamilton-jacobi -> flow."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..dirac import run_dirac
 from ..errors import FlowError
 from ..hamilton_jacobi import (
@@ -20,19 +18,24 @@ from .parser import ModelDocument
 STAGES = ("legendre", "dirac", "hj", "flow", "all")
 
 
-@dataclass
 class PipelineResult:
-    elaborated: object
-    stage: str
-    tolerance: float
-    legres: object = None
-    analysis: object = None
-    hj_system: object = None
-    tds: object = None
-    closure: object = None
-    crosscheck: object = None
-    flow_path: object = None
-    flow: object = None
+    __slots__ = ("elaborated", "stage", "tolerance", "legres", "analysis", "hj_system",
+                 "tds", "closure", "crosscheck", "flow_path", "flow")
+
+    def __init__(self, elaborated, stage, tolerance, legres=None, analysis=None,
+                 hj_system=None, tds=None, closure=None, crosscheck=None,
+                 flow_path=None, flow=None):
+        self.elaborated = elaborated
+        self.stage: str = stage
+        self.tolerance: float = tolerance
+        self.legres = legres
+        self.analysis = analysis
+        self.hj_system = hj_system
+        self.tds = tds
+        self.closure = closure
+        self.crosscheck = crosscheck
+        self.flow_path = flow_path
+        self.flow = flow
 
 
 def run_pipeline(doc, stage="all", path_text=None, max_closure_rounds=32,

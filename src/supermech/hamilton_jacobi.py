@@ -8,8 +8,6 @@ algorithm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .brackets import berezin
 from .errors import ClosureDiverged, Inconsistent
 from .dirac import ConstraintRecord, Surface, try_solve
@@ -29,32 +27,37 @@ from .superalgebra import (
 _T0_ORDER = 10 ** 7
 
 
-@dataclass
 class HPrime:
     """One member of the Hamilton-Jacobi family."""
 
-    label: str
-    expr: SuperPoly
-    param: Generator | None  # evolution parameter; None for members found by closure
-    solved: tuple[Generator, SuperPoly] | None = None
+    __slots__ = ("label", "expr", "param", "solved")
+
+    def __init__(self, label, expr, param, solved=None):
+        self.label: str = label
+        self.expr: SuperPoly = expr
+        self.param = param  # evolution parameter; None for a member found by closure
+        self.solved: tuple[Generator, SuperPoly] | None = solved
 
     @property
     def parity(self):
         return parity_of(self.expr)
 
 
-@dataclass
 class HJSystem:
     """The family H'_alpha with its parameters over the extended basis."""
 
-    model: object
-    legres: object
-    basis: object
-    t0: Generator
-    p0: Generator
-    parameters: tuple[Generator, ...]
-    hamiltonians: dict[Generator, SuperPoly]
-    h_parts: dict[Generator, SuperPoly]
+    __slots__ = ("model", "legres", "basis", "t0", "p0", "parameters", "hamiltonians",
+                 "h_parts")
+
+    def __init__(self, model, legres, basis, t0, p0, parameters, hamiltonians, h_parts):
+        self.model = model
+        self.legres = legres
+        self.basis = basis
+        self.t0: Generator = t0
+        self.p0: Generator = p0
+        self.parameters: tuple[Generator, ...] = parameters
+        self.hamiltonians: dict[Generator, SuperPoly] = hamiltonians
+        self.h_parts: dict[Generator, SuperPoly] = h_parts
 
     def label_of(self, param):
         return f"H'{self.parameters.index(param)}"
@@ -88,14 +91,16 @@ def build_hj_system(legres):
                     hamiltonians, h_parts)
 
 
-@dataclass
 class TotalDifferentialSystem:
     """Coefficients of dt^alpha in dq, dp and dZ along the characteristics."""
 
-    system: HJSystem
-    dq: dict[tuple[Generator, Generator], SuperPoly]
-    dp: dict[tuple[Generator, Generator], SuperPoly]
-    dz: dict[Generator, SuperPoly]
+    __slots__ = ("system", "dq", "dp", "dz")
+
+    def __init__(self, system, dq, dp, dz):
+        self.system: HJSystem = system
+        self.dq: dict[tuple[Generator, Generator], SuperPoly] = dq
+        self.dp: dict[tuple[Generator, Generator], SuperPoly] = dp
+        self.dz: dict[Generator, SuperPoly] = dz
 
 
 def total_differentials(sys):
@@ -136,24 +141,30 @@ def _family_surface(family):
     ])
 
 
-@dataclass
 class ClosureOutcome:
-    kind: str  # "strict_zero" | "weak_zero" | "new_hamiltonian" | "dt_relation"
-    detail: str = ""
-    relations: dict = field(default_factory=dict)
+    __slots__ = ("kind", "detail", "relations")
+
+    def __init__(self, kind, detail="", relations=None):
+        self.kind = kind  # strict_zero, weak_zero, new_hamiltonian or dt_relation
+        self.detail: str = detail
+        self.relations = {} if relations is None else relations
 
 
-@dataclass
 class IntegrabilityReport:
-    system: HJSystem
-    family: list[HPrime]
-    added: list[HPrime]
-    outcomes: dict[str, ClosureOutcome]
-    dt_relations: dict[Generator, SuperPoly]
-    matrix_raw: dict
-    matrix_reduced: dict
-    rounds: int
-    surface: Surface  # of the closed family, for callers that reduce on it
+    __slots__ = ("system", "family", "added", "outcomes", "dt_relations", "matrix_raw",
+                 "matrix_reduced", "rounds", "surface")
+
+    def __init__(self, system, family, added, outcomes, dt_relations, matrix_raw,
+                 matrix_reduced, rounds, surface):
+        self.system: HJSystem = system
+        self.family: list[HPrime] = family
+        self.added: list[HPrime] = added
+        self.outcomes: dict[str, ClosureOutcome] = outcomes
+        self.dt_relations: dict[Generator, SuperPoly] = dt_relations
+        self.matrix_raw = matrix_raw
+        self.matrix_reduced = matrix_reduced
+        self.rounds: int = rounds
+        self.surface = surface  # of the closed family, for callers that reduce on it
 
     @property
     def strictly_integrable(self):
@@ -279,11 +290,13 @@ def closure_loop(sys, max_rounds=32):
     )
 
 
-@dataclass
 class CorrespondenceReport:
-    verdict: str
-    matched: list
-    mismatched: list
+    __slots__ = ("verdict", "matched", "mismatched")
+
+    def __init__(self, verdict, matched, mismatched):
+        self.verdict: str = verdict
+        self.matched = matched
+        self.mismatched = mismatched
 
     @property
     def equivalent(self):

@@ -8,8 +8,6 @@ which keeps velocity solving inside exact graded linear algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .brackets import PhaseBasis
 from .errors import ResidualVelocity, SingularBody, UnsupportedLagrangian
 from .smatrix import body_matrix, body_pivots, body_rank, solve_left
@@ -27,23 +25,24 @@ from .superalgebra import (
 )
 
 
-@dataclass
 class LagrangianModel:
     """Declared generators plus an even Lagrangian over them."""
 
-    name: str
-    coordinates: tuple[Generator, ...]
-    velocities: dict[Generator, Generator]
-    momenta: dict[Generator, Generator]
-    parameters: tuple[Generator, ...]
-    lagrangian: SuperPoly
+    __slots__ = ("name", "coordinates", "velocities", "momenta", "parameters",
+                 "lagrangian")
 
-    def __post_init__(self):
-        if parity_of(self.lagrangian) != Parity.EVEN:
+    def __init__(self, name, coordinates, velocities, momenta, parameters, lagrangian):
+        if parity_of(lagrangian) != Parity.EVEN:
             raise UnsupportedLagrangian("Lagrangian must be even")
-        for g in self.lagrangian.generators():
-            if g.kind == Kind.VELOCITY and g not in self.velocities.values():
+        for g in lagrangian.generators():
+            if g.kind == Kind.VELOCITY and g not in velocities.values():
                 raise UnsupportedLagrangian(f"velocity {g} has no declared coordinate")
+        self.name: str = name
+        self.coordinates: tuple[Generator, ...] = coordinates
+        self.velocities: dict[Generator, Generator] = velocities
+        self.momenta: dict[Generator, Generator] = momenta
+        self.parameters: tuple[Generator, ...] = parameters
+        self.lagrangian: SuperPoly = lagrangian
 
     def velocity(self, q):
         return self.velocities[q]
@@ -98,22 +97,33 @@ class ModelBuilder:
         )
 
 
-@dataclass
 class RankSplit:
-    rank: int
-    expressible: tuple[int, ...]
-    unexpressed: tuple[int, ...]
+    __slots__ = ("rank", "expressible", "unexpressed")
+
+    def __init__(self, rank, expressible, unexpressed):
+        self.rank: int = rank
+        self.expressible: tuple[int, ...] = expressible
+        self.unexpressed: tuple[int, ...] = unexpressed
+
+    def __eq__(self, other):
+        return type(other) is RankSplit and (
+            self.rank, self.expressible, self.unexpressed) == (
+            other.rank, other.expressible, other.unexpressed)
 
 
-@dataclass
 class LegendreResult:
-    model: LagrangianModel
-    momenta_defs: dict[Generator, SuperPoly]
-    hessian: list[list[SuperPoly]]
-    split: RankSplit
-    solved_velocities: dict[Generator, SuperPoly]
-    primary_h: dict[Generator, SuperPoly]
-    h0: SuperPoly
+    __slots__ = ("model", "momenta_defs", "hessian", "split", "solved_velocities",
+                 "primary_h", "h0")
+
+    def __init__(self, model, momenta_defs, hessian, split, solved_velocities,
+                 primary_h, h0):
+        self.model: LagrangianModel = model
+        self.momenta_defs: dict[Generator, SuperPoly] = momenta_defs
+        self.hessian: list[list[SuperPoly]] = hessian
+        self.split: RankSplit = split
+        self.solved_velocities: dict[Generator, SuperPoly] = solved_velocities
+        self.primary_h: dict[Generator, SuperPoly] = primary_h
+        self.h0: SuperPoly = h0
 
     @property
     def rank(self):

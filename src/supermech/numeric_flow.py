@@ -17,8 +17,6 @@ products that land on one slot in ascending order of the left mask.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .brackets import berezin
 from .errors import FlowError, GradeMismatch
 from .superalgebra import Parity, as_poly, gen_poly
@@ -182,37 +180,42 @@ def evaluate(p, assignment):
     return GrassmannValue(n, total)
 
 
-@dataclass(frozen=True)
 class PathSpec:
     """Waypoints in the free-parameter space, integrated with fixed steps."""
 
-    params: tuple
-    waypoints: tuple[tuple[float, ...], ...]
-    steps: int
+    __slots__ = ("params", "waypoints", "steps")
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __init__(self, params, waypoints, steps):
+        if steps < 1:
             raise FlowError("steps must be >= 1")
-        if len(self.waypoints) < 2:
+        if len(waypoints) < 2:
             raise FlowError("need at least two waypoints")
-        for w in self.waypoints:
-            if len(w) != len(self.params):
+        for w in waypoints:
+            if len(w) != len(params):
                 raise FlowError("waypoint arity does not match parameters")
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
+        for a, b in zip(waypoints, waypoints[1:]):
             if a == b:
                 raise FlowError("consecutive waypoints must differ")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "waypoints", waypoints)  # tuple of float tuples
+        object.__setattr__(self, "steps", steps)
+
+    def __setattr__(self, *_):
+        raise AttributeError("a path is read-only")
 
 
-@dataclass
 class FlowSystem:
     """Total differential equations compiled against the closure relations."""
 
-    tds: object
-    free_params: tuple
-    state_gens: tuple
-    rhs: dict  # (state generator, free param) -> SuperPoly
-    dz: dict  # free param -> SuperPoly
-    invariants: list  # (label, SuperPoly)
+    __slots__ = ("tds", "free_params", "state_gens", "rhs", "dz", "invariants")
+
+    def __init__(self, tds, free_params, state_gens, rhs, dz, invariants):
+        self.tds = tds
+        self.free_params = free_params
+        self.state_gens = state_gens
+        self.rhs = rhs  # (state generator, free param) -> SuperPoly
+        self.dz = dz  # free param -> SuperPoly
+        self.invariants = invariants  # (label, SuperPoly)
 
 
 def make_flow(tds, report):
@@ -242,13 +245,15 @@ def make_flow(tds, report):
     return FlowSystem(tds, free, state_gens, rhs, dz, invariants)
 
 
-@dataclass
 class FlowResult:
-    samples: list  # (parameter point, {generator: GrassmannValue})
-    z: GrassmannValue
-    drift: float
-    drift_by_invariant: dict
-    onsurface_residual: float = 0.0
+    __slots__ = ("samples", "z", "drift", "drift_by_invariant", "onsurface_residual")
+
+    def __init__(self, samples, z, drift, drift_by_invariant, onsurface_residual=0.0):
+        self.samples = samples  # (parameter point, {generator: GrassmannValue})
+        self.z: GrassmannValue = z
+        self.drift: float = drift
+        self.drift_by_invariant = drift_by_invariant
+        self.onsurface_residual: float = onsurface_residual
 
 
 def lower(p, slot_of):
@@ -591,12 +596,14 @@ def _integrate(flow, path, init):
                       drift_by, residual)
 
 
-@dataclass
 class PathIndependenceReport:
-    strict: bool
-    comparisons: list  # (name, difference, compared: bool, note)
-    agree: bool
-    tolerance: float
+    __slots__ = ("strict", "comparisons", "agree", "tolerance")
+
+    def __init__(self, strict, comparisons, agree, tolerance):
+        self.strict: bool = strict
+        self.comparisons = comparisons  # (name, difference, compared: bool, note)
+        self.agree: bool = agree
+        self.tolerance: float = tolerance
 
 
 def path_independence_check(tds, path_a, path_b, init, report, tol=1e-8):

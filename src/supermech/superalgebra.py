@@ -339,7 +339,8 @@ class SuperPoly:
     @staticmethod
     def _from_map(acc):
         monos = [Monomial(c, f) for f, c in acc.items() if not c.is_zero]
-        monos.sort(key=_term_order)
+        if len(monos) > 1:
+            monos.sort(key=_term_order)
         return SuperPoly(tuple(monos))
 
     @property

@@ -1,6 +1,7 @@
 """Bracket axioms and the two independent bracket implementations."""
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
@@ -68,6 +69,9 @@ def test_simpletic_entries():
     assert signs[("p1", "q1")] == -1
     assert signs[("th", "pth")] == 1
     assert signs[("pth", "th")] == 1
+    for value, name in ((metric, "entries"), (basis, "pairs"), (basis, "momentum")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
 
 
 def test_simpletic_equals_berezin_randomized():

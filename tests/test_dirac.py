@@ -36,6 +36,7 @@ from supermech.dirac import (
     weak_reduce,
 )
 from supermech.errors import (
+    MixedParity,
     NonNumericBody,
     SingularBody,
     UnsolvableConstraint,
@@ -734,3 +735,9 @@ def test_antisymmetric_halves_match_full_reference(path):
     assert delta == reference_constraint_matrix(active, analysis.basis, surface)
     assert analysis.delta == delta
     assert analysis.bracket_table == reference_bracket_table(analysis)
+
+
+def test_constraint_record_refuses_a_mixed_parity_expression():
+    (_, p1), _, (_, pth) = small_basis().pairs
+    with pytest.raises(MixedParity):
+        ConstraintRecord("C", gen_poly(p1) + gen_poly(pth), 0)

@@ -1,10 +1,12 @@
 """Parser, elaborator, pipeline, CLI and report determinism."""
 import cmath
 import contextlib
+import copy
 import io
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +23,7 @@ from supermech.errors import (
     UnknownSymbol,
 )
 from supermech.frontend import cli
+from supermech.frontend import parser as syn
 from supermech.frontend.elaborator import elaborate
 from supermech.frontend.parser import parse_model, to_source
 from supermech.frontend.pipeline import run_pipeline
@@ -115,12 +118,27 @@ def test_tensor_entry_constant_expression(entry, value):
     ("q", "tensor g entry is not a numeric constant"),
     ("m", "tensor g entry is not a numeric constant"),
     ("dot(q)", "tensor g entry is not a numeric constant"),
-    # entries are elaborated with an empty tensor table
-    ("g[1,1]", "tensor 'g' is not declared"),
+    # a declared tensor, here the one being defined, is no numeric constant
+    ("g[1,1]", "tensor g entry is not a numeric constant"),
 ])
 def test_tensor_entry_not_constant(entry, message):
     with pytest.raises(UnboundConstant) as info:
         elaborate(parse_model(_tensor_model(entry)))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tensors, message", [
+    ("tensor h[1,1] = [[2]]\ntensor g[1,1] = [[h[1,1]]]\n",
+     "tensor g entry is not a numeric constant"),
+    ("tensor g[1,1] = [[h[1,1]]]\ntensor h[1,1] = [[2]]\n",
+     "tensor g entry is not a numeric constant"),
+    # a two-index name no tensor declares keeps its own message
+    ("tensor g[1,1] = [[k[1,1]]]\n", "tensor 'k' is not declared"),
+])
+def test_tensor_entry_naming_a_tensor(tensors, message):
+    text = f"model m\neven q\n{tensors}lagrangian: dot(q)*dot(q)\n"
+    with pytest.raises(UnboundConstant) as info:
+        elaborate(parse_model(text))
     assert str(info.value) == message
 
 
@@ -580,15 +598,56 @@ def test_long_sum_chain_elaborates(tmp_path):
 
 
 def test_long_document_compares_hashes_and_prints():
-    # '+'/'-' and '*' chains parse into flat nodes, so the generated
-    # equality, hash and repr of a long model's document do not recurse
-    # once per term
+    # '+'/'-' and '*' chains parse into flat nodes, so the equality, hash
+    # and repr of a long model's document do not recurse once per term
     doc = parse_model(LONG_CHAIN)
     again = parse_model(LONG_CHAIN)
     assert doc == again
     assert hash(doc) == hash(again)
     assert repr(doc) == repr(again)
     assert parse_model(to_source(doc)) == doc
+
+
+def _one_node_of_each_class():
+    terms = ((1, syn.Ref("a")), (-1, syn.Imag()))
+    return [
+        syn.Num(Fraction(1, 2)), syn.Imag(), syn.Ref("a"), syn.Dot("a"),
+        syn.SumExpr("k", 1, 2, syn.Ref("a", ("k",))), syn.Sum(terms),
+        syn.Product(terms), syn.Neg(syn.Ref("a")), syn.CoordDecl("a", "even", None),
+        syn.ParamDecl("a", "even"), syn.TensorDecl("a", 1, 1, ((syn.Num(2),),)),
+        syn.ModelDocument("a", (), (), (), syn.Ref("a")),
+    ]
+
+
+def test_syntax_nodes_are_read_only_values():
+    nodes, twins = _one_node_of_each_class(), _one_node_of_each_class()
+    assert {type(node) for node in nodes} == set(syn.Node.__subclasses__())
+    # equal only to a node of the same class with the same fields, even
+    # where the fields match (Ref and Dot, Sum and Product)
+    for i, node in enumerate(nodes):
+        for j, other in enumerate(twins):
+            assert (node == other) == (i == j) != (node != other)
+    assert syn.Ref("a") == syn.Ref("a", ()) != syn.Ref("a", (1,))
+    for node, twin in zip(nodes, twins):
+        assert hash(node) == hash(twin) and repr(node) == repr(twin)
+        for name in [*vars(node), "other"]:
+            with pytest.raises(AttributeError):
+                setattr(node, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert node == twin
+    assert repr(syn.Ref("a")) == "Ref(name='a', indices=())"
+    doc = parse_model(fixture_text("dirac_maxwell_reduced.smf"))
+    assert copy.deepcopy(doc) == doc == pickle.loads(pickle.dumps(doc))
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # start-up: building the package's records with dataclasses cost more
+    # than the rest of its import; -S keeps site hooks out of the check
+    out = _run_python("-S", "-c", "import sys, supermech.frontend.cli, supermech; "
+                      "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_nested_sum_keeps_its_parentheses():

@@ -23,6 +23,8 @@ from supermech.frontend.pipeline import run_pipeline
 from supermech.legendre import ModelBuilder, analyze, rank_and_split
 from supermech.superalgebra import (
     C_I,
+    Generator,
+    Kind,
     Parity,
     const_poly,
     contains,
@@ -235,3 +237,14 @@ def test_coupled_rows_reduce_exactly():
     assert constraint == gen_poly(p2) - gen_poly(p1)
     assert not contains(legres.h0, q1d) and not contains(legres.h0, q2d)
     assert legres.h0 == HALF * gen_poly(p1) ** 2
+
+
+def test_model_refuses_an_odd_lagrangian_or_a_stray_velocity():
+    b = ModelBuilder("m")
+    q, _, _ = b.coordinate("q", Parity.EVEN)
+    _, thd, _ = b.coordinate("th", Parity.ODD)
+    with pytest.raises(UnsupportedLagrangian, match="must be even"):
+        b.finish(gen_poly(thd) * gen_poly(q))
+    stray = gen_poly(Generator("dot(r)", Parity.EVEN, Kind.VELOCITY, None, 9))
+    with pytest.raises(UnsupportedLagrangian, match="has no declared coordinate"):
+        b.finish(stray * stray)

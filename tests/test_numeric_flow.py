@@ -621,12 +621,15 @@ def test_flow_failures_are_flow_errors():
     assert issubclass(FlowError, SupermechError) and issubclass(FlowError, ValueError)
     with pytest.raises(FlowError):
         GrassmannValue(13)
-    for params, waypoints, steps in [((1,), ((0,), (1,)), 0),
-                                     ((1,), ((0,),), 5),
-                                     ((1,), ((0,), (1, 2)), 5),
-                                     ((1,), ((0,), (0,)), 5)]:
-        with pytest.raises(FlowError):
+    for params, waypoints, steps, message in [
+            ((1,), ((0,), (1,)), 0, "steps must be >= 1"),
+            ((1,), ((0,),), 5, "need at least two waypoints"),
+            ((1,), ((0,), (1, 2)), 5, "waypoint arity does not match parameters"),
+            ((1,), ((0,), (0,)), 5, "consecutive waypoints must differ")]:
+        with pytest.raises(FlowError, match=message):
             PathSpec(params, waypoints, steps)
+    with pytest.raises(AttributeError):
+        PathSpec((1,), ((0,), (1,)), 5).steps = 2
 
     result = run_pipeline(parse_model(ODD_GAUGE), stage="hj")
     sys, elab = result.hj_system, result.elaborated
