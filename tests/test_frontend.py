@@ -495,6 +495,16 @@ def test_lambda6_flow_structured_output_matches_golden():
     assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
 
 
+def test_two_parameter_segment_flow_outputs_match_golden():
+    # t0 and q2 move together on the first segment, so its RK4 stages run
+    # the derivatives of both parameters
+    result = run_pipeline(parse_model(fixture_text("free_singular.smf")), stage="flow",
+                          path_text=data_text("free_singular_diagonal_flow.cfg"))
+    golden = GOLDEN / "flow" / "free_singular_diagonal_flow"
+    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
+
+
 def _cli_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

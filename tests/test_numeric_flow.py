@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import (
+    DATA,
     build_fermionic,
     build_free_singular,
     build_gauge_toy,
@@ -407,11 +408,13 @@ def _assert_same_flow(got, want):
     ("free_singular.smf", "free_singular_flow.cfg"),
     ("gauge_toy.smf", "gauge_toy_flow.cfg"),
     ("fermionic_oscillator.smf", "fermionic_flow.cfg"),
+    # t0 and q2 move in one segment
+    ("free_singular.smf", "free_singular_diagonal_flow.cfg"),
 ])
 def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
     result = run_pipeline(parse_model(fixture_text(model)), stage="hj")
-    path, init = parse_path_config(fixture_text(cfg), result.elaborated,
-                                   result.hj_system)
+    cfg_text = data_text(cfg) if (DATA / cfg).exists() else fixture_text(cfg)
+    path, init = parse_path_config(cfg_text, result.elaborated, result.hj_system)
     _assert_same_flow(integrate_flow(result.tds, path, init, report=result.closure),
                       reference_integrate(result.tds, path, init, result.closure))
 
