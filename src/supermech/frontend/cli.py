@@ -21,6 +21,17 @@ MODEL_ERROR = 2
 INCONSISTENT = 3
 
 
+def _tolerance(text):
+    """A drift tolerance: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="supermech",
@@ -34,7 +45,7 @@ def build_parser():
                          default="text", dest="fmt")
     analyze.add_argument("--path", help="flow path configuration file")
     analyze.add_argument("--max-closure-rounds", type=int, default=32)
-    analyze.add_argument("--tolerance", type=float, default=1e-8)
+    analyze.add_argument("--tolerance", type=_tolerance, default=1e-8)
     return parser
 
 

@@ -4,11 +4,13 @@ Plain text: a `params` line naming the free parameters (t0 first), one
 waypoint per line as comma-separated values, `steps <N>`, then initial
 state lines `generator = <value>` where the value is a sum of terms
 `scalar*g<k>*...` over the odd basis slots g1..gn (scalars accept a
-trailing `j` for the imaginary part).
+trailing `j` for the imaginary part).  Every waypoint, number and value must
+be finite.
 """
 from __future__ import annotations
 
 import re
+from cmath import isfinite
 
 from ..errors import ModelSyntaxError
 from ..numeric_flow import GrassmannValue, PathSpec
@@ -31,7 +33,11 @@ def _tokenize_value(text, line_no):
                 break
             raise ModelSyntaxError(f"bad value token {rest!r}", line_no, pos + 1)
         if m.lastgroup == "num":
-            out.append(("num", complex(m.group("num"))))
+            number = complex(m.group("num"))
+            if not isfinite(number):
+                raise ModelSyntaxError(f"number {m.group('num')!r} is not finite",
+                                       line_no, pos + 1)
+            out.append(("num", number))
         elif m.lastgroup == "gen":
             out.append(("gen", int(m.group("gen")[1:])))
         else:
@@ -89,6 +95,8 @@ def parse_value(text, n, line_no=0):
         if value == "+":
             pos += 1
         total = total + term()
+    if not all(map(isfinite, total.coeff.values())):
+        raise ModelSyntaxError(f"value {text!r} is not finite", line_no, 1)
     return total
 
 
@@ -135,6 +143,8 @@ def parse_path_config(text, elaborated, hj_system):
             waypoints.append(tuple(float(x) for x in line.split(",")))
         except ValueError:
             raise ModelSyntaxError(f"bad waypoint line {line!r}", no, 1) from None
+        if not all(map(isfinite, waypoints[-1])):
+            raise ModelSyntaxError(f"waypoint {line!r} is not finite", no, 1)
     if steps is None:
         raise ModelSyntaxError("flow config misses a steps line", 1, 1)
     path = PathSpec(tuple(params), tuple(waypoints), steps)

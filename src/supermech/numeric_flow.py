@@ -11,11 +11,17 @@ One-off values (literals, products, `evaluate`, a flow's P0) are sparse
 dicts that `_product` multiplies.  A flow instead lowers its polynomials
 once (`lower`), finds the masks each value can hold during the run, lays
 every value out as a flat run of complex registers, and plans every product
-as (output, left, right, sign) entries, which one loop, `_run`, applies at
-every RK4 stage and every drift audit, for any n.  Both engines sum the
+as (output, left, right, op) entries, which one loop, `_run`, applies at
+every RK4 stage and every drift audit, for any n.  A plan's first write of
+a register sets it and its later writes add to it, so a stage runs one plan
+on the register file as the previous stage left it.  Both engines sum the
 products that land on one slot in ascending order of the left mask.
 """
 from __future__ import annotations
+
+from cmath import isfinite
+from itertools import repeat
+from operator import add, mul
 
 from .brackets import berezin
 from .errors import FlowError, GradeMismatch
@@ -300,13 +306,17 @@ def integrate_flow(tds, path, init, report):
     Every polynomial the run needs is lowered once against a fixed
     generator -> slot map, and grades are checked once on the initial
     assignment.  The programs the steps run are then planned once on the
-    masks each value can hold (`_static_layouts`, `_Plan`), and every RK4
-    stage runs one plan (`_run`) on flat lists of complex numbers.  P0 is
+    masks each value can hold (`_static_layouts`, `_Plan`).  Each segment
+    joins the plans of its moving parameters into one, and every RK4 stage
+    runs that plan (`_run`) once on a flat list of complex numbers, which
+    holds the state, the derivatives and every partial product.  P0 is
     `-evaluate(h0)` on the initial state.  The family members are measured
     only by the drift-audit plan: its first run, on the initial state, gives
     the surface residual, and its run after every step the drift.  A flow
     whose plan, or whose P0 program alone, needs more than PLAN_LIMIT
-    product entries fails with FlowError before any entry is built.
+    product entries fails with FlowError before any entry is built, and a
+    flow whose initial residual is not a number, or whose state or Z at a
+    waypoint is not finite, fails with FlowError too.
     """
     return _integrate(make_flow(tds, report), path, init)
 
@@ -378,7 +388,8 @@ class _Plan:
     per mask of its layout in ascending order.  Planning a program gives it
     fresh registers for its partial products and its value, and each
     distinct coefficient one register.  A plan is a list of (output, left,
-    right, sign) entries, which `_run` applies in order.
+    right, op) entries, which `_run` applies in order; the first entry that
+    writes a register sets it, so no register needs zeroing between runs.
     """
 
     def __init__(self, values, layouts):
@@ -413,7 +424,9 @@ class _Plan:
         order `_product` sums them.  The first term lands on the value's
         registers.  A later term's last step lands there too when it puts
         one product on each mask; otherwise it lands on registers of its
-        own, which are then added.
+        own, which are then added.  The first entry that writes a register
+        sets it and every later one adds to it, so the entries need no
+        zeroed registers and may run again on their own results.
         """
         terms = []
         for coeff, slots in program:
@@ -427,6 +440,7 @@ class _Plan:
                 steps.append((right, pairs, acc))
             terms.append((coeff, steps, acc))
         total = self.alloc(sorted(set().union(*(acc for _, _, acc in terms))))
+        written = set()
         for t, (coeff, steps, _) in enumerate(terms):
             acc = {0: self.const(coeff)}
             for k, (right, pairs, layout) in enumerate(steps):
@@ -436,25 +450,36 @@ class _Plan:
                     out = self.alloc(layout)
                 for a, b in pairs:
                     ab = _signed(a, b)
-                    if ab >= 0:
-                        entries.append((out[ab], acc[a], right[b], 1))
-                    else:
-                        entries.append((out[~ab], acc[a], right[b], -1))
+                    dest, op = (out[ab], 1) if ab >= 0 else (out[~ab], -1)
+                    if dest not in written:
+                        written.add(dest)
+                        op *= 2
+                    entries.append((dest, acc[a], right[b], op))
                 acc = out
             if acc is not total:
-                entries.extend((total[m], r, 0, 0) for m, r in acc.items())
+                for m, r in acc.items():
+                    dest = total[m]
+                    entries.append((dest, r, 0, 0 if dest in written else 3))
+                    written.add(dest)
         return total
 
 
 def _run(plan, reg):
-    """Apply a plan's entries in order to the register file reg: for sign 1
-    reg[output] += reg[left] * reg[right], for -1 -=, and for 0
-    reg[output] += reg[left]."""
-    for out, left, right, sign in plan:
-        if sign > 0:
+    """Apply a plan's entries (output, left, right, op) in order to the
+    register file reg.  A first write (op 2, -2 or 3) sets reg[output] to
+    reg[left] * reg[right], to its negative or to reg[left]; a later one
+    (op 1, -1 or 0) adds, subtracts or adds that value."""
+    for out, left, right, op in plan:
+        if op == 2:
+            reg[out] = reg[left] * reg[right]
+        elif op == 1:
             reg[out] += reg[left] * reg[right]
-        elif sign:
+        elif op == -2:
+            reg[out] = -(reg[left] * reg[right])
+        elif op == -1:
             reg[out] -= reg[left] * reg[right]
+        elif op:
+            reg[out] = reg[left]
         else:
             reg[out] += reg[left]
 
@@ -527,73 +552,83 @@ def _integrate(flow, path, init):
     k0 = len(reg)
     k_regs = [plan.alloc(where) for where in plan.env[:p0_slot + 1]]
     z_regs = plan.alloc(z_layout)
+    kz = slice(k0, len(reg))
+    # each moving parameter's programs, and the (derivative, value) register
+    # pairs that its rate scales into k and Z
     derivs = {}
     for i in moved:
-        entries = []
+        entries, scaled = [], []
         for j, prog in rhs[i]:
-            for m, r in plan.program(prog, entries).items():
-                entries.append((k_regs[j][m], r, rate[i], 1))
-        for m, r in plan.program(dz[i], entries).items():
-            entries.append((z_regs[m], r, rate[i], 1))
-        derivs[i] = entries
+            scaled += [(k_regs[j][m], r) for m, r in plan.program(prog, entries).items()]
+        scaled += [(z_regs[m], r) for m, r in plan.program(dz[i], entries).items()]
+        derivs[i] = entries, scaled
     # each family member's value is one run of registers
     audit, audited = [], []
     for label, prog in invariants:
         value = plan.program(prog, audit)
         audited.append((label, min(value.values(), default=0), len(value)))
-    reset = reg[k0:]
 
-    def sample(point, state):
+    def sample(point, sz):
+        if not all(map(isfinite, sz)):
+            raise FlowError(f"the flow is not finite at waypoint "
+                            f"({', '.join(f'{x:g}' for x in point)})")
         return (tuple(point),
-                {g: GrassmannValue(n, {m: state[r] for m, r in where.items()})
+                {g: GrassmannValue(n, {m: sz[r] for m, r in where.items()})
                  for g, where in zip(state_gens, plan.env)})
 
-    def stage(state, plans):
-        """Run plans on state with every other register reset, and return
-        the derivatives of the state and of Z."""
-        reg[:width] = state
-        reg[k0:] = reset
-        for entries in plans:
-            _run(entries, reg)
-        return reg[k0:k0 + width], reg[k0 + width:k0 + width + len(z_layout)]
-
-    state = reg[:width]
-    stage(state, (audit,))
+    # the state, then Z, as one list
+    sz = reg[:width] + [0j] * len(z_layout)
+    _run(audit, reg)
     residual = max((_largest(reg[start:start + size]) for _, start, size in audited),
                    default=0.0)
-    if residual > _SURFACE_TOL:
+    if not residual <= _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
-    z = [0j] * len(z_layout)
     drift = 0.0
     drift_by = {label: 0.0 for label, _ in invariants}
-    samples = [sample(path.waypoints[0], state)]
+    samples = [sample(path.waypoints[0], sz)]
     h = 1.0 / path.steps
     half, full, sixth = complex(h / 2), complex(h), complex(h / 6)
-    one, two = complex(1), complex(2)
+    two = complex(2)
     for w1, moving in segments:
+        # one plan for the stage: the moving parameters' entries in order,
+        # each derivative register set by the first rate that scales into it;
+        # the registers no rate reaches stay zero for the whole segment
+        stage, written = [], set()
         for i, vf in moving:
             reg[rate[i]] = vf
-        plans = [derivs[i] for i, _ in moving]
+            entries, scaled = derivs[i]
+            stage += entries
+            stage += [(dest, r, rate[i], 1 if dest in written else 2)
+                      for dest, r in scaled]
+            written.update(dest for dest, _ in scaled)
+        reg[kz] = [0j] * (kz.stop - k0)
+        # a step's first stage reads the state bank as the last drift audit
+        # left it
         for _ in range(path.steps):
-            k1, z1 = stage(state, plans)
-            k2, z2 = stage([s + d * half for s, d in zip(state, k1)], plans)
-            k3, z3 = stage([s + d * half for s, d in zip(state, k2)], plans)
-            k4, z4 = stage([s + d * full for s, d in zip(state, k3)], plans)
-            state = [s + (((a + b * two) + c * two) + d) * sixth
-                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            z = [s + (((a + b * two) + c * two) + d * one) * sixth
-                 for s, a, b, c, d in zip(z, z1, z2, z3, z4)]
-            stage(state, (audit,))
+            _run(stage, reg)
+            k1 = reg[kz]
+            reg[:width] = map(add, sz, map(mul, k1, repeat(half, width)))
+            _run(stage, reg)
+            k2 = reg[kz]
+            reg[:width] = map(add, sz, map(mul, k2, repeat(half, width)))
+            _run(stage, reg)
+            k3 = reg[kz]
+            reg[:width] = map(add, sz, map(mul, k3, repeat(full, width)))
+            _run(stage, reg)
+            sz = [s + (((a + b * two) + c * two) + d) * sixth
+                  for s, a, b, c, d in zip(sz, k1, k2, k3, reg[kz])]
+            reg[:width] = sz[:width]
+            _run(audit, reg)
             for label, start, size in audited:
                 value = _largest(reg[start:start + size])
                 if value > drift_by[label]:
                     drift_by[label] = value
                     if value > drift:
                         drift = value
-        samples.append(sample(w1, state))
-    return FlowResult(samples, GrassmannValue(n, dict(zip(z_layout, z))), drift,
-                      drift_by, residual)
+        samples.append(sample(w1, sz))
+    return FlowResult(samples, GrassmannValue(n, dict(zip(z_layout, sz[width:]))),
+                      drift, drift_by, residual)
 
 
 class PathIndependenceReport:

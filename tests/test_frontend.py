@@ -589,6 +589,59 @@ def test_cli_bad_steps_line_exits_2(tmp_path, line):
     assert err.startswith("error (model): bad steps line") and "line 4" in err
 
 
+@pytest.mark.parametrize("lines,line,message", [
+    ("0\nnan", 3, "waypoint 'nan' is not finite"),
+    ("0\ninf", 3, "waypoint 'inf' is not finite"),
+    ("-1e400\n0", 2, "waypoint '-1e400' is not finite"),
+    ("0\n1\nsteps 10\nq = 1e400", 5, "number '1e400' is not finite"),
+    ("0\n1\nsteps 10\nq = 0*1e400", 5, "number '1e400' is not finite"),
+    ("0\n1\nsteps 10\nq = 1e200*1e200", 5, "value '1e200\\*1e200' is not finite"),
+    ("0\n1\nsteps 10\nq = nan", 5, "bad value token 'nan'"),
+    ("0\n1\nsteps 10\nq = inf", 5, "bad value token 'inf'"),
+])
+def test_flow_config_refuses_non_finite_numbers(tmp_path, lines, line, message):
+    text = f"params t0\n{lines}\n"
+    if "steps" not in text:
+        text += "steps 10\n"
+    with pytest.raises(ModelSyntaxError, match=message) as info:
+        run_pipeline(parse_model(fixture_text("sho.smf")), stage="flow", path_text=text)
+    assert info.value.line == line
+    cfg = tmp_path / "non_finite.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), "--stage", "flow",
+                               "--path", str(cfg), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "model"
+
+
+def test_cli_flow_that_overflows_exits_2(tmp_path):
+    # each RK4 step of q over 1e299 time units overflows to inf, then nan
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("params t0\n0\n1e300\nsteps 10\nq = 1\np_q = 0\n", encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), "--stage", "flow",
+                               "--path", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error (model): the flow is not finite at waypoint (1e+300)\n"
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "1e400", "-1e-9", "x"])
+def test_cli_refuses_a_tolerance_that_is_not_a_finite_number(tolerance, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["analyze", str(FIXTURES / "sho.smf"), "--stage", "flow",
+                  "--path", str(FIXTURES / "sho_flow.cfg"), f"--tolerance={tolerance}"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tolerance: {tolerance!r} is not a finite number >= 0" in err
+
+
+def test_cli_accepts_a_zero_tolerance():
+    code, out, _ = _cli_main("analyze", str(FIXTURES / "free_singular.smf"),
+                             "--stage", "flow", "--path",
+                             str(FIXTURES / "free_singular_flow.cfg"), "--tolerance", "0")
+    assert code == 0
+    assert "drift tolerance (0): ok" in out
+
+
 LONG_CHAIN = ("model long\neven q\nlagrangian: 1/2*dot(q)*dot(q)"
               + " - 1/2*q*q" * 1000 + "\n")
 

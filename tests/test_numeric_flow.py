@@ -379,14 +379,20 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
     # and one for the RK4 derivative
     audit, deriv = plans.values()
     assert (len(deriv), len(audit)) == (419, 185)
-    for out, left, right, sign in deriv + audit:
-        a, b = masks.get(left, 0), masks.get(right, 0)
-        if sign:
-            assert not a & b
-            assert masks[out] == a | b
-            assert sign == reference_sign(a, b)
-        else:
-            assert masks[out] == a
+    for plan in (deriv, audit):
+        written = set()
+        for out, left, right, op in plan:
+            # the first write of a register sets it (op 2, -2 or 3), every
+            # later write adds to it (op 1, -1 or 0)
+            assert (abs(op) >= 2) == (out not in written)
+            written.add(out)
+            a, b = masks.get(left, 0), masks.get(right, 0)
+            if op in (0, 3):
+                assert masks[out] == a
+            else:
+                assert not a & b
+                assert masks[out] == a | b
+                assert (1 if op > 0 else -1) == reference_sign(a, b)
 
 
 def _assert_same_flow(got, want):
@@ -417,6 +423,27 @@ def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
     path, init = parse_path_config(cfg_text, result.elaborated, result.hj_system)
     _assert_same_flow(integrate_flow(result.tds, path, init, report=result.closure),
                       reference_integrate(result.tds, path, init, result.closure))
+
+
+SHEAR = """\
+model shear
+even q1 q2
+lagrangian: 1/2*(dot(q1) - dot(q2))*(dot(q1) - dot(q2))
+"""
+
+
+def test_two_parameters_moving_one_coordinate_add_their_rates():
+    # dq1 = p_q1 dt0 + dq2: on the segment where t0 and q2 move together,
+    # both rates scale into q1's derivative
+    result = run_pipeline(parse_model(SHEAR), stage="hj")
+    path, init = parse_path_config(
+        "params t0 q2\n0, 0\n1, 1\n1, 2\nsteps 50\nq1 = 0.3\np_q1 = 0.7\n"
+        "p_q2 = -0.7\n", result.elaborated, result.hj_system)
+    out = integrate_flow(result.tds, path, init, report=result.closure)
+    _assert_same_flow(out, reference_integrate(result.tds, path, init, result.closure))
+    q1 = result.elaborated.lookup("q1")
+    assert [abs(values[q1].body - want) < 1e-12
+            for (_, values), want in zip(out.samples, (0.3, 2.0, 3.0))] == [True] * 3
 
 
 def _seeded_init(elab, n, rng, flavours, evens):
@@ -497,7 +524,10 @@ def _random_graded(rng, n, parity):
     return GrassmannValue(n, coeff)
 
 
-@pytest.mark.parametrize("n,count", [(0, 150), (1, 150), (2, 150), (3, 80), (6, 25)])
+LOWERED_GRID = [(0, 150), (1, 150), (2, 150), (3, 80), (6, 25)]
+
+
+@pytest.mark.parametrize("n,count", LOWERED_GRID)
 def test_lowered_programs_match_evaluate(n, count):
     # a flow's plan of one lowered program, on values that hold about half
     # their slots, against evaluate and the reference
@@ -526,6 +556,27 @@ def test_lowered_programs_match_evaluate(n, count):
                 size *= sum(map(abs, values[g].coeff.values())) ** e
             scale += size
         assert (got - want).max_abs <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n,count", LOWERED_GRID)
+def test_lowered_programs_initialise_their_registers(n, count):
+    # a plan's first write of a register sets it, so a second run on the
+    # same register file, with no reset between, leaves what one run leaves
+    rng = random.Random(900 + n)
+    gens = [g for pair in small_basis().pairs for g in pair]
+    slot_of = {g: i for i, g in enumerate(gens)}
+    for _ in range(count):
+        values = {g: _random_graded(rng, n, g.parity) for g in gens}
+        plan = numeric_flow._Plan([values[g].coeff for g in gens],
+                                  [tuple(sorted(values[g].coeff)) for g in gens])
+        entries = []
+        for _ in range(rng.randint(1, 3)):
+            p = random_poly(rng, gens, max_terms=4, max_degree=4)
+            plan.program(lower(p, slot_of), entries)
+        numeric_flow._run(entries, plan.reg)
+        once = list(plan.reg)
+        numeric_flow._run(entries, plan.reg)
+        assert list(map(repr, plan.reg)) == list(map(repr, once))
 
 
 def test_product_matches_reference_product(monkeypatch):
@@ -609,6 +660,22 @@ def test_flow_checks_grades_and_assignments_on_init():
                        report=report)
     with pytest.raises(FlowError):
         integrate_flow(tds, path, {k: v for k, v in init.items() if k != g["psi"]},
+                       report=report)
+
+
+def test_flow_that_is_not_finite_fails():
+    sho, sys, tds, report = _sho_setup()
+    g = sho.gens
+    init = {g["q"]: GrassmannValue.body_value(0, 1.0),
+            g["pq"]: GrassmannValue.body_value(0, 0.0)}
+    # the RK4 steps overflow to inf and then nan on the way to the waypoint
+    path = PathSpec((sys.t0,), ((0.0,), (1e300,)), 10)
+    with pytest.raises(FlowError, match=r"not finite at waypoint \(1e\+300\)"):
+        integrate_flow(tds, path, init, report=report)
+    # an infinite q makes P0 infinite and the surface residual nan
+    init[g["q"]] = GrassmannValue.body_value(0, math.inf)
+    with pytest.raises(FlowError, match="constraint surface by nan"):
+        integrate_flow(tds, PathSpec((sys.t0,), ((0.0,), (1.0,)), 10), init,
                        report=report)
 
 
