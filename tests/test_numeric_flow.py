@@ -442,8 +442,8 @@ def test_two_parameters_moving_one_coordinate_add_their_rates():
     out = integrate_flow(result.tds, path, init, report=result.closure)
     _assert_same_flow(out, reference_integrate(result.tds, path, init, result.closure))
     q1 = result.elaborated.lookup("q1")
-    assert [abs(values[q1].body - want) < 1e-12
-            for (_, values), want in zip(out.samples, (0.3, 2.0, 3.0))] == [True] * 3
+    assert [values[q1].body for _, values in out.samples] == \
+        pytest.approx([0.3, 2.0, 3.0], abs=1e-12)
 
 
 def _seeded_init(elab, n, rng, flavours, evens):
