@@ -505,6 +505,17 @@ def test_two_parameter_segment_flow_outputs_match_golden():
     assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
 
 
+def test_two_segment_fermionic_flow_outputs_match_golden():
+    # the largest drift of H'0 is seen on one of the two segments, and
+    # the report keeps it across the waypoint between them
+    result = run_pipeline(parse_model(fixture_text("fermionic_oscillator.smf")),
+                          stage="flow",
+                          path_text=data_text("fermionic_two_segment_flow.cfg"))
+    golden = GOLDEN / "flow" / "fermionic_two_segment_flow"
+    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
+
+
 def _cli_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -416,6 +416,8 @@ def _assert_same_flow(got, want):
     ("fermionic_oscillator.smf", "fermionic_flow.cfg"),
     # t0 and q2 move in one segment
     ("free_singular.smf", "free_singular_diagonal_flow.cfg"),
+    # the drift carries over from one segment to the next
+    ("fermionic_oscillator.smf", "fermionic_two_segment_flow.cfg"),
 ])
 def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
     result = run_pipeline(parse_model(fixture_text(model)), stage="hj")
