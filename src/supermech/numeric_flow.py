@@ -20,8 +20,7 @@ products that land on one slot in ascending order of the left mask.
 from __future__ import annotations
 
 from cmath import isfinite
-from itertools import repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .brackets import berezin
 from .errors import FlowError, GradeMismatch
@@ -281,10 +280,6 @@ def lower(p, slot_of):
     return program
 
 
-def _largest(value):
-    return max(map(abs, value), default=0.0)
-
-
 # how far the initial state may lie off the constraint surface
 _SURFACE_TOL = 1e-12
 
@@ -312,11 +307,14 @@ def integrate_flow(tds, path, init, report):
     holds the state, the derivatives and every partial product.  P0 is
     `-evaluate(h0)` on the initial state.  The family members are measured
     only by the drift-audit plan: its first run, on the initial state, gives
-    the surface residual, and its run after every step the drift.  A flow
-    whose plan, or whose P0 program alone, needs more than PLAN_LIMIT
-    product entries fails with FlowError before any entry is built, and a
-    flow whose initial residual is not a number, or whose state or Z at a
-    waypoint is not finite, fails with FlowError too.
+    the surface residual, and its run after every step the drift.  The drift
+    is read in one pass per step over every register of the members' values,
+    which keeps a running maximum of each register's absolute value; after
+    the last step these give each member's drift and their largest the
+    flow's.  A flow whose plan, or whose P0 program alone, needs more than
+    PLAN_LIMIT product entries fails with FlowError before any entry is
+    built, and a flow whose initial residual is not a number, or whose state
+    or Z at a waypoint is not finite, fails with FlowError too.
     """
     return _integrate(make_flow(tds, report), path, init)
 
@@ -562,11 +560,18 @@ def _integrate(flow, path, init):
             scaled += [(k_regs[j][m], r) for m, r in plan.program(prog, entries).items()]
         scaled += [(z_regs[m], r) for m, r in plan.program(dz[i], entries).items()]
         derivs[i] = entries, scaled
-    # each family member's value is one run of registers
-    audit, audited = [], []
+    # gather reads the registers of every family member's value, member
+    # after member; each member reads its own span of what gather reads
+    audit, audited, members = [], [], []
     for label, prog in invariants:
         value = plan.program(prog, audit)
-        audited.append((label, min(value.values(), default=0), len(value)))
+        members.append((label, len(audited), len(audited) + len(value)))
+        audited += value.values()
+    if len(audited) > 1:
+        gather = itemgetter(*audited)
+    else:  # itemgetter of one index gives no sequence, and of none fails
+        start = audited[0] if audited else 0
+        gather = itemgetter(slice(start, start + len(audited)))
 
     def sample(point, sz):
         if not all(map(isfinite, sz)):
@@ -579,17 +584,16 @@ def _integrate(flow, path, init):
     # the state, then Z, as one list
     sz = reg[:width] + [0j] * len(z_layout)
     _run(audit, reg)
-    residual = max((_largest(reg[start:start + size]) for _, start, size in audited),
-                   default=0.0)
+    residual = max(map(abs, gather(reg)), default=0.0)
     if not residual <= _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
-    drift = 0.0
-    drift_by = {label: 0.0 for label, _ in invariants}
+    # the largest absolute value each audited register reaches after a step
+    peaks = [0.0] * len(audited)
     samples = [sample(path.waypoints[0], sz)]
     h = 1.0 / path.steps
-    half, full, sixth = complex(h / 2), complex(h), complex(h / 6)
-    two = complex(2)
+    halves, fulls = [complex(h / 2)] * width, [complex(h)] * width
+    sixth, two = complex(h / 6), complex(2)
     for w1, moving in segments:
         # one plan for the stage: the moving parameters' entries in order,
         # each derivative register set by the first rate that scales into it;
@@ -608,25 +612,23 @@ def _integrate(flow, path, init):
         for _ in range(path.steps):
             _run(stage, reg)
             k1 = reg[kz]
-            reg[:width] = map(add, sz, map(mul, k1, repeat(half, width)))
+            reg[:width] = map(add, sz, map(mul, k1, halves))
             _run(stage, reg)
             k2 = reg[kz]
-            reg[:width] = map(add, sz, map(mul, k2, repeat(half, width)))
+            reg[:width] = map(add, sz, map(mul, k2, halves))
             _run(stage, reg)
             k3 = reg[kz]
-            reg[:width] = map(add, sz, map(mul, k3, repeat(full, width)))
+            reg[:width] = map(add, sz, map(mul, k3, fulls))
             _run(stage, reg)
             sz = [s + (((a + b * two) + c * two) + d) * sixth
                   for s, a, b, c, d in zip(sz, k1, k2, k3, reg[kz])]
             reg[:width] = sz[:width]
             _run(audit, reg)
-            for label, start, size in audited:
-                value = _largest(reg[start:start + size])
-                if value > drift_by[label]:
-                    drift_by[label] = value
-                    if value > drift:
-                        drift = value
+            # max(peak, nan) keeps the peak
+            peaks = list(map(max, peaks, map(abs, gather(reg))))
         samples.append(sample(w1, sz))
+    drift_by = {label: max(peaks[a:b], default=0.0) for label, a, b in members}
+    drift = max(drift_by.values(), default=0.0)
     return FlowResult(samples, GrassmannValue(n, dict(zip(z_layout, sz[width:]))),
                       drift, drift_by, residual)
 

@@ -427,6 +427,17 @@ def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
                       reference_integrate(result.tds, path, init, result.closure))
 
 
+def test_flow_from_the_zero_state_audits_no_register():
+    # every value of this flow has an empty layout, so its drift audit
+    # reads no register at all
+    result = run_pipeline(parse_model(fixture_text("sho.smf")), stage="hj")
+    path, init = parse_path_config("params t0\n0\n1\nsteps 10\nq = 0\np_q = 0\n",
+                                   result.elaborated, result.hj_system)
+    out = integrate_flow(result.tds, path, init, report=result.closure)
+    _assert_same_flow(out, reference_integrate(result.tds, path, init, result.closure))
+    assert (out.drift, out.drift_by_invariant) == (0.0, {"H'0": 0.0})
+
+
 SHEAR = """\
 model shear
 even q1 q2
