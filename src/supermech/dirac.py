@@ -136,9 +136,13 @@ class Surface:
         Substitutes the closed solved forms in one pass (none when p holds
         no bound generator), then eliminates exact constant-coefficient
         combinations of the constraint residuals.  A constraint without a
-        solved form acts only through its residual in the span.
+        solved form acts only through its residual in the span.  A zero p
+        is returned at once: most reductions of an analysis are of zero.
         """
-        return self.span.reduce(self._to_fixpoint(as_poly(p)))
+        p = as_poly(p)
+        if p.is_zero:
+            return p
+        return self.span.reduce(self._to_fixpoint(p))
 
 
 def _holds_bound(expr, bindings):

@@ -46,6 +46,7 @@ from supermech.frontend import cli
 from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
 from supermech.smatrix import (
+    SpanReducer,
     body_nullspace,
     body_pivots,
     body_rank,
@@ -56,6 +57,7 @@ from supermech.superalgebra import (
     C_I,
     Coefficient,
     Parity,
+    as_poly,
     const_poly,
     gen_poly,
     parity_of,
@@ -541,6 +543,34 @@ def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
     assert max(per_reduce) == 1
     assert sum(per_reduce) == 27
     assert len(calls) == 112
+
+
+def test_surface_returns_a_zero_at_once(monkeypatch, capsys):
+    # 636 of the headline model's 872 reductions are of zero: each comes
+    # back at once, with no pass over the span
+    from supermech.frontend.cli import main
+
+    reduce, span_reduce = Surface.reduce, SpanReducer.reduce
+    zeros, spans = [], []
+
+    def counting_reduce(self, p):
+        out = reduce(self, p)
+        if as_poly(p).is_zero:
+            zeros.append(out)
+        return out
+
+    def counting_span_reduce(self, p):
+        spans.append(p)
+        return span_reduce(self, p)
+
+    monkeypatch.setattr(Surface, "reduce", counting_reduce)
+    monkeypatch.setattr(SpanReducer, "reduce", counting_span_reduce)
+    path = FIXTURES / "dirac_maxwell_reduced.smf"
+    assert main(["analyze", str(path), "--stage", "all"]) == 0
+    capsys.readouterr()
+    assert len(zeros) == 636
+    assert all(out.is_zero for out in zeros)
+    assert len(spans) == 872 - 636
 
 
 def _surface_builds(monkeypatch, capsys, path):
