@@ -4,7 +4,9 @@
                              [--format text|structured] [--path <cfg>]
                              [--max-closure-rounds N] [--tolerance F]
 
-Exit status: 0 on success, 2 on a model error, 3 on inconsistency findings.
+Exit status: 0 on success, 2 on a model or usage error, 3 on inconsistency
+findings.  With --format structured every error, a usage error included, is
+a JSON payload on stderr.
 """
 from __future__ import annotations
 
@@ -21,6 +23,44 @@ MODEL_ERROR = 2
 INCONSISTENT = 3
 
 
+class _UsageError(Exception):
+    """A command line that does not parse, raised by the parser that
+    refused it."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise _UsageError, so that main can
+    report them in the format the command line asks for."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _format_of(argv):
+    """The --format that argv asks for, read before argv is parsed."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", dest="fmt")
+    try:
+        return pre.parse_known_args(argv)[0].fmt
+    except _UsageError:
+        return None
+
+
+def _rounds(text):
+    """A closure round limit: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number >= 1")
+    return value
+
+
 def _tolerance(text):
     """A drift tolerance: a finite number >= 0."""
     try:
@@ -33,7 +73,7 @@ def _tolerance(text):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="supermech",
         description="Constraint and Hamilton-Jacobi analysis of singular "
                     "Lagrangians with even and odd variables.")
@@ -44,7 +84,7 @@ def build_parser():
     analyze.add_argument("--format", choices=("text", "structured"),
                          default="text", dest="fmt")
     analyze.add_argument("--path", help="flow path configuration file")
-    analyze.add_argument("--max-closure-rounds", type=int, default=32)
+    analyze.add_argument("--max-closure-rounds", type=_rounds, default=32)
     analyze.add_argument("--tolerance", type=_tolerance, default=1e-8)
     return parser
 
@@ -58,7 +98,15 @@ def _emit_error(kind, exc, fmt, stream):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        if _format_of(argv) != "structured":
+            # argparse's own report: the usage text, then exit status 2
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        _emit_error("usage", exc, "structured", sys.stderr)
+        return MODEL_ERROR
     try:
         with open(args.file, encoding="utf-8") as handle:
             source = handle.read()

@@ -645,6 +645,44 @@ def test_cli_refuses_a_tolerance_that_is_not_a_finite_number(tolerance, capsys):
     assert f"argument --tolerance: {tolerance!r} is not a finite number >= 0" in err
 
 
+@pytest.mark.parametrize("rounds", ["0", "-1", "x"])
+def test_cli_refuses_a_closure_round_limit_below_one(rounds, capsys):
+    # a limit below one is a usage error, not a closure loop that diverged
+    argv = ["analyze", str(FIXTURES / "sho.smf"), f"--max-closure-rounds={rounds}"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: supermech analyze")
+    assert err.endswith(f"error: argument --max-closure-rounds: {rounds!r} "
+                        f"is not a whole number >= 1\n")
+    code, out, err = _cli_main(*argv, "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "kind": "usage",
+        "message": f"argument --max-closure-rounds: {rounds!r} is not a whole number >= 1"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tolerance", "nan", "--format", "structured"),
+    ("--format=structured", "--tolerance", "nan"),
+    ("--form", "structured", "--tolerance=nan"),
+])
+def test_cli_option_errors_respect_structured_format(argv):
+    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "kind": "usage", "message": "argument --tolerance: 'nan' is not a finite number >= 0"}}
+
+
+def test_cli_structured_usage_error_names_an_unknown_argument():
+    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), "--bogus",
+                               "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {
+        "kind": "usage", "message": "unrecognized arguments: --bogus"}}
+
+
 def test_cli_accepts_a_zero_tolerance():
     code, out, _ = _cli_main("analyze", str(FIXTURES / "free_singular.smf"),
                              "--stage", "flow", "--path",
