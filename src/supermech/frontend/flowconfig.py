@@ -22,7 +22,8 @@ _VALUE_TOKEN = re.compile(
 _NAME = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\[(\d+)\])?$")
 
 
-def _tokenize_value(text, line_no):
+def _tokenize_value(text, line_no, column):
+    """The tokens of a value that starts at column of line line_no."""
     pos = 0
     out = []
     while pos < len(text):
@@ -31,12 +32,13 @@ def _tokenize_value(text, line_no):
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise ModelSyntaxError(f"bad value token {rest!r}", line_no, pos + 1)
+            raise ModelSyntaxError(f"bad value token {rest!r}", line_no,
+                                   column + len(text) - len(text[pos:].lstrip()))
         if m.lastgroup == "num":
             number = complex(m.group("num"))
             if not isfinite(number):
                 raise ModelSyntaxError(f"number {m.group('num')!r} is not finite",
-                                       line_no, pos + 1)
+                                       line_no, column + m.start("num"))
             out.append(("num", number))
         elif m.lastgroup == "gen":
             out.append(("gen", int(m.group("gen")[1:])))
@@ -46,11 +48,14 @@ def _tokenize_value(text, line_no):
     return out
 
 
-def parse_value(text, n, line_no=0):
-    """Parse a Lambda-value literal into a GrassmannValue of Lambda_n."""
-    tokens = _tokenize_value(text, line_no)
+def parse_value(text, n, line_no=0, column=1):
+    """Parse a Lambda-value literal into a GrassmannValue of Lambda_n.
+
+    text starts at column of line line_no, and errors count their columns
+    from the start of that line."""
+    tokens = _tokenize_value(text, line_no, column)
     if not tokens:
-        raise ModelSyntaxError("empty value", line_no, 1)
+        raise ModelSyntaxError("empty value", line_no, column)
     total = GrassmannValue(n)
     pos = 0
 
@@ -78,7 +83,7 @@ def parse_value(text, n, line_no=0):
             pos += 1
             expect_factor = False
         if not factors:
-            raise ModelSyntaxError("expected a term", line_no, 1)
+            raise ModelSyntaxError("expected a term", line_no, column)
         acc = GrassmannValue.body_value(n, sign)
         for kind, value in factors:
             if kind == "num":
@@ -91,12 +96,12 @@ def parse_value(text, n, line_no=0):
     while pos < len(tokens):
         kind, value = tokens[pos]
         if kind != "op" or value not in "+-":
-            raise ModelSyntaxError(f"expected + or - between terms", line_no, 1)
+            raise ModelSyntaxError(f"expected + or - between terms", line_no, column)
         if value == "+":
             pos += 1
         total = total + term()
     if not all(map(isfinite, total.coeff.values())):
-        raise ModelSyntaxError(f"value {text!r} is not finite", line_no, 1)
+        raise ModelSyntaxError(f"value {text!r} is not finite", line_no, column)
     return total
 
 
@@ -106,8 +111,9 @@ def max_generator_index(text):
 
 def parse_path_config(text, elaborated, hj_system):
     """Parse waypoints, steps and the initial state for a flow run."""
+    raw_lines = text.splitlines()
     lines = [(no + 1, raw.split("#", 1)[0].strip())
-             for no, raw in enumerate(text.splitlines())]
+             for no, raw in enumerate(raw_lines)]
     lines = [(no, line) for no, line in lines if line]
     if not lines or not lines[0][1].startswith("params"):
         raise ModelSyntaxError("flow config must start with a params line", 1, 1)
@@ -135,7 +141,10 @@ def parse_path_config(text, elaborated, hj_system):
             continue
         if "=" in line:
             target, value = line.split("=", 1)
-            assignments.append((no, target.strip(), value.strip()))
+            # the column of the value's first character in the raw line
+            column = (raw_lines[no - 1].index("=") + 2
+                      + len(value) - len(value.lstrip()))
+            assignments.append((no, target.strip(), value.strip(), column))
             continue
         if steps is not None:
             raise ModelSyntaxError("waypoints must precede steps", no, 1)
@@ -150,15 +159,15 @@ def parse_path_config(text, elaborated, hj_system):
     path = PathSpec(tuple(params), tuple(waypoints), steps)
 
     n = max(elaborated.n_odd,
-            max((max_generator_index(v) for _, _, v in assignments), default=0))
+            max((max_generator_index(v) for _, _, v, _ in assignments), default=0))
     init = {}
     line_of = {}
-    for no, target, value in assignments:
+    for no, target, value, column in assignments:
         m = _NAME.match(target)
         if m is None:
             raise ModelSyntaxError(f"bad generator name {target!r}", no, 1)
         gen = elaborated.lookup(m.group(1), int(m.group(2)) if m.group(2) else None)
-        init[gen] = parse_value(value, n, no)
+        init[gen] = parse_value(value, n, no, column)
         line_of[gen] = no
 
     # a free parameter starts at its first waypoint, also when it is a

@@ -625,6 +625,22 @@ def test_flow_config_refuses_non_finite_numbers(tmp_path, lines, line, message):
     assert json.loads(err)["error"]["kind"] == "model"
 
 
+@pytest.mark.parametrize("value_line,column,message", [
+    ("q = 1e400", 5, "number '1e400' is not finite"),
+    ("q = 0*1e400", 7, "number '1e400' is not finite"),
+    ("  q =   2 + 1e400j", 13, "number '1e400j' is not finite"),
+    ("q = 1 $ 2", 7, "bad value token '\\$ 2'"),
+    ("q=nan", 3, "bad value token 'nan'"),
+    ("q = 1e200*1e200", 5, "value '1e200\\*1e200' is not finite"),
+])
+def test_flow_config_value_errors_count_columns_from_the_line_start(value_line, column,
+                                                                    message):
+    text = f"params t0\n0\n1\nsteps 10\n{value_line}  # on line 5\n"
+    with pytest.raises(ModelSyntaxError, match=message) as info:
+        run_pipeline(parse_model(fixture_text("sho.smf")), stage="flow", path_text=text)
+    assert (info.value.line, info.value.column) == (5, column)
+
+
 def test_cli_flow_that_overflows_exits_2(tmp_path):
     # each RK4 step of q over 1e299 time units overflows to inf, then nan
     cfg = tmp_path / "overflow.cfg"
