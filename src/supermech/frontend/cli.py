@@ -24,12 +24,8 @@ INCONSISTENT = 3
 
 
 class _UsageError(Exception):
-    """A command line that does not parse, raised by the parser that
-    refused it."""
-
-    def __init__(self, parser, message):
-        super().__init__(message)
-        self.parser = parser
+    """A command line that does not parse: args are the parser that refused
+    it and argparse's message."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,10 +98,11 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
+        parser, message = exc.args
         if _format_of(argv) != "structured":
             # argparse's own report: the usage text, then exit status 2
-            argparse.ArgumentParser.error(exc.parser, str(exc))
-        _emit_error("usage", exc, "structured", sys.stderr)
+            argparse.ArgumentParser.error(parser, message)
+        _emit_error("usage", message, "structured", sys.stderr)
         return MODEL_ERROR
     try:
         with open(args.file, encoding="utf-8") as handle:

@@ -473,13 +473,17 @@ FLOW_CONFIGS = [
     ("free_singular.smf", "free_singular_flow"),
     ("gauge_toy.smf", "gauge_toy_flow"),
     ("fermionic_oscillator.smf", "fermionic_flow"),
+    # in two segments, so the drift carries across the waypoint between them
+    ("fermionic_oscillator.smf", "fermionic_two_segment_flow"),
 ]
 
 
 @pytest.mark.parametrize("model,cfg", FLOW_CONFIGS)
 def test_flow_structured_output_matches_golden(model, cfg):
+    name = cfg + ".cfg"
     result = run_pipeline(parse_model(fixture_text(model)), stage="flow",
-                          path_text=fixture_text(cfg + ".cfg"))
+                          path_text=data_text(name) if (DATA / name).exists()
+                          else fixture_text(name))
     golden = GOLDEN / "flow" / cfg
     assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
     assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
@@ -501,17 +505,6 @@ def test_two_parameter_segment_flow_outputs_match_golden():
     result = run_pipeline(parse_model(fixture_text("free_singular.smf")), stage="flow",
                           path_text=data_text("free_singular_diagonal_flow.cfg"))
     golden = GOLDEN / "flow" / "free_singular_diagonal_flow"
-    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
-    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
-
-
-def test_two_segment_fermionic_flow_outputs_match_golden():
-    # the largest drift of H'0 is seen on one of the two segments, and
-    # the report keeps it across the waypoint between them
-    result = run_pipeline(parse_model(fixture_text("fermionic_oscillator.smf")),
-                          stage="flow",
-                          path_text=data_text("fermionic_two_segment_flow.cfg"))
-    golden = GOLDEN / "flow" / "fermionic_two_segment_flow"
     assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
     assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
 
