@@ -4,6 +4,11 @@ All values are immutable and canonical: two expressions are equal iff their
 term tuples compare equal.  Downstream modules rely on that for every
 symbolic assertion, so no operation here ever rounds or reorders
 nondeterministically.
+
+A sum or product with a zero or constant operand takes a fast path: it may
+return an operand itself (p + 0 is p, p * 0 is the shared ZERO) or a copy of
+the other operand with its coefficients scaled, in the same canonical order.
+Since values are never mutated, sharing an operand is safe.
 """
 from __future__ import annotations
 
@@ -99,9 +104,10 @@ class Coefficient:
         return not self.re and not self.im
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Coefficient:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return Coefficient(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
@@ -117,9 +123,10 @@ class Coefficient:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Coefficient:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if not other.im:
             if not self.im:
                 return Coefficient(self.re * other.re)
@@ -366,7 +373,12 @@ class SuperPoly:
         return tuple(seen)
 
     def __add__(self, other):
-        other = as_poly(other)
+        if type(other) is not SuperPoly:
+            other = as_poly(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = {m.factors: m.coeff for m in self.terms}
         for m in other.terms:
             c = acc.get(m.factors)
@@ -385,25 +397,24 @@ class SuperPoly:
         return SuperPoly(tuple(Monomial(-m.coeff, m.factors) for m in self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Coefficient)):
+        terms = self.terms
+        if type(other) is not SuperPoly and isinstance(other, (int, Fraction, Coefficient)):
             c = _as_coeff(other)
-            if c.is_zero:
+        else:
+            other_terms = as_poly(other).terms
+            if not terms or not other_terms:
                 return ZERO
-            return SuperPoly(tuple(Monomial(m.coeff * c, m.factors) for m in self.terms))
-        other = as_poly(other)
-        acc = {}
-        for ma in self.terms:
-            for mb in other.terms:
-                merged = _merge_factors(ma.factors, mb.factors)
-                if merged is None:
-                    continue
-                sign, factors = merged
-                c = ma.coeff * mb.coeff
-                if sign < 0:
-                    c = -c
-                prev = acc.get(factors)
-                acc[factors] = c if prev is None else prev + c
-        return SuperPoly._from_map(acc)
+            # a constant operand scales the other's terms, which keeps their
+            # canonical order: a product of nonzero coefficients is nonzero
+            if len(other_terms) == 1 and not other_terms[0].factors:
+                c = other_terms[0].coeff
+            elif len(terms) == 1 and not terms[0].factors:
+                c, terms = terms[0].coeff, other_terms
+            else:
+                return _product(terms, other_terms)
+        if c.is_zero:
+            return ZERO
+        return SuperPoly(tuple(Monomial(m.coeff * c, m.factors) for m in terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Coefficient)):
@@ -451,6 +462,23 @@ ZERO = SuperPoly()
 ONE = SuperPoly((Monomial(C_ONE, ()),))
 
 
+def _product(terms_a, terms_b):
+    """The canonical product of two term tuples, term by term."""
+    acc = {}
+    for ma in terms_a:
+        for mb in terms_b:
+            merged = _merge_factors(ma.factors, mb.factors)
+            if merged is None:
+                continue
+            sign, factors = merged
+            c = ma.coeff * mb.coeff
+            if sign < 0:
+                c = -c
+            prev = acc.get(factors)
+            acc[factors] = c if prev is None else prev + c
+    return SuperPoly._from_map(acc)
+
+
 def const_poly(c):
     c = _as_coeff(c)
     if c.is_zero:
@@ -463,7 +491,7 @@ def gen_poly(g, exponent=1):
 
 
 def as_poly(value):
-    if isinstance(value, SuperPoly):
+    if type(value) is SuperPoly or isinstance(value, SuperPoly):
         return value
     if isinstance(value, Generator):
         return gen_poly(value)

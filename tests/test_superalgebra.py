@@ -180,6 +180,30 @@ def test_multiply_associative_and_distributive():
         assert a * (b + c) == a * b + a * c
 
 
+def test_zero_and_constant_operands_match_the_expanded_terms():
+    # the kernel's fast paths for a zero or constant operand give the terms
+    # that normalizing the expanded products gives
+    rng = random.Random(18)
+    gens = _pool()
+    for _ in range(300):
+        p = random_poly(rng, gens)
+        expanded = [[g for g, e in m.factors for _ in range(e)] for m in p.terms]
+        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        im = rng.choice([0, Fraction(rng.randint(-3, 3), rng.randint(1, 2))])
+        coeff = Coefficient(re, im)
+        forms = [const_poly(coeff), coeff]
+        if not im:
+            forms += [coeff.re, Fraction(re)]
+        expected = normalize([(m.coeff * coeff, gens_)
+                              for m, gens_ in zip(p.terms, expanded)]).terms
+        for c in forms:
+            assert (p * c).terms == expected, (str(p), c)
+            assert (c * p).terms == expected, (str(p), c)
+        assert (p * ZERO).terms == () and (ZERO * p).terms == ()
+        own = normalize(list(zip((m.coeff for m in p.terms), expanded))).terms
+        assert (p + ZERO).terms == own and (ZERO + p).terms == own
+
+
 def test_graded_commutativity():
     rng = random.Random(12)
     gens = _pool()
