@@ -232,7 +232,10 @@ class DiracAnalysis:
 
         Generators run over coordinates then momenta.  {x, Phi_s} is computed
         once per generator, not once per pair, and gives {Phi_t, x} by graded
-        antisymmetry.  The table is kept until the surface is next rebuilt.
+        antisymmetry.  {a, b} vanishes unless b is the momentum of a, and the
+        correction unless both {a, Phi_s} and {b, Phi_t} hold a nonzero
+        entry, so only those pairs are visited.  The table is kept until the
+        surface is next rebuilt.
         """
         surface = self.surface  # rebuilding it drops a kept table
         if self._bracket_table is not None:
@@ -245,11 +248,19 @@ class DiracAnalysis:
         left = [[berezin(x, rec.expr, basis) for rec in second] for x in polys]
         right = [[v if x.parity and rec.parity else -v
                   for v, rec in zip(row, second)] for row, x in zip(left, gens)]
+        coupled = [any(not v.is_zero for v in row) for row in left]
+        momentum = basis.momentum
         table = []
         for i, a in enumerate(gens):
+            conjugate = momentum.get(a)
             for j in range(i + 1, len(gens)):
-                value = _dirac_correct(berezin(polys[i], polys[j], basis),
-                                       left[i], right[j], inverse, surface)
+                if gens[j] is conjugate:
+                    raw = berezin(polys[i], polys[j], basis)
+                elif coupled[i] and coupled[j]:
+                    raw = ZERO
+                else:
+                    continue
+                value = _dirac_correct(raw, left[i], right[j], inverse, surface)
                 if not value.is_zero:
                     table.append((a, gens[j], value))
         self._bracket_table = table

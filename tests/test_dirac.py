@@ -535,18 +535,19 @@ def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
     path = FIXTURES / "dirac_maxwell_reduced.smf"
     assert main(["analyze", str(path), "--stage", "all"]) == 0
     capsys.readouterr()
-    # 872 reductions, of which 27 hold a bound generator; the other 85
+    # 670 reductions, of which 27 hold a bound generator; the other 85
     # calls come from try_solve, the consistency rows and closing the
     # bindings of each surface.  Each delta entry below the diagonal is
-    # derived from its mirror, not reduced
-    assert len(per_reduce) == 872
+    # derived from its mirror, not reduced, and the bracket table reduces
+    # only the pairs that can be nonzero
+    assert len(per_reduce) == 670
     assert max(per_reduce) == 1
     assert sum(per_reduce) == 27
     assert len(calls) == 112
 
 
 def test_surface_returns_a_zero_at_once(monkeypatch, capsys):
-    # 636 of the headline model's 872 reductions are of zero: each comes
+    # 434 of the headline model's 670 reductions are of zero: each comes
     # back at once, with no pass over the span
     from supermech.frontend.cli import main
 
@@ -568,9 +569,9 @@ def test_surface_returns_a_zero_at_once(monkeypatch, capsys):
     path = FIXTURES / "dirac_maxwell_reduced.smf"
     assert main(["analyze", str(path), "--stage", "all"]) == 0
     capsys.readouterr()
-    assert len(zeros) == 636
+    assert len(zeros) == 434
     assert all(out.is_zero for out in zeros)
-    assert len(spans) == 872 - 636
+    assert len(spans) == 670 - 434
 
 
 def _surface_builds(monkeypatch, capsys, path):

@@ -441,7 +441,8 @@ def test_qed_gradient_counts(monkeypatch):
 def test_qed_berezin_count(monkeypatch):
     # a deterministic count for the headline model: each unordered pair of
     # delta, of the closure family and of the bracket table's columns is
-    # bracketed once, and its other order follows by graded antisymmetry
+    # bracketed once, and its other order follows by graded antisymmetry;
+    # of the table's generator pairs only the conjugate ones are bracketed
     from supermech import brackets, dirac, hamilton_jacobi, numeric_flow
 
     calls = [0]
@@ -456,7 +457,26 @@ def test_qed_berezin_count(monkeypatch):
     result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
                           stage="all")
     render_text(result)
-    assert calls[0] == 663
+    assert calls[0] == 399
+
+
+def test_qed_merge_count(monkeypatch):
+    # a product with a zero or constant operand scales or vanishes without a
+    # factor merge, so the headline model merges factor tuples 685 times
+    from supermech import superalgebra
+
+    calls = [0]
+    merge = superalgebra._merge_factors
+
+    def counting_merge(fa, fb):
+        calls[0] += 1
+        return merge(fa, fb)
+
+    monkeypatch.setattr(superalgebra, "_merge_factors", counting_merge)
+    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
+                          stage="all")
+    render_text(result)
+    assert calls[0] == 685
 
 
 def test_reports_deterministic_across_runs():
