@@ -19,11 +19,14 @@ _VALUE_TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?j?)"
     r"|(?P<gen>g\d+)|(?P<op>[*+-]))")
 
+_STRAY_STAR = "'*' must stand between two factors"
+
 _NAME = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\[(\d+)\])?$")
 
 
 def _tokenize_value(text, line_no, column):
-    """The tokens of a value that starts at column of line line_no."""
+    """The (kind, value, column) tokens of a value that starts at column of
+    line line_no."""
     pos = 0
     out = []
     while pos < len(text):
@@ -34,16 +37,18 @@ def _tokenize_value(text, line_no, column):
                 break
             raise ModelSyntaxError(f"bad value token {rest!r}", line_no,
                                    column + len(text) - len(text[pos:].lstrip()))
-        if m.lastgroup == "num":
+        kind = m.lastgroup
+        at = column + m.start(kind)
+        if kind == "num":
             number = complex(m.group("num"))
             if not isfinite(number):
                 raise ModelSyntaxError(f"number {m.group('num')!r} is not finite",
-                                       line_no, column + m.start("num"))
-            out.append(("num", number))
-        elif m.lastgroup == "gen":
-            out.append(("gen", int(m.group("gen")[1:])))
+                                       line_no, at)
+            out.append(("num", number, at))
+        elif kind == "gen":
+            out.append(("gen", int(m.group("gen")[1:]), at))
         else:
-            out.append(("op", m.group("op")))
+            out.append(("op", m.group("op"), at))
         pos = m.end()
     return out
 
@@ -52,38 +57,40 @@ def parse_value(text, n, line_no=0, column=1):
     """Parse a Lambda-value literal into a GrassmannValue of Lambda_n.
 
     text starts at column of line line_no, and errors count their columns
-    from the start of that line."""
+    from the start of that line.  Every `*` stands between two factors."""
     tokens = _tokenize_value(text, line_no, column)
     if not tokens:
         raise ModelSyntaxError("empty value", line_no, column)
+    end = column + len(text)
     total = GrassmannValue(n)
     pos = 0
+
+    def factor():
+        nonlocal pos
+        if pos == len(tokens):
+            raise ModelSyntaxError("expected a term", line_no, end)
+        kind, value, at = tokens[pos]
+        if kind == "op":
+            raise ModelSyntaxError(_STRAY_STAR if value == "*" else "expected a term",
+                                   line_no, at)
+        pos += 1
+        return kind, value
 
     def term():
         nonlocal pos
         sign = 1.0
-        while pos < len(tokens) and tokens[pos] == ("op", "-"):
+        while pos < len(tokens) and tokens[pos][:2] == ("op", "-"):
             sign = -sign
             pos += 1
-        if pos < len(tokens) and tokens[pos] == ("op", "+"):
+        if pos < len(tokens) and tokens[pos][:2] == ("op", "+"):
             pos += 1
-        factors = []
-        expect_factor = True
-        while pos < len(tokens):
-            kind, value = tokens[pos]
-            if kind == "op" and value == "*":
-                pos += 1
-                expect_factor = True
-                continue
-            if kind == "op":
-                break
-            if not expect_factor:
-                break
-            factors.append((kind, value))
+        factors = [factor()]
+        while pos < len(tokens) and tokens[pos][:2] == ("op", "*"):
+            star = tokens[pos][2]
             pos += 1
-            expect_factor = False
-        if not factors:
-            raise ModelSyntaxError("expected a term", line_no, column)
+            if pos == len(tokens) or tokens[pos][0] == "op":
+                raise ModelSyntaxError(_STRAY_STAR, line_no, star)
+            factors.append(factor())
         acc = GrassmannValue.body_value(n, sign)
         for kind, value in factors:
             if kind == "num":
@@ -94,9 +101,9 @@ def parse_value(text, n, line_no=0, column=1):
 
     total = total + term()
     while pos < len(tokens):
-        kind, value = tokens[pos]
+        kind, value, at = tokens[pos]
         if kind != "op" or value not in "+-":
-            raise ModelSyntaxError(f"expected + or - between terms", line_no, column)
+            raise ModelSyntaxError("expected + or - between terms", line_no, at)
         if value == "+":
             pos += 1
         total = total + term()

@@ -645,6 +645,15 @@ def test_flow_config_refuses_non_finite_numbers(tmp_path, lines, line, message):
     ("q = 1 $ 2", 7, "bad value token '\\$ 2'"),
     ("q=nan", 3, "bad value token 'nan'"),
     ("q = 1e200*1e200", 5, "value '1e200\\*1e200' is not finite"),
+    ("q = * 2 *", 5, "'\\*' must stand between two factors"),
+    ("q = 2 * * g1", 7, "'\\*' must stand between two factors"),
+    ("q = 2 *", 7, "'\\*' must stand between two factors"),
+    ("q = 1 + * g1", 9, "'\\*' must stand between two factors"),
+    ("q = 2 * -1", 7, "'\\*' must stand between two factors"),
+    ("q = 1 2", 7, "expected \\+ or - between terms"),
+    ("q = g1 g2", 8, "expected \\+ or - between terms"),
+    ("q = - + + g1", 9, "expected a term"),
+    ("q = 1 +", 8, "expected a term"),
 ])
 def test_flow_config_value_errors_count_columns_from_the_line_start(value_line, column,
                                                                     message):
