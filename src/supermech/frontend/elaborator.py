@@ -18,7 +18,6 @@ from ..superalgebra import (
     Coefficient,
     Parity,
     SuperPoly,
-    ZERO,
     accumulate,
     const_poly,
     gen_poly,
@@ -184,12 +183,13 @@ class _Env:
                 product = product * self.eval(factor, bindings)
             return product
         if isinstance(node, syn.SumExpr):
-            total = ZERO
+            # one map over the whole index range, normalized once
+            acc = {}
             for k in range(node.lo, node.hi + 1):
                 inner = dict(bindings)
                 inner[node.var] = k
-                total = total + self.eval(node.body, inner)
-            return total
+                accumulate(acc, self.eval(node.body, inner))
+            return SuperPoly._from_map(acc)
         if isinstance(node, syn.Dot):
             coord = self.coordinate_checked(node.name, node.indices, bindings)
             return gen_poly(self.builder.velocity_of(coord))
