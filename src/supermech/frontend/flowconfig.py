@@ -122,7 +122,7 @@ def parse_path_config(text, elaborated, hj_system):
     lines = [(no + 1, raw.split("#", 1)[0].strip())
              for no, raw in enumerate(raw_lines)]
     lines = [(no, line) for no, line in lines if line]
-    if not lines or not lines[0][1].startswith("params"):
+    if not lines or lines[0][1].split()[0] != "params":
         raise ModelSyntaxError("flow config must start with a params line", 1, 1)
     no0, header = lines[0]
     names = header.split()[1:]
@@ -140,8 +140,8 @@ def parse_path_config(text, elaborated, hj_system):
     steps = None
     assignments = []
     for no, line in lines[1:]:
-        if line.startswith("steps"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "steps":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ModelSyntaxError(f"bad steps line {line!r}", no, 1)
             steps = int(parts[1])

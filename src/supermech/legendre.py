@@ -186,12 +186,12 @@ def rank_and_split(hess):
 
 
 def _check_affine(model, hess):
+    velocities = set(model.velocities.values())
     for row in hess:
         for entry in row:
-            for v in model.velocities.values():
-                if contains(entry, v):
-                    raise UnsupportedLagrangian(
-                        "Lagrangian is more than quadratic in velocities")
+            if any(g in velocities for m in entry.terms for g, _ in m.factors):
+                raise UnsupportedLagrangian(
+                    "Lagrangian is more than quadratic in velocities")
 
 
 def solve_velocities(model, momenta_defs, hess, split):

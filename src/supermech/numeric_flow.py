@@ -14,8 +14,10 @@ every value out as a flat run of complex registers, and plans every product
 as (output, left, right, op) entries, which one loop, `_run`, applies at
 every RK4 stage and every drift audit, for any n.  A plan's first write of
 a register sets it and its later writes add to it, so a stage runs one plan
-on the register file as the previous stage left it.  Both engines sum the
-products that land on one slot in ascending order of the left mask.
+on the register file as the previous stage left it.  A segment whose stage
+reads no register of the state runs it once: its four rates are equal at
+every step, so each step adds one update summed from them.  Both engines sum
+the products that land on one slot in ascending order of the left mask.
 """
 from __future__ import annotations
 
@@ -191,8 +193,8 @@ class PathSpec:
     __slots__ = ("params", "waypoints", "steps")
 
     def __init__(self, params, waypoints, steps):
-        if steps < 1:
-            raise FlowError("steps must be >= 1")
+        if not isinstance(steps, int) or steps < 1:
+            raise FlowError(f"steps must be >= 1 and an int, got {steps!r}")
         if len(waypoints) < 2:
             raise FlowError("need at least two waypoints")
         for w in waypoints:
@@ -304,17 +306,21 @@ def integrate_flow(tds, path, init, report):
     masks each value can hold (`_static_layouts`, `_Plan`).  Each segment
     joins the plans of its moving parameters into one, and every RK4 stage
     runs that plan (`_run`) once on a flat list of complex numbers, which
-    holds the state, the derivatives and every partial product.  P0 is
-    `-evaluate(h0)` on the initial state.  The family members are measured
-    only by the drift-audit plan: its first run, on the initial state, gives
-    the surface residual, and its run after every step the drift.  The drift
-    is read in one pass per step over every register of the members' values,
-    which keeps a running maximum of each register's absolute value; after
-    the last step these give each member's drift and their largest the
-    flow's.  A flow whose plan, or whose P0 program alone, needs more than
-    PLAN_LIMIT product entries fails with FlowError before any entry is
-    built, and a flow whose initial residual is not a number, or whose state
-    or Z at a waypoint is not finite, fails with FlowError too.
+    holds the state, the derivatives and every partial product.  A segment
+    whose plan reads no register of the state (a gauge parameter whose H'
+    has state-free coefficients) runs it once; every step then adds the
+    update its four equal rates sum to, bit for bit what four runs give.
+    P0 is `-evaluate(h0)` on the initial state.  The family members are
+    measured only by the drift-audit plan: its first run, on the initial
+    state, gives the surface residual, and its run after every step the
+    drift.  The drift is read in one pass per step over every register of
+    the members' values, which keeps a running maximum of each register's
+    absolute value; after the last step these give each member's drift and
+    their largest the flow's.  A flow whose plan, or whose P0 program alone,
+    needs more than PLAN_LIMIT product entries fails with FlowError before
+    any entry is built, and a flow whose initial residual is not a number,
+    or whose state or Z at a waypoint is not finite, fails with FlowError
+    too.
     """
     return _integrate(make_flow(tds, report), path, init)
 
@@ -607,21 +613,32 @@ def _integrate(flow, path, init):
                       for dest, r in scaled]
             written.update(dest for dest, _ in scaled)
         reg[kz] = [0j] * (kz.stop - k0)
+        # a stage that reads no register of the state bank (op 0 and 3 read
+        # no right operand) gives four equal rates at every step: run it
+        # once, and sum them as a step would
+        update = None
+        if all(left >= width and (right >= width or op in (0, 3))
+               for _, left, right, op in stage):
+            _run(stage, reg)
+            update = [(((k + k * two) + k * two) + k) * sixth for k in reg[kz]]
         # a step's first stage reads the state bank as the last drift audit
         # left it
         for _ in range(path.steps):
-            _run(stage, reg)
-            k1 = reg[kz]
-            reg[:width] = map(add, sz, map(mul, k1, halves))
-            _run(stage, reg)
-            k2 = reg[kz]
-            reg[:width] = map(add, sz, map(mul, k2, halves))
-            _run(stage, reg)
-            k3 = reg[kz]
-            reg[:width] = map(add, sz, map(mul, k3, fulls))
-            _run(stage, reg)
-            sz = [s + (((a + b * two) + c * two) + d) * sixth
-                  for s, a, b, c, d in zip(sz, k1, k2, k3, reg[kz])]
+            if update is None:
+                _run(stage, reg)
+                k1 = reg[kz]
+                reg[:width] = map(add, sz, map(mul, k1, halves))
+                _run(stage, reg)
+                k2 = reg[kz]
+                reg[:width] = map(add, sz, map(mul, k2, halves))
+                _run(stage, reg)
+                k3 = reg[kz]
+                reg[:width] = map(add, sz, map(mul, k3, fulls))
+                _run(stage, reg)
+                sz = [s + (((a + b * two) + c * two) + d) * sixth
+                      for s, a, b, c, d in zip(sz, k1, k2, k3, reg[kz])]
+            else:
+                sz = list(map(add, sz, update))
             reg[:width] = sz[:width]
             _run(audit, reg)
             # max(peak, nan) keeps the peak

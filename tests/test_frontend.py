@@ -613,6 +613,31 @@ def test_cli_bad_steps_line_exits_2(tmp_path, line):
     assert err.startswith("error (model): bad steps line") and "line 4" in err
 
 
+STEPSIZE = """\
+model stepper
+even stepsize
+lagrangian: 1/2*dot(stepsize)*dot(stepsize) - 1/2*stepsize*stepsize
+"""
+
+
+def test_flow_config_keywords_are_whole_tokens(tmp_path):
+    # `stepsize = 1` assigns a coordinate whose name starts with `steps`
+    result = run_pipeline(parse_model(STEPSIZE), stage="flow",
+                          path_text="params t0\n0\n1\nsteps 100\nstepsize = 1\n")
+    end = {str(g): v for g, v in result.flow.samples[-1][1].items()}
+    assert abs(end["stepsize"].body - cmath.cos(1)) < 1e-8
+    # a header whose first token only starts with `params` is no params line
+    cfg = tmp_path / "paramsx.cfg"
+    cfg.write_text("paramsx t0\n0\n1\nsteps 10\nq = 1\n", encoding="utf-8")
+    with pytest.raises(ModelSyntaxError, match="must start with a params line"):
+        run_pipeline(parse_model(fixture_text("sho.smf")), stage="flow",
+                     path_text=cfg.read_text(encoding="utf-8"))
+    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), "--stage", "flow",
+                               "--path", str(cfg), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "model"
+
+
 @pytest.mark.parametrize("lines,line,message", [
     ("0\nnan", 3, "waypoint 'nan' is not finite"),
     ("0\ninf", 3, "waypoint 'inf' is not finite"),

@@ -212,7 +212,16 @@ def test_cubic_velocity_rejected():
     b = ModelBuilder("cubic")
     q, qd, _ = b.coordinate("q", Parity.EVEN)
     model = b.finish(gen_poly(qd) ** 3)
-    with pytest.raises(UnsupportedLagrangian):
+    with pytest.raises(UnsupportedLagrangian, match="more than quadratic in velocities"):
+        analyze(model)
+    # each velocity sits only in off-diagonal entries: (q, s) holds dot(r)
+    b = ModelBuilder("cubic_off_diagonal")
+    q, qd, _ = b.coordinate("q", Parity.EVEN)
+    r, rd, _ = b.coordinate("r", Parity.EVEN)
+    s, sd, _ = b.coordinate("s", Parity.EVEN)
+    model = b.finish(HALF * gen_poly(qd) ** 2 + HALF * gen_poly(sd) ** 2
+                     + gen_poly(qd) * gen_poly(sd) * gen_poly(rd))
+    with pytest.raises(UnsupportedLagrangian, match="more than quadratic in velocities"):
         analyze(model)
 
 

@@ -427,6 +427,55 @@ def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
                       reference_integrate(result.tds, path, init, result.closure))
 
 
+@pytest.mark.parametrize("model,cfg,runs", [
+    # the drift audit, then the t0 segment's stage (four runs a step over
+    # 5,000 steps), then the q2 segment's, which reads no state
+    ("gauge_toy.smf", "gauge_toy_flow.cfg", [(1, 10_001), (2, 20_000), (2, 1)]),
+    # t0 and q2 move together over 100 steps, then q2 alone
+    ("free_singular.smf", "free_singular_diagonal_flow.cfg",
+     [(3, 201), (7, 400), (2, 1)]),
+])
+def test_a_stage_that_reads_no_state_runs_once_a_segment(monkeypatch, model, cfg, runs):
+    # each plan's size and runs, in the order of its first run
+    plans, counts = {}, {}
+    run = numeric_flow._run
+
+    def counting(plan, reg):
+        plans.setdefault(id(plan), plan)
+        counts[id(plan)] = counts.get(id(plan), 0) + 1
+        return run(plan, reg)
+
+    monkeypatch.setattr(numeric_flow, "_run", counting)
+    cfg_text = data_text(cfg) if (DATA / cfg).exists() else fixture_text(cfg)
+    run_pipeline(parse_model(fixture_text(model)), stage="flow", path_text=cfg_text)
+    assert [(len(plans[i]), count) for i, count in counts.items()] == runs
+
+
+@pytest.mark.parametrize("name", sorted(PATH_PAIRS))
+def test_state_free_segments_match_the_reference(name):
+    # q2 alone moves by 0.7 and by -0.9 over 7 steps, where the update that
+    # the four equal rates sum to differs in its last bit from rate * h
+    tds, report, init, path, _ = _path_pair(*PATH_PAIRS[name])
+    path = PathSpec(path.params, ((0, 0), (0, 0.7), (1, 1.1), (1, 0.2)), 7)
+    _assert_same_flow(integrate_flow(tds, path, init, report=report),
+                      reference_integrate(tds, path, init, report))
+
+
+def test_a_state_free_segment_that_overflows_fails():
+    gt = build_gauge_toy()
+    sys = build_hj_system(gt.legres)
+    tds = total_differentials(sys)
+    g = gt.gens
+    init = {g["q1"]: GrassmannValue.body_value(0, 1.0),
+            g["p1"]: GrassmannValue.body_value(0, 0.0),
+            g["q2"]: GrassmannValue.body_value(0, 1e308),
+            g["p2"]: GrassmannValue.body_value(0, 0.0)}
+    # q2's rate, -2e308, is already infinite
+    path = PathSpec((sys.t0, g["q2"]), ((1.0, 1e308), (1.0, -1e308)), 10)
+    with pytest.raises(FlowError, match=r"not finite at waypoint \(1, -1e\+308\)"):
+        integrate_flow(tds, path, init, report=closure_loop(sys))
+
+
 def test_flow_from_the_zero_state_audits_no_register():
     # every value of this flow has an empty layout, so its drift audit
     # reads no register at all
@@ -706,6 +755,8 @@ def test_flow_failures_are_flow_errors():
         GrassmannValue(13)
     for params, waypoints, steps, message in [
             ((1,), ((0,), (1,)), 0, "steps must be >= 1"),
+            ((1,), ((0,), (1,)), 2.5, "steps must be >= 1 and an int, got 2.5"),
+            ((1,), ((0,), (1,)), "10", "steps must be >= 1 and an int, got '10'"),
             ((1,), ((0,),), 5, "need at least two waypoints"),
             ((1,), ((0,), (1, 2)), 5, "waypoint arity does not match parameters"),
             ((1,), ((0,), (0,)), 5, "consecutive waypoints must differ")]:
