@@ -26,7 +26,7 @@ from .superalgebra import (
     parity_of,
     substitute,
 )
-from .brackets import PhaseBasis, SimplecticMetric, berezin, simpletic_bracket
+from .brackets import PhaseBasis, berezin
 from .legendre import LagrangianModel, LegendreResult, ModelBuilder, analyze
 from .dirac import (
     ConstraintRecord,

@@ -1,20 +1,16 @@
 """Graded Poisson (Berezin) bracket over a declared phase basis.
 
-Two routes are provided: the direct sum over conjugate pairs and the
-simplectic-metric contraction.  They must agree exactly, which the test
-suite uses as an oracle for the summation.  Both take their graded
+The bracket is the direct sum over conjugate pairs.  It takes its graded
 derivatives from the left and right gradients that every SuperPoly builds
-once and keeps; the tests check the derivative itself against a separate
-reference implementation.
+once and keeps.  The tests check it against a simplectic-metric
+contraction and a pair sum that both take every derivative from a
+separate reference implementation.
 """
 from __future__ import annotations
 
 from .superalgebra import (
-    Parity,
     SuperPoly,
     accumulate,
-    derive_left,
-    derive_right,
     gradient,
     parity_of,
 )
@@ -65,14 +61,12 @@ def berezin(f, g, basis):
     product is formed only for the pairs where both of its factors are
     nonzero; the sum is exact, so the order of the pairs does not matter.
 
-    The result is exactly graded antisymmetric: {g, f} is {f, g} when both
-    are odd and -{f, g} otherwise.  dirac.constraint_matrix,
-    DiracAnalysis.bracket_table and hamilton_jacobi.closure_loop rely on
-    that and compute one order of each pair.
+    The result is exactly graded antisymmetric (see reversed_bracket).
+    dirac.constraint_matrix, DiracAnalysis.bracket_table and
+    hamilton_jacobi.closure_loop rely on that and compute one order of
+    each pair.
     """
-    pf = parity_of(f)
-    pg = parity_of(g)
-    sign = 1 if pf == Parity.ODD and pg == Parity.ODD else -1
+    sign = reversed_bracket(1, parity_of(f), parity_of(g))
     f_right, f_left = gradient(f, False), gradient(f, True)
     g_right, g_left = gradient(g, False), gradient(g, True)
     momentum = basis.momentum
@@ -85,32 +79,10 @@ def berezin(f, g, basis):
     return SuperPoly._from_map(acc)
 
 
-class SimplecticMetric:
-    """Sparse E^{IJ} over the flattened basis (q_0, p_0, q_1, p_1, ...).
+def reversed_bracket(value, pf, pg):
+    """{g, f} from value = {f, g}, for f of parity pf and g of parity pg.
 
-    Within each conjugate pair the (coordinate, momentum) entry is +1 and the
-    (momentum, coordinate) entry is -(-1)^{P(pair)}; everything else vanishes.
+    Graded antisymmetry: {g, f} is {f, g} when both are odd and -{f, g}
+    otherwise.
     """
-
-    __slots__ = ("basis", "entries")
-
-    def __init__(self, basis):
-        entries = []
-        for q, p in basis.pairs:
-            entries.append((q, p, 1))
-            entries.append((p, q, 1 if q.parity else -1))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "entries", tuple(entries))
-
-    def __setattr__(self, *_):
-        raise AttributeError("a simplectic metric is read-only")
-
-
-def simpletic_bracket(f, g, metric):
-    """Bracket via d_r F/d eta^I E^{IJ} d_l G/d eta^J; equals berezin exactly."""
-    parity_of(f)
-    parity_of(g)
-    acc = {}
-    for gi, gj, sign in metric.entries:
-        accumulate(acc, derive_right(f, gi) * derive_left(g, gj), sign)
-    return SuperPoly._from_map(acc)
+    return value if pf and pg else -value

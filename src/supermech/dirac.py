@@ -7,7 +7,7 @@ and provides Dirac brackets.
 """
 from __future__ import annotations
 
-from .brackets import berezin
+from .brackets import berezin, reversed_bracket
 from .errors import (
     Inconsistent,
     NonNumericBody,
@@ -182,7 +182,7 @@ def constraint_matrix(constraints, basis, surface):
     for s, es in enumerate(exprs):
         for t in range(s, len(exprs)):
             value = surface.reduce(berezin(es, exprs[t], basis))
-            delta[t][s] = value if parities[s] and parities[t] else -value
+            delta[t][s] = reversed_bracket(value, parities[s], parities[t])
             delta[s][t] = value
     return delta
 
@@ -191,8 +191,7 @@ class DiracAnalysis:
     """Outcome of the full constraint algorithm for one model."""
 
     __slots__ = ("model", "basis", "h0", "hp", "records", "multipliers",
-                 "multiplier_symbols", "_surface", "_surface_key", "_bracket_table",
-                 "_classified")
+                 "multiplier_symbols", "_surface", "_surface_key", "_derived")
 
     def __init__(self, model, basis, h0, hp, records=None, multipliers=None,
                  multiplier_symbols=None):
@@ -207,9 +206,8 @@ class DiracAnalysis:
             {} if multiplier_symbols is None else multiplier_symbols)
         self._surface: Surface | None = None
         self._surface_key: tuple = ()
-        self._bracket_table: list | None = None
-        # (surface, delta, second-class rows, Delta^-1)
-        self._classified: tuple = (None,)
+        # [surface, classes, delta, second-class rows, Delta^-1, bracket table]
+        self._derived: list = [None] * 6
 
     @property
     def surface(self):
@@ -223,8 +221,38 @@ class DiracAnalysis:
         if self._surface is None or key != self._surface_key:
             self._surface = Surface(self.records)
             self._surface_key = key
-            self._bracket_table = None
         return self._surface
+
+    def _derived_state(self):
+        """[surface, classes, delta, second-class rows, Delta^-1, table].
+
+        delta is built again only when the surface is rebuilt; the rest is
+        derived again whenever the active records' classes change too (the
+        table on first read), so all of it always matches the records.
+        """
+        surface = self.surface
+        state = self._derived
+        if state[0] is not surface:
+            delta = constraint_matrix(self.active(), self.basis, surface)
+            state = self._derived = [surface, None, delta, None, None, None]
+        classes = tuple(rec.cls for rec in self.active())
+        if state[1] != classes:
+            second = tuple(i for i, cls in enumerate(classes) if cls == "second")
+            block = [[state[2][i][j] for j in second] for i in second]
+            state[1:] = [classes, state[2], second, invert_supermatrix(block), None]
+        return state
+
+    @property
+    def delta(self):
+        return self._derived_state()[2]
+
+    @property
+    def second_class(self):
+        return self._derived_state()[3]
+
+    @property
+    def delta_inverse(self):
+        return self._derived_state()[4]
 
     @property
     def bracket_table(self):
@@ -234,19 +262,19 @@ class DiracAnalysis:
         once per generator, not once per pair, and gives {Phi_t, x} by graded
         antisymmetry.  {a, b} vanishes unless b is the momentum of a, and the
         correction unless both {a, Phi_s} and {b, Phi_t} hold a nonzero
-        entry, so only those pairs are visited.  The table is kept until the
-        surface is next rebuilt.
+        entry, so only those pairs are visited.  The table is computed on
+        first read and kept with the rest of the derived state.
         """
-        surface = self.surface  # rebuilding it drops a kept table
-        if self._bracket_table is not None:
-            return self._bracket_table
+        state = self._derived_state()
+        if state[5] is not None:
+            return state[5]
+        surface, inverse = state[0], state[4]
         basis = self.basis
-        inverse = self.delta_inverse
         second = self.second_class_records()
         gens = list(basis.coordinates) + list(basis.momenta)
         polys = [gen_poly(x) for x in gens]
         left = [[berezin(x, rec.expr, basis) for rec in second] for x in polys]
-        right = [[v if x.parity and rec.parity else -v
+        right = [[reversed_bracket(v, x.parity, rec.parity)
                   for v, rec in zip(row, second)] for row, x in zip(left, gens)]
         coupled = [any(not v.is_zero for v in row) for row in left]
         momentum = basis.momentum
@@ -263,35 +291,8 @@ class DiracAnalysis:
                 value = _dirac_correct(raw, left[i], right[j], inverse, surface)
                 if not value.is_zero:
                     table.append((a, gens[j], value))
-        self._bracket_table = table
+        state[5] = table
         return table
-
-    def _classification(self):
-        """delta, the second-class rows and Delta^-1 of the active records.
-
-        Computed on first read and again whenever the surface is rebuilt,
-        so they always match the records.
-        """
-        surface = self.surface
-        if self._classified[0] is not surface:
-            active = self.active()
-            delta = constraint_matrix(active, self.basis, surface)
-            second = tuple(i for i, rec in enumerate(active) if rec.cls == "second")
-            inverse = invert_supermatrix([[delta[i][j] for j in second] for i in second])
-            self._classified = (surface, delta, second, inverse)
-        return self._classified
-
-    @property
-    def delta(self):
-        return self._classification()[1]
-
-    @property
-    def second_class(self):
-        return self._classification()[2]
-
-    @property
-    def delta_inverse(self):
-        return self._classification()[3]
 
     def active(self):
         return [rec for rec in self.records if not rec.superseded]
@@ -305,7 +306,7 @@ def _multiplier_terms(p, symbols):
     return [v for v in symbols if contains(p, v)]
 
 
-def consistency_step(analysis, h0, basis):
+def consistency_step(analysis):
     """One consistency sweep: the reduced time derivative of every constraint.
 
     Returns a list of (record, outcome, payload) with outcome one of
@@ -320,7 +321,7 @@ def consistency_step(analysis, h0, basis):
     symbols = list(analysis.multiplier_symbols.values())
     surface = analysis.surface
     for rec in analysis.active():
-        r = berezin(rec.expr, analysis.hp, basis)
+        r = berezin(rec.expr, analysis.hp, analysis.basis)
         if solved_mults:
             r = substitute(r, solved_mults)
         r = surface.reduce(r)
@@ -514,7 +515,7 @@ def run_dirac(legres):
     for _ in range(max_rounds):
         stage += 1
         changed = False
-        outcomes = consistency_step(analysis, legres.h0, basis)
+        outcomes = consistency_step(analysis)
         mult_rows = [r for _, kind, r in outcomes if kind == "multiplier"]
         candidates = [r for _, kind, r in outcomes if kind == "new"]
         if mult_rows:
@@ -545,11 +546,10 @@ def run_dirac(legres):
     else:
         raise Inconsistent("consistency loop failed to close")
 
-    surface = analysis.surface
-    delta = constraint_matrix(analysis.active(), basis, surface)
-    new_records = first_class_recombination(delta, analysis.records, basis, surface)
+    new_records = first_class_recombination(analysis.delta, analysis.records, basis,
+                                            analysis.surface)
     analysis.records.extend(new_records)
-    analysis._classification()  # so a singular second-class block fails here
+    analysis._derived_state()  # so a singular second-class block fails here
     return analysis
 
 

@@ -8,7 +8,7 @@ algorithm.
 """
 from __future__ import annotations
 
-from .brackets import berezin
+from .brackets import berezin, reversed_bracket
 from .errors import ClosureDiverged, Inconsistent
 from .dirac import ConstraintRecord, Surface, try_solve
 from .smatrix import solve_linear_rows
@@ -142,12 +142,11 @@ def _family_surface(family):
 
 
 class ClosureOutcome:
-    __slots__ = ("kind", "detail", "relations")
+    __slots__ = ("kind", "detail")
 
-    def __init__(self, kind, detail="", relations=None):
+    def __init__(self, kind, detail=""):
         self.kind = kind  # strict_zero, weak_zero, new_hamiltonian or dt_relation
         self.detail: str = detail
-        self.relations = {} if relations is None else relations
 
 
 class IntegrabilityReport:
@@ -198,7 +197,7 @@ def closure_loop(sys, max_rounds=32):
             if twin is None:
                 brackets[key] = berezin(mb.expr, ma.expr, sys.basis)
             else:
-                brackets[key] = twin if ma.parity and mb.parity else -twin
+                brackets[key] = reversed_bracket(twin, ma.parity, mb.parity)
         return brackets[key]
 
     # the first members are the parameters' H'_alpha, in parameter order
@@ -257,9 +256,8 @@ def closure_loop(sys, max_rounds=32):
                 pivot_history |= pivots
                 continue
             # nothing solvable: record implicit rows and stop
-            for label, eff0, live in implicit:
-                outcomes.setdefault(label, ClosureOutcome(
-                    "dt_relation", detail="implicit", relations=dict(live)))
+            for label, _, _ in implicit:
+                outcomes.setdefault(label, ClosureOutcome("dt_relation", detail="implicit"))
             break
         # stable: finalize statuses
         for label, status in statuses.items():

@@ -125,14 +125,40 @@ def reference_derive(p, g, left):
 def reference_berezin(f, g, basis):
     """Berezin bracket summed over every basis pair with reference_derive.
 
-    brackets.berezin and brackets.simpletic_bracket must match this
-    reference exactly.
+    brackets.berezin must match this reference exactly.
     """
     sign = 1 if parity_of(f) == Parity.ODD and parity_of(g) == Parity.ODD else -1
     acc = {}
     for q, p in basis.pairs:
         accumulate(acc, reference_derive(f, q, False) * reference_derive(g, p, True))
         accumulate(acc, reference_derive(g, q, False) * reference_derive(f, p, True),
+                   sign)
+    return SuperPoly._from_map(acc)
+
+
+def simpletic_metric(basis):
+    """Sparse E^{IJ} over the flattened basis (q_0, p_0, q_1, p_1, ...).
+
+    Within each conjugate pair the (coordinate, momentum) entry is +1 and
+    the (momentum, coordinate) entry is -(-1)^{P(pair)}; everything else
+    vanishes.  Returns the nonzero entries as (eta^I, eta^J, sign).
+    """
+    entries = []
+    for q, p in basis.pairs:
+        entries.append((q, p, 1))
+        entries.append((p, q, 1 if q.parity else -1))
+    return tuple(entries)
+
+
+def simpletic_bracket(f, g, basis):
+    """Bracket as d_r F/d eta^I E^{IJ} d_l G/d eta^J over simpletic_metric,
+    with every derivative from reference_derive; brackets.berezin must
+    match it exactly."""
+    parity_of(f)
+    parity_of(g)
+    acc = {}
+    for gi, gj, sign in simpletic_metric(basis):
+        accumulate(acc, reference_derive(f, gi, False) * reference_derive(g, gj, True),
                    sign)
     return SuperPoly._from_map(acc)
 

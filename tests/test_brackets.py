@@ -1,4 +1,4 @@
-"""Bracket axioms and the two independent bracket implementations."""
+"""Bracket axioms, and the bracket against its test-side references."""
 import random
 
 import pytest
@@ -9,15 +9,11 @@ from helpers import (
     gamma_matrices,
     random_homogeneous,
     reference_berezin,
+    simpletic_metric,
     small_basis,
 )
 from supermech import superalgebra
-from supermech.brackets import (
-    PhaseBasis,
-    SimplecticMetric,
-    berezin,
-    simpletic_bracket,
-)
+from supermech.brackets import PhaseBasis, berezin
 from supermech.superalgebra import (
     ZERO,
     Coefficient,
@@ -63,33 +59,21 @@ def test_reduced_model_constraint_pair_bracket():
 
 def test_simpletic_entries():
     basis = small_basis()
-    metric = SimplecticMetric(basis)
-    signs = {(str(a), str(b)): s for a, b, s in metric.entries}
+    signs = {(str(a), str(b)): s for a, b, s in simpletic_metric(basis)}
     assert signs[("q1", "p1")] == 1
     assert signs[("p1", "q1")] == -1
     assert signs[("th", "pth")] == 1
     assert signs[("pth", "th")] == 1
-    for value, name in ((metric, "entries"), (basis, "pairs"), (basis, "momentum")):
+    for name in ("pairs", "momentum"):
         with pytest.raises(AttributeError):
-            setattr(value, name, None)
-
-
-def test_simpletic_equals_berezin_randomized():
-    rng = random.Random(21)
-    basis = small_basis()
-    metric = SimplecticMetric(basis)
-    gens = [g for pair in basis.pairs for g in pair]
-    for _ in range(400):
-        f = random_homogeneous(rng, gens)
-        g = random_homogeneous(rng, gens)
-        assert simpletic_bracket(f, g, metric) == berezin(f, g, basis)
+            setattr(basis, name, None)
 
 
 def test_bracket_routes_share_no_derivative(monkeypatch):
-    # berezin and simpletic_bracket both read the kept gradients;
-    # reference_berezin takes every derivative from the test-side
-    # reference_derive and builds no gradient, so the agreement checks the
-    # gradient's sign rule as well as the two summations
+    # berezin reads the kept gradients; reference_berezin takes every
+    # derivative from the test-side reference_derive and builds no
+    # gradient, so the agreement checks the gradient's sign rule as well as
+    # the summation
     builds = [0]
     build = superalgebra._build_gradient
 
@@ -100,7 +84,6 @@ def test_bracket_routes_share_no_derivative(monkeypatch):
     monkeypatch.setattr(superalgebra, "_build_gradient", counting)
     rng = random.Random(24)
     basis = small_basis()
-    metric = SimplecticMetric(basis)
     gens = [g for pair in basis.pairs for g in pair]
     for _ in range(400):
         f = random_homogeneous(rng, gens)
@@ -109,7 +92,6 @@ def test_bracket_routes_share_no_derivative(monkeypatch):
         expected = reference_berezin(f, g, basis)
         assert builds[0] == before
         assert berezin(f, g, basis) == expected
-        assert simpletic_bracket(f, g, metric) == expected
 
 
 def test_graded_antisymmetry():

@@ -168,7 +168,7 @@ def test_consistency_step_outcomes():
     gt = build_gauge_toy()
     analysis = run_dirac(gt.legres)
     # replay one sweep on the closed analysis: everything is satisfied
-    outcomes = consistency_step(analysis, gt.legres.h0, analysis.basis)
+    outcomes = consistency_step(analysis)
     assert all(kind == "zero" for _, kind, _ in outcomes)
 
     # the fermionic sweep classifies both rows as multiplier equations
@@ -176,7 +176,7 @@ def test_consistency_step_outcomes():
     fresh = run_dirac(fo.legres)
     for q in fresh.multipliers:
         fresh.multipliers[q] = None  # forget the solutions, re-derive
-    outcomes = consistency_step(fresh, fo.legres.h0, fresh.basis)
+    outcomes = consistency_step(fresh)
     assert sorted(kind for _, kind, _ in outcomes) == ["multiplier", "multiplier"]
 
 
@@ -659,6 +659,24 @@ def test_bracket_table_kept_until_the_surface_is_rebuilt():
     assert rebuilt is not table
     assert rebuilt == per_pair()
     assert analysis.bracket_table is rebuilt
+
+
+def test_derived_state_follows_a_reclassification():
+    # a class set by hand keeps the surface and delta, but the second-class
+    # rows, Delta^-1 and the bracket table are derived again: on flavour3,
+    # declaring the conjugate pair Phi1, Phi4 first class leaves the other
+    # two pairs second class
+    analysis = run_pipeline(parse_model(data_text("flavour3.smf")),
+                            stage="dirac").analysis
+    delta = analysis.delta
+    assert analysis.second_class == (0, 1, 2, 3, 4, 5)
+    table = analysis.bracket_table
+    for i in (0, 3):
+        analysis.active()[i].cls = "first"
+    assert analysis.delta is delta
+    assert analysis.second_class == (1, 2, 4, 5)
+    assert analysis.bracket_table != table
+    assert analysis.bracket_table == reference_bracket_table(analysis)
 
 
 def test_dirac_brackets_unchanged_by_rescaling_a_second_class_record():

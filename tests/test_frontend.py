@@ -438,11 +438,8 @@ def test_qed_gradient_counts(monkeypatch):
     assert len({(id(p), left) for p, left in builds}) == len(builds)
 
 
-def test_qed_berezin_count(monkeypatch):
-    # a deterministic count for the headline model: each unordered pair of
-    # delta, of the closure family and of the bracket table's columns is
-    # bracketed once, and its other order follows by graded antisymmetry;
-    # of the table's generator pairs only the conjugate ones are bracketed
+def _berezin_calls(monkeypatch, name, render):
+    """berezin calls in a full run of the fixture name, rendered by render."""
     from supermech import brackets, dirac, hamilton_jacobi, numeric_flow
 
     calls = [0]
@@ -454,10 +451,23 @@ def test_qed_berezin_count(monkeypatch):
 
     for module in (brackets, dirac, hamilton_jacobi, numeric_flow):
         monkeypatch.setattr(module, "berezin", counting_berezin)
-    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
-                          stage="all")
-    render_text(result)
-    assert calls[0] == 399
+    render(run_pipeline(parse_model(fixture_text(name)), stage="all"))
+    return calls[0]
+
+
+def test_qed_berezin_count(monkeypatch):
+    # a deterministic count for the headline model: each unordered pair of
+    # delta, of the closure family and of the bracket table's columns is
+    # bracketed once, and its other order follows by graded antisymmetry;
+    # of the table's generator pairs only the conjugate ones are bracketed
+    assert _berezin_calls(monkeypatch, "dirac_maxwell_reduced.smf", render_text) == 399
+
+
+def test_delta_built_once_when_nothing_recombines(monkeypatch):
+    # the fermionic oscillator recombines nothing, so the delta that
+    # run_dirac classifies with is the one the analysis keeps: its three
+    # unordered pairs are bracketed once, not again after classification
+    assert _berezin_calls(monkeypatch, "fermionic_oscillator.smf", render_json) == 13
 
 
 def test_qed_merge_count(monkeypatch):

@@ -20,6 +20,7 @@ from helpers import (
     gamma_matrices,
     integrability_matrix,
     random_homogeneous,
+    simpletic_bracket,
 )
 from supermech.brackets import berezin
 from supermech.dirac import ConstraintRecord, run_dirac
@@ -311,17 +312,14 @@ def test_df_assembly_matches_bracket():
 
 
 def test_simpletic_route_gives_same_flow():
-    from supermech.brackets import SimplecticMetric, simpletic_bracket
-
     rng = random.Random(43)
     fo = build_fermionic()
     sys = build_hj_system(fo.legres)
-    metric = SimplecticMetric(sys.basis)
     gens = [g for pair in sys.basis.pairs for g in pair]
     for _ in range(60):
         f = random_homogeneous(rng, gens, max_terms=3, max_degree=3)
         for alpha in sys.parameters:
-            assert simpletic_bracket(f, sys.hamiltonians[alpha], metric) == \
+            assert simpletic_bracket(f, sys.hamiltonians[alpha], sys.basis) == \
                 berezin(f, sys.hamiltonians[alpha], sys.basis)
 
 
