@@ -53,9 +53,12 @@ from supermech.smatrix import (
     invert_poly,
     solve_left,
 )
+from supermech.brackets import PhaseBasis
 from supermech.superalgebra import (
     C_I,
     Coefficient,
+    Generator,
+    Kind,
     Parity,
     as_poly,
     const_poly,
@@ -770,6 +773,30 @@ def test_independent_gauss_sectors_classify_as_alone():
         for g in gens:
             value = dirac_bracket(rec.expr, gen_poly(g), analysis)
             assert weak_reduce(value, analysis.records).is_zero
+
+
+def test_odd_null_direction_recombines():
+    # Delta = {C_s, C_t} has all four entries equal, so its body null space
+    # is one odd direction, C1 - C2 = -p_th; no fixture or generated model
+    # lifts an odd direction
+    from supermech.dirac import first_class_recombination
+
+    psi, th = (Generator(name, Parity.ODD, Kind.COORDINATE, None, k)
+               for k, name in enumerate(("psi", "th")))
+    p_psi, p_th = (Generator(name, Parity.ODD, Kind.MOMENTUM, None, k)
+                   for k, name in enumerate(("p_psi", "p_th")))
+    basis = PhaseBasis(((psi, p_psi), (th, p_th)))
+    c1 = gen_poly(p_psi) + C_I / 2 * gen_poly(psi)
+    records = [ConstraintRecord(name, expr, 0, solved=try_solve(expr, basis))
+               for name, expr in (("C1", c1), ("C2", c1 + gen_poly(p_th)))]
+    surface = Surface(records)
+    delta = constraint_matrix(records, basis, surface)
+    added = first_class_recombination(delta, records, basis, surface)
+    assert [(rec.name, rec.expr, rec.cls, rec.origin) for rec in added] == [
+        ("C1~rec", gen_poly(p_th), "first", "recombination")]
+    assert [(rec.name, rec.superseded) for rec in records] == [
+        ("C1", True), ("C2", False)]
+    assert records[1].cls == "second"
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.smf")) + sorted(DATA.glob("*.smf")),

@@ -40,6 +40,7 @@ from supermech.superalgebra import (
     const_poly,
     gen_poly,
     parity_of,
+    substitute,
 )
 
 MI = Coefficient(0, -1)
@@ -98,6 +99,24 @@ def test_total_differentials_gauge_toy():
     assert tds.dp[(g["p2"], sys.t0)] == -gen_poly(g["p1"])
     assert tds.dq[(g["q2"], g["q2"])] == const_poly(1)  # identity row
     assert tds.dq[(g["q2"], sys.t0)].is_zero
+
+
+ODD_VELOCITIES = """model odd_velocities
+even x
+odd th1 th2
+lagrangian: 1/2*dot(x)*dot(x) + dot(th1)*dot(th2) + x*th1*th2
+"""
+
+
+def test_dz_of_odd_expressible_coordinates_is_the_lagrangian():
+    # along t0, dZ = p_i dq^i - H0 dt0 is L on the solved velocities; the
+    # p_th terms come in with the odd coordinates' sign, and no fixture has
+    # an expressible odd coordinate whose momentum enters H0
+    result = run_pipeline(parse_model(ODD_VELOCITIES), stage="hj")
+    legres = result.legres
+    dz = result.tds.dz[result.hj_system.t0]
+    assert dz == substitute(legres.model.lagrangian, legres.solved_velocities)
+    assert str(dz) == "x*th1*th2 + 1/2*p_x^2 + p_th1*p_th2"
 
 
 def test_identity_rows_all_fixtures():
@@ -239,6 +258,38 @@ def test_closure_reduced_model():
     psp = [gen_poly(q) for q, _, _ in qed.gens["psi"]]
     chi = -(gen_poly(qed.gens["e"]) * bilinear(g0, psb, psp))
     assert len(report.added) == 1 and report.added[0].expr == chi
+
+
+def _leave_every_row_implicit(monkeypatch):
+    import supermech.hamilton_jacobi as hj
+
+    monkeypatch.setattr(hj, "solve_linear_rows",
+                        lambda rows, unknowns, reduce_fn: ({}, set(), [], list(rows)))
+
+
+def test_closure_stops_on_implicit_rows(monkeypatch):
+    # no relation row has a pivot, so each one is marked implicit and the
+    # loop stops in its first round
+    _leave_every_row_implicit(monkeypatch)
+    result = run_pipeline(parse_model(fixture_text("fermionic_oscillator.smf")),
+                          stage="all")
+    closure = result.closure
+    assert {label: (out.kind, out.detail) for label, out in closure.outcomes.items()} \
+        == {f"H'{k}": ("dt_relation", "implicit") for k in range(3)}
+    assert not closure.dt_relations
+    assert result.crosscheck.verdict == "mismatch"
+
+
+def test_closure_implicit_stop_keeps_an_added_member(monkeypatch):
+    _leave_every_row_implicit(monkeypatch)
+    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
+                          stage="all")
+    kinds = {label: (out.kind, out.detail) for label, out in result.closure.outcomes.items()}
+    assert kinds == {"H'1": ("new_hamiltonian", "adds H'10"),
+                     **{f"H'{k}": ("dt_relation", "implicit")
+                        for k in (0, *range(2, 11))}}
+    assert result.closure.rounds == 2
+    assert not result.closure.dt_relations
 
 
 def test_closure_reduced_model_relations_are_spinor_equations():
