@@ -18,7 +18,6 @@ from .errors import (
 from .smatrix import (
     SpanReducer,
     body_nullspace,
-    body_rank,
     has_nilpotent_soul,
     invert_poly,
     invert_supermatrix,
@@ -371,10 +370,12 @@ def _classification_sign(p_phi, p_t, p_s):
 def first_class_recombination(delta, records, basis, surface):
     """Classify records using delta; recombine null directions into first class.
 
-    Null vectors are found on the body of delta and lifted with exact soul
-    corrections, reduced on the surface of records; a lift that fails to
-    close leaves the participants undetermined rather than forcing a
-    classification.
+    Each round takes one body null space of the remaining block, which is
+    block-diagonal by parity (a mixed-parity bracket has no body); an empty
+    one leaves the rest second class.  The first even null vector, else the
+    first odd one, is lifted with exact soul corrections, reduced on the
+    surface of records; a lift that fails to close leaves the participants
+    undetermined rather than forcing a classification.
     """
     active = [rec for rec in records if not rec.superseded]
     n = len(active)
@@ -386,34 +387,25 @@ def first_class_recombination(delta, records, basis, surface):
     remaining = [i for i in range(n) if i not in zero_rows]
     new_records = []
     while remaining:
-        block = [[delta[i][j].body for j in remaining] for i in remaining]
-        nullity = len(remaining) - body_rank(block)
-        if not nullity:
+        # body equations: sum_s body(Delta[s][t]) v0_s = 0 for all t
+        null = body_nullspace([[delta[s][t].body for s in remaining]
+                               for t in remaining])
+        if not null:
             for i in remaining:
                 active[i].cls = "second"
             break
-        # body equations: sum_s body(Delta[s][t]) v0_s = 0 for all t; the
-        # body of a mixed-parity bracket is 0, so the parities' null spaces
-        # add up to the block's
-        nulls = {}
-        for target in (Parity.EVEN, Parity.ODD):
-            cols = [i for i in remaining if active[i].parity == target]
-            if cols and nullity:
-                bmat = [[delta[s][t].body for s in cols] for t in remaining]
-                null = body_nullspace(bmat)
-                if null:
-                    nulls[target] = (cols, null)
-                    nullity -= len(null)
         # one null direction is lifted at a time; the free columns of the
         # others get no correction, or the block the lift solves is singular
-        free = {cols[fc] for cols, null in nulls.values() for fc in null}
+        free = {remaining[fc] for fc in null}
         lifted = None
-        for target, (cols, null) in nulls.items():
-            fc, v0 = next(iter(null.items()))
-            support = [cols[k] for k, c in enumerate(v0) if not c.is_zero]
-            lifted = _lift_null_vector(delta, active, remaining, cols, v0,
-                                       support, target, surface,
-                                       free - {cols[fc]})
+        for target in (Parity.EVEN, Parity.ODD):
+            fc = next((fc for fc in null if active[remaining[fc]].parity == target),
+                      None)
+            if fc is None:
+                continue
+            weights = {remaining[k]: c for k, c in enumerate(null[fc]) if not c.is_zero}
+            lifted = _lift_null_vector(delta, active, remaining, weights, target,
+                                       surface, free - {remaining[fc]})
             if lifted is not None:
                 break
         if lifted is None:
@@ -439,18 +431,17 @@ def first_class_recombination(delta, records, basis, surface):
     return new_records
 
 
-def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi,
-                      surface, held):
+def _lift_null_vector(delta, active, remaining, weights, p_phi, surface, held):
     """Extend a body null vector with soul corrections; None when it fails.
 
+    weights maps each record of the vector's support to its body weight.
     The records in held get no correction.
     """
     # signed[s][t] is Delta_st with the sign it takes in the closure condition
     signed = {s: {t: delta[s][t] if _classification_sign(
         p_phi, active[t].parity, active[s].parity) > 0 else -delta[s][t]
         for t in remaining} for s in remaining}
-    weights = {s: v0[cols.index(s)] for s in support}
-    for pivot in support:
+    for pivot in weights:
         rest = [i for i in remaining if i != pivot and i not in held]
         if not rest:
             continue
@@ -458,8 +449,8 @@ def _lift_null_vector(delta, active, remaining, cols, v0, support, p_phi,
         rhs = []
         for t in rest:
             acc = ZERO
-            for s in support:
-                acc = acc + signed[s][t] * weights[s]
+            for s, w in weights.items():
+                acc = acc + signed[s][t] * w
             rhs.append(-acc)
         try:
             correction = solve_left(block, rhs)

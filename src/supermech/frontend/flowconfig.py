@@ -13,7 +13,7 @@ import re
 from cmath import isfinite
 
 from ..errors import ModelSyntaxError
-from ..numeric_flow import GrassmannValue, PathSpec
+from ..numeric_flow import LAMBDA_CAP, GrassmannValue, PathSpec
 
 _VALUE_TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?j?)"
@@ -46,7 +46,11 @@ def _tokenize_value(text, line_no, column):
                                        line_no, at)
             out.append(("num", number, at))
         elif kind == "gen":
-            out.append(("gen", int(m.group("gen")[1:]), at))
+            k = int(m.group("gen")[1:])
+            if k > LAMBDA_CAP:
+                raise ModelSyntaxError(f"Lambda_n capped at n={LAMBDA_CAP}, got g{k}",
+                                       line_no, at)
+            out.append(("gen", k, at))
         else:
             out.append(("op", m.group("op"), at))
         pos = m.end()
@@ -73,6 +77,8 @@ def parse_value(text, n, line_no=0, column=1):
         if kind == "op":
             raise ModelSyntaxError(_STRAY_STAR if value == "*" else "expected a term",
                                    line_no, at)
+        if kind == "gen" and not 1 <= value <= n:
+            raise ModelSyntaxError(f"generator index {value} outside 1..{n}", line_no, at)
         pos += 1
         return kind, value
 
@@ -112,8 +118,9 @@ def parse_value(text, n, line_no=0, column=1):
     return total
 
 
-def max_generator_index(text):
-    return max((int(m.group()[1:]) for m in re.finditer(r"g\d+", text)), default=0)
+def max_generator_index(text, line_no, column):
+    return max((value for kind, value, _ in _tokenize_value(text, line_no, column)
+                 if kind == "gen"), default=0)
 
 
 def parse_path_config(text, elaborated, hj_system):
@@ -166,7 +173,8 @@ def parse_path_config(text, elaborated, hj_system):
     path = PathSpec(tuple(params), tuple(waypoints), steps)
 
     n = max(elaborated.n_odd,
-            max((max_generator_index(v) for _, _, v, _ in assignments), default=0))
+            max((max_generator_index(v, no, column) for no, _, v, column in assignments),
+                default=0))
     init = {}
     line_of = {}
     for no, target, value, column in assignments:

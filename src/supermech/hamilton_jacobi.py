@@ -175,7 +175,10 @@ def closure_loop(sys, max_rounds=32):
 
     Rows that survive reduction either contribute a new family member
     (single surviving differential dt^0) or relations among the dt^alpha;
-    both are folded back in until every row closes.
+    both are folded back in until every row vanishes.  A row that was a
+    relation's pivot is then a dt relation, and every other row keeps its
+    zero kind.  If no relation row can be solved, each is marked an
+    implicit dt relation and the loop stops without zero kinds.
     """
     family = sys.family()
     added = []
@@ -205,12 +208,12 @@ def closure_loop(sys, max_rounds=32):
     for round_no in range(1, max_rounds + 1):
         new_members = []
         relation_rows = []
-        statuses = {}
+        zeros = {}  # the kind of each row that vanishes
         for member in family:
             coeffs = {param: bracket(member, ma)
                       for param, ma in zip(params, param_members)}
             if all(c.is_zero for c in coeffs.values()):
-                statuses[member.label] = "strict_zero"
+                zeros[member.label] = "strict_zero"
                 continue
             eff0 = coeffs[t0]
             live = {}
@@ -223,16 +226,14 @@ def closure_loop(sys, max_rounds=32):
             eff0 = surface.reduce(eff0)
             live = {p: c for p, c in live.items() if not c.is_zero}
             if eff0.is_zero and not live:
-                statuses[member.label] = "weak_zero"
+                zeros[member.label] = "weak_zero"
             elif not live:
                 if eff0.is_constant:
                     raise Inconsistent(
                         f"d{member.label} reduces to the constant {eff0}")
                 new_members.append((member.label, eff0))
-                statuses[member.label] = "pending_new"
             else:
                 relation_rows.append((member.label, eff0, live))
-                statuses[member.label] = "pending_relation"
         if new_members:
             for source, expr in new_members:
                 candidate = monic(surface.reduce(expr))
@@ -258,21 +259,15 @@ def closure_loop(sys, max_rounds=32):
             # nothing solvable: record implicit rows and stop
             for label, _, _ in implicit:
                 outcomes.setdefault(label, ClosureOutcome("dt_relation", detail="implicit"))
-            break
-        # stable: finalize statuses
-        for label, status in statuses.items():
-            if label in outcomes:
-                continue
-            if label in pivot_history:
-                outcomes[label] = ClosureOutcome("dt_relation")
-            else:
-                outcomes[label] = ClosureOutcome(status)
+            zeros = {}
         break
     else:
         raise ClosureDiverged(f"closure loop exceeded {max_rounds} rounds")
-    for label in pivot_history:
-        if label not in outcomes or outcomes[label].kind in ("weak_zero", "strict_zero"):
-            outcomes[label] = ClosureOutcome("dt_relation")
+    for member in family:
+        if member.label in pivot_history:
+            outcomes.setdefault(member.label, ClosureOutcome("dt_relation"))
+    for label, kind in zeros.items():
+        outcomes.setdefault(label, ClosureOutcome(kind))
     raw = {(mb.label, ma.label): bracket(mb, ma)
            for mb in family for ma in family}
     return IntegrabilityReport(

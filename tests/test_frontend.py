@@ -198,44 +198,30 @@ def test_pipeline_all_stages(name):
     assert result.crosscheck.verdict == "equivalent"
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_reports_match_golden(name):
-    doc = parse_model(fixture_text(name))
-    result = run_pipeline(doc, stage="all")
-    text = render_text(result)
-    golden = (GOLDEN / (name.replace(".smf", "") + ".txt")).read_text(encoding="utf-8")
-    assert text == golden
+def bundled_text(name):
+    """A model or flow config from the fixtures, else from tests/data."""
+    return fixture_text(name) if (FIXTURES / name).exists() else data_text(name)
 
 
-def test_headline_structured_output_matches_golden():
-    # pins what the text golden does not show in the same form: delta, its
-    # inverse, the multipliers and the closure outcomes as structured keys
-    result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
-                          stage="all")
-    golden = (GOLDEN / "dirac_maxwell_reduced.json").read_text(encoding="utf-8")
-    assert render_json(result) == golden
+# Every report golden, text (.txt) or structured (.json), of a full run of
+# the model of the same name.  Among them: the headline model, whose
+# structured report pins delta, its inverse, the multipliers and the closure
+# outcomes as keys; sweep_gauss_fermi, a gauge field, a fermion pair and a
+# Gauss-law coupling whose reports hold proper fractions (1/2, 1/3, 1/4,
+# 1/6, 2/5, 5/2), pinning exact rational arithmetic end to end; and
+# two_gauss, two independent Gauss sectors whose generators differ only by
+# name, pinning that each stays distinct from its twin through
+# classification, recombination and the bracket table.  Each golden holds
+# its cross-check verdict.
+REPORT_GOLDENS = sorted(GOLDEN.glob("*.txt")) + sorted(GOLDEN.glob("*.json"))
 
 
-def test_rational_model_outputs_match_golden():
-    # a gauge field, a fermion pair and a Gauss-law coupling whose reports
-    # hold proper fractions (1/2, 1/3, 1/4, 1/6, 2/5, 5/2), which the
-    # fixtures barely reach: pins exact rational arithmetic end to end
-    result = run_pipeline(parse_model(data_text("sweep_gauss_fermi.smf")), stage="all")
-    assert result.crosscheck.verdict == "equivalent"
-    golden = GOLDEN / "sweep_gauss_fermi"
-    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
-    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
-
-
-def test_two_sector_model_outputs_match_golden():
-    # two independent Gauss sectors whose generators differ only by name:
-    # pins that every generator stays distinct from its twin in the other
-    # sector, through classification, recombination and the bracket table
-    result = run_pipeline(parse_model(data_text("two_gauss.smf")), stage="all")
-    assert result.crosscheck.verdict == "equivalent"
-    golden = GOLDEN / "two_gauss"
-    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
-    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
+@pytest.mark.parametrize("golden", REPORT_GOLDENS, ids=lambda golden: golden.stem + ".smf"
+                         + ("" if golden.suffix == ".txt" else "-structured"))
+def test_reports_match_golden(golden):
+    result = run_pipeline(parse_model(bundled_text(golden.stem + ".smf")), stage="all")
+    render = render_text if golden.suffix == ".txt" else render_json
+    assert render(result) == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("text", [fixture_text("dirac_maxwell_reduced.smf"),
@@ -505,36 +491,20 @@ FLOW_CONFIGS = [
     ("fermionic_oscillator.smf", "fermionic_flow"),
     # in two segments, so the drift carries across the waypoint between them
     ("fermionic_oscillator.smf", "fermionic_two_segment_flow"),
+    # three flavours in Lambda_6, where several products land on one slot,
+    # so a reordered sum would move the last bits of the pinned values
+    ("flavour3.smf", "flavour3_flow"),
+    # t0 and q2 move together on the first segment, so its RK4 stages run
+    # the derivatives of both parameters
+    ("free_singular.smf", "free_singular_diagonal_flow"),
 ]
 
 
 @pytest.mark.parametrize("model,cfg", FLOW_CONFIGS)
 def test_flow_structured_output_matches_golden(model, cfg):
-    name = cfg + ".cfg"
-    result = run_pipeline(parse_model(fixture_text(model)), stage="flow",
-                          path_text=data_text(name) if (DATA / name).exists()
-                          else fixture_text(name))
+    result = run_pipeline(parse_model(bundled_text(model)), stage="flow",
+                          path_text=bundled_text(cfg + ".cfg"))
     golden = GOLDEN / "flow" / cfg
-    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
-    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
-
-
-def test_lambda6_flow_structured_output_matches_golden():
-    # three flavours in Lambda_6, where several products land on one slot,
-    # so a reordered sum would move the last bits of the pinned values
-    result = run_pipeline(parse_model(data_text("flavour3.smf")), stage="flow",
-                          path_text=data_text("flavour3_flow.cfg"))
-    golden = GOLDEN / "flow" / "flavour3_flow"
-    assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
-    assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
-
-
-def test_two_parameter_segment_flow_outputs_match_golden():
-    # t0 and q2 move together on the first segment, so its RK4 stages run
-    # the derivatives of both parameters
-    result = run_pipeline(parse_model(fixture_text("free_singular.smf")), stage="flow",
-                          path_text=data_text("free_singular_diagonal_flow.cfg"))
-    golden = GOLDEN / "flow" / "free_singular_diagonal_flow"
     assert render_json(result) == golden.with_suffix(".json").read_text(encoding="utf-8")
     assert render_text(result) == golden.with_suffix(".txt").read_text(encoding="utf-8")
 
@@ -689,6 +659,8 @@ def test_flow_config_refuses_non_finite_numbers(tmp_path, lines, line, message):
     ("q = g1 g2", 8, "expected \\+ or - between terms"),
     ("q = - + + g1", 9, "expected a term"),
     ("q = 1 +", 8, "expected a term"),
+    ("q = g0", 5, "generator index 0 outside 1\\.\\.0"),
+    ("q = 1 + 0.5*g13", 13, "Lambda_n capped at n=12, got g13"),
 ])
 def test_flow_config_value_errors_count_columns_from_the_line_start(value_line, column,
                                                                     message):
