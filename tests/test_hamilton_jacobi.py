@@ -292,6 +292,26 @@ def test_closure_implicit_stop_keeps_an_added_member(monkeypatch):
     assert not result.closure.dt_relations
 
 
+GAUGE_AND_FERMION = """model gauge_and_fermion
+even q1 q2
+odd psi psibar
+param m: even
+lagrangian: 1/2*(dot(q1) - q2)*(dot(q1) - q2) + 1/2*i*(psibar*dot(psi) - dot(psibar)*psi) - m*psibar*psi
+"""
+
+
+def test_closure_implicit_stop_gives_no_zero_kind(monkeypatch):
+    # the gauge sector adds H'4 = p_q1 in round 1; in round 2 the fermion
+    # rows stay implicit while H'4's row vanishes, and a stop on implicit
+    # rows leaves a vanishing row without an outcome
+    _leave_every_row_implicit(monkeypatch)
+    closure = run_pipeline(parse_model(GAUGE_AND_FERMION), stage="hj").closure
+    assert [str(m.expr) for m in closure.added] == ["p_q1"]
+    assert {label: (out.kind, out.detail) for label, out in closure.outcomes.items()} == {
+        "H'1": ("new_hamiltonian", "adds H'4"),
+        **{f"H'{k}": ("dt_relation", "implicit") for k in (0, 2, 3)}}
+
+
 def test_closure_reduced_model_relations_are_spinor_equations():
     qed = build_qed()
     sys = build_hj_system(qed.legres)
