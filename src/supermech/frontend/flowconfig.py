@@ -5,14 +5,15 @@ waypoint per line as comma-separated values, `steps <N>`, then initial
 state lines `generator = <value>` where the value is a sum of terms
 `scalar*g<k>*...` over the odd basis slots g1..gn (scalars accept a
 trailing `j` for the imaginary part).  Every waypoint, number and value must
-be finite.
+be finite, `steps` is given once, each parameter named once and each
+generator assigned at most once.
 """
 from __future__ import annotations
 
 import re
 from cmath import isfinite
 
-from ..errors import ModelSyntaxError
+from ..errors import IndexOutOfRange, ModelSyntaxError, UnknownSymbol
 from ..numeric_flow import LAMBDA_CAP, GrassmannValue, PathSpec
 
 _VALUE_TOKEN = re.compile(
@@ -123,42 +124,62 @@ def max_generator_index(text, line_no, column):
                  if kind == "gen"), default=0)
 
 
+def _generator(elaborated, name, kind, line_no, column):
+    """The generator that name, at column of line line_no, names."""
+    m = _NAME.match(name)
+    if m is None:
+        raise ModelSyntaxError(f"bad {kind} name {name!r}", line_no, column)
+    try:
+        return elaborated.lookup(m.group(1), int(m.group(2)) if m.group(2) else None)
+    except (UnknownSymbol, IndexOutOfRange) as exc:
+        raise ModelSyntaxError(str(exc), line_no, column) from None
+
+
 def parse_path_config(text, elaborated, hj_system):
-    """Parse waypoints, steps and the initial state for a flow run."""
+    """Parse waypoints, steps and the initial state for a flow run.
+
+    Malformed or repeated lines and names that name no generator are
+    ModelSyntaxErrors at their line and column."""
     raw_lines = text.splitlines()
     lines = [(no + 1, raw.split("#", 1)[0].strip())
              for no, raw in enumerate(raw_lines)]
     lines = [(no, line) for no, line in lines if line]
     if not lines or lines[0][1].split()[0] != "params":
         raise ModelSyntaxError("flow config must start with a params line", 1, 1)
-    no0, header = lines[0]
-    names = header.split()[1:]
-    if not names or names[0] != "t0":
+    no0, _ = lines[0]
+    # the header's names and their columns
+    names = [(m.group(), m.start() + 1)
+             for m in re.finditer(r"\S+", raw_lines[no0 - 1].split("#", 1)[0])][1:]
+    if not names or names[0][0] != "t0":
         raise ModelSyntaxError("first flow parameter must be t0", no0, 1)
     params = [hj_system.t0]
-    for name in names[1:]:
-        m = _NAME.match(name)
-        if m is None:
-            raise ModelSyntaxError(f"bad parameter name {name!r}", no0, 1)
-        gen = elaborated.lookup(m.group(1), int(m.group(2)) if m.group(2) else None)
+    for name, column in names[1:]:
+        gen = _generator(elaborated, name, "parameter", no0, column)
+        if gen in params:
+            raise ModelSyntaxError(f"parameter {gen} named twice", no0, column)
         params.append(gen)
 
     waypoints = []
-    steps = None
+    steps = steps_line = None
     assignments = []
     for no, line in lines[1:]:
         parts = line.split()
+        # the column of the line's first character
+        start = len(raw_lines[no - 1]) - len(raw_lines[no - 1].lstrip()) + 1
         if parts[0] == "steps":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ModelSyntaxError(f"bad steps line {line!r}", no, 1)
-            steps = int(parts[1])
+            if steps is not None:
+                raise ModelSyntaxError(f"steps already given on line {steps_line}",
+                                       no, start)
+            steps, steps_line = int(parts[1]), no
             continue
         if "=" in line:
             target, value = line.split("=", 1)
             # the column of the value's first character in the raw line
             column = (raw_lines[no - 1].index("=") + 2
                       + len(value) - len(value.lstrip()))
-            assignments.append((no, target.strip(), value.strip(), column))
+            assignments.append((no, target.strip(), start, value.strip(), column))
             continue
         if steps is not None:
             raise ModelSyntaxError("waypoints must precede steps", no, 1)
@@ -173,15 +194,15 @@ def parse_path_config(text, elaborated, hj_system):
     path = PathSpec(tuple(params), tuple(waypoints), steps)
 
     n = max(elaborated.n_odd,
-            max((max_generator_index(v, no, column) for no, _, v, column in assignments),
-                default=0))
+            max((max_generator_index(v, no, column)
+                 for no, _, _, v, column in assignments), default=0))
     init = {}
     line_of = {}
-    for no, target, value, column in assignments:
-        m = _NAME.match(target)
-        if m is None:
-            raise ModelSyntaxError(f"bad generator name {target!r}", no, 1)
-        gen = elaborated.lookup(m.group(1), int(m.group(2)) if m.group(2) else None)
+    for no, target, start, value, column in assignments:
+        gen = _generator(elaborated, target, "generator", no, start)
+        if gen in init:
+            raise ModelSyntaxError(f"{gen} already assigned on line {line_of[gen]}",
+                                   no, start)
         init[gen] = parse_value(value, n, no, column)
         line_of[gen] = no
 

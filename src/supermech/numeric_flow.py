@@ -10,14 +10,20 @@ requested path exactly.
 One-off values (literals, products, `evaluate`, a flow's P0) are sparse
 dicts that `_product` multiplies.  A flow instead lowers its polynomials
 once (`lower`), finds the masks each value can hold during the run, lays
-every value out as a flat run of complex registers, and plans every product
-as (output, left, right, op) entries, which one loop, `_run`, applies at
-every RK4 stage and every drift audit, for any n.  A plan's first write of
-a register sets it and its later writes add to it, so a stage runs one plan
-on the register file as the previous stage left it.  A segment whose stage
-reads no register of the state runs it once: its four rates are equal at
-every step, so each step adds one update summed from them.  Both engines sum
-the products that land on one slot in ascending order of the left mask.
+every value out as a flat run of complex registers, and plans the products
+it reads, each once, as (output, left, right, op) entries, which one loop,
+`_run`, applies at every RK4 stage and every drift audit, for any n.  The
+terms of one plan that share a coefficient and leading slots share their
+partial products, one backward pass (`_live`) drops the entries nothing
+reads, a coefficient of exactly 1 or -1 is carried as a sign instead of
+multiplied in, and a rate of exactly 1 copies the derivative into k.  A
+plan's first write of a register sets it and its later writes add to it, so
+a stage runs one plan on the register file as the previous stage left it.
+A segment whose stage reads no register of the state runs it once: its four
+rates are equal at every step, so each step adds one update summed from
+them.  Both engines sum the products that land on one slot in ascending
+order of the left mask, so a flow gives what the same sums of sparse
+products give, except possibly for the sign of zero parts.
 """
 from __future__ import annotations
 
@@ -303,24 +309,28 @@ def integrate_flow(tds, path, init, report):
     Every polynomial the run needs is lowered once against a fixed
     generator -> slot map, and grades are checked once on the initial
     assignment.  The programs the steps run are then planned once on the
-    masks each value can hold (`_static_layouts`, `_Plan`).  Each segment
-    joins the plans of its moving parameters into one, and every RK4 stage
-    runs that plan (`_run`) once on a flat list of complex numbers, which
-    holds the state, the derivatives and every partial product.  A segment
-    whose plan reads no register of the state (a gauge parameter whose H'
-    has state-free coefficients) runs it once; every step then adds the
-    update its four equal rates sum to, bit for bit what four runs give.
-    P0 is `-evaluate(h0)` on the initial state.  The family members are
-    measured only by the drift-audit plan: its first run, on the initial
-    state, gives the surface residual, and its run after every step the
-    drift.  The drift is read in one pass per step over every register of
-    the members' values, which keeps a running maximum of each register's
-    absolute value; after the last step these give each member's drift and
-    their largest the flow's.  A flow whose plan, or whose P0 program alone,
-    needs more than PLAN_LIMIT product entries fails with FlowError before
-    any entry is built, and a flow whose initial residual is not a number,
-    or whose state or Z at a waypoint is not finite, fails with FlowError
-    too.
+    masks each value can hold (`_static_layouts`, `_Plan`), each partial
+    product of a plan made once, coefficients of exactly 1 and -1 folded,
+    and only the entries kept whose registers the flow reads (`_live`).
+    Each segment joins the plans of its moving parameters into one, a rate
+    of exactly 1 copying instead of scaling, and every RK4 stage runs that
+    plan (`_run`) once on a flat list of complex numbers, which holds the
+    state, the derivatives and every partial product.  The results are those
+    of the same sums of sparse products, except possibly for the sign of
+    zero parts.  A segment whose plan reads no register of the state (a
+    gauge parameter whose H' has state-free coefficients) runs it once;
+    every step then adds the update its four equal rates sum to, bit for bit
+    what four runs give.  P0 is `-evaluate(h0)` on the initial state.  The
+    family members are measured only by the drift-audit plan: its first run,
+    on the initial state, gives the surface residual, and its run after
+    every step the drift.  The drift is read in one pass per step over every
+    register of the members' values, which keeps a running maximum of each
+    register's absolute value; after the last step these give each member's
+    drift and their largest the flow's.  A flow whose plan, or whose P0
+    program alone, needs more than PLAN_LIMIT product entries, counted
+    before any is shared or dropped, fails with FlowError before any entry
+    is built, and a flow whose initial residual is not a number, or whose
+    state or Z at a waypoint is not finite, fails with FlowError too.
     """
     return _integrate(make_flow(tds, report), path, init)
 
@@ -390,10 +400,11 @@ class _Plan:
 
     `reg` starts with the env bank, each env value a run of registers, one
     per mask of its layout in ascending order.  Planning a program gives it
-    fresh registers for its partial products and its value, and each
-    distinct coefficient one register.  A plan is a list of (output, left,
-    right, op) entries, which `_run` applies in order; the first entry that
-    writes a register sets it, so no register needs zeroing between runs.
+    fresh registers for its value and for the partial products that no
+    earlier program of its plan made, and each distinct coefficient one
+    register.  A plan is a list of (output, left, right, op) entries, which
+    `_run` applies in order; the first entry that writes a register sets it,
+    so no register needs zeroing between runs.
     """
 
     def __init__(self, values, layouts):
@@ -418,19 +429,27 @@ class _Plan:
             self.reg.append(value)
         return self.consts[value]
 
-    def program(self, program, entries):
+    def program(self, program, entries, held):
         """Append to entries what leaves program's value in a fresh run of
         registers, and return them as {mask: register}.
 
-        A term starts as its coefficient on mask 0 and multiplies in one env
-        slot per step.  The entries of a step run in ascending order of the
-        left mask, so products that land on one register are summed in the
-        order `_product` sums them.  The first term lands on the value's
-        registers.  A later term's last step lands there too when it puts
-        one product on each mask; otherwise it lands on registers of its
-        own, which are then added.  The first entry that writes a register
-        sets it and every later one adds to it, so the entries need no
-        zeroed registers and may run again on their own results.
+        A term multiplies in one env slot per step.  It starts from the
+        longest run of its leading slots whose product held, {(coefficient,
+        slots): {mask: register}}, already has, and every product it then
+        leaves in registers of its own goes into held: the programs of one
+        plan pass one held, and each partial product is made once.  A term
+        that finds nothing held starts as its coefficient on mask 0; when
+        that is exactly 1, or -1 and another slot follows, it starts from
+        its first slot's registers and carries the sign into its next step.
+        The entries of a step run in ascending order of the left mask, so
+        products that land on one register are summed in the order
+        `_product` sums them.  A term's last step lands on the value's
+        registers when none of those it writes is written yet or when it
+        puts one product on each mask; otherwise it lands on registers of
+        its own, which are then added.  The first entry that writes a
+        register sets it and every later one adds to it, so the entries need
+        no zeroed registers and may run again on their own results.  Entries
+        that nothing reads are left for `_live` to drop.
         """
         terms = []
         for coeff, slots in program:
@@ -442,30 +461,54 @@ class _Plan:
                 pairs = [(a, b) for a in acc for b in _partners(a, right, span)]
                 acc = tuple(sorted({a | b for a, b in pairs}))
                 steps.append((right, pairs, acc))
-            terms.append((coeff, steps, acc))
-        total = self.alloc(sorted(set().union(*(acc for _, _, acc in terms))))
+            terms.append((coeff, slots, steps, acc))
+        total = self.alloc(sorted(set().union(*(acc for *_, acc in terms))))
         written = set()
-        for t, (coeff, steps, _) in enumerate(terms):
-            acc = {0: self.const(coeff)}
-            for k, (right, pairs, layout) in enumerate(steps):
-                if k == len(steps) - 1 and (t == 0 or len(pairs) == len(layout)):
+        for coeff, slots, steps, _ in terms:
+            done = len(slots)
+            while done and (coeff, slots[:done]) not in held:
+                done -= 1
+            if done:
+                acc, sign = held[coeff, slots[:done]], 1
+            elif slots and (coeff == 1 or coeff == -1 and len(slots) > 1):
+                acc, sign, done = self.env[slots[0]], int(coeff.real), 1
+            else:
+                acc, sign = {0: self.const(coeff)}, 1
+            for k in range(done, len(steps)):
+                right, pairs, layout = steps[k]
+                if k == len(steps) - 1 and (
+                        len(pairs) == len(layout)
+                        or written.isdisjoint(map(total.get, layout))):
                     out = total
                 else:
-                    out = self.alloc(layout)
+                    out = held[coeff, slots[:k + 1]] = self.alloc(layout)
                 for a, b in pairs:
                     ab = _signed(a, b)
-                    dest, op = (out[ab], 1) if ab >= 0 else (out[~ab], -1)
+                    dest, op = (out[ab], sign) if ab >= 0 else (out[~ab], -sign)
                     if dest not in written:
                         written.add(dest)
                         op *= 2
                     entries.append((dest, acc[a], right[b], op))
-                acc = out
+                acc, sign = out, 1
             if acc is not total:
                 for m, r in acc.items():
                     dest = total[m]
                     entries.append((dest, r, 0, 0 if dest in written else 3))
                     written.add(dest)
         return total
+
+
+def _live(entries, roots):
+    """The entries, in order, that write a register of roots or one that a
+    later kept entry reads: one backward pass."""
+    needed = set(roots)
+    kept = []
+    for entry in reversed(entries):
+        if entry[0] in needed:
+            kept.append(entry)
+            needed.update(entry[1:3])
+    kept.reverse()
+    return kept
 
 
 def _run(plan, reg):
@@ -557,22 +600,25 @@ def _integrate(flow, path, init):
     k_regs = [plan.alloc(where) for where in plan.env[:p0_slot + 1]]
     z_regs = plan.alloc(z_layout)
     kz = slice(k0, len(reg))
-    # each moving parameter's programs, and the (derivative, value) register
-    # pairs that its rate scales into k and Z
+    # each moving parameter's programs, planned as one, and the (derivative,
+    # value) register pairs that its rate scales into k and Z
     derivs = {}
     for i in moved:
-        entries, scaled = [], []
+        entries, scaled, held = [], [], {}
         for j, prog in rhs[i]:
-            scaled += [(k_regs[j][m], r) for m, r in plan.program(prog, entries).items()]
-        scaled += [(z_regs[m], r) for m, r in plan.program(dz[i], entries).items()]
-        derivs[i] = entries, scaled
+            scaled += [(k_regs[j][m], r)
+                       for m, r in plan.program(prog, entries, held).items()]
+        scaled += [(z_regs[m], r)
+                   for m, r in plan.program(dz[i], entries, held).items()]
+        derivs[i] = _live(entries, [r for _, r in scaled]), scaled
     # gather reads the registers of every family member's value, member
     # after member; each member reads its own span of what gather reads
-    audit, audited, members = [], [], []
+    audit, held, audited, members = [], {}, [], []
     for label, prog in invariants:
-        value = plan.program(prog, audit)
+        value = plan.program(prog, audit, held)
         members.append((label, len(audited), len(audited) + len(value)))
         audited += value.values()
+    audit = _live(audit, audited)
     if len(audited) > 1:
         gather = itemgetter(*audited)
     else:  # itemgetter of one index gives no sequence, and of none fails
@@ -602,14 +648,16 @@ def _integrate(flow, path, init):
     sixth, two = complex(h / 6), complex(2)
     for w1, moving in segments:
         # one plan for the stage: the moving parameters' entries in order,
-        # each derivative register set by the first rate that scales into it;
-        # the registers no rate reaches stay zero for the whole segment
+        # each derivative register set by the first rate that scales into it,
+        # and copied when the rate is 1; the registers no rate reaches stay
+        # zero for the whole segment
         stage, written = [], set()
         for i, vf in moving:
             reg[rate[i]] = vf
             entries, scaled = derivs[i]
+            first, more = (3, 0) if vf == 1 else (2, 1)
             stage += entries
-            stage += [(dest, r, rate[i], 1 if dest in written else 2)
+            stage += [(dest, r, rate[i], more if dest in written else first)
                       for dest, r in scaled]
             written.update(dest for dest, _ in scaled)
         reg[kz] = [0j] * (kz.stop - k0)

@@ -670,6 +670,53 @@ def test_flow_config_value_errors_count_columns_from_the_line_start(value_line, 
     assert (info.value.line, info.value.column) == (5, column)
 
 
+@pytest.mark.parametrize("lines,line,column,message", [
+    # the last line used to win: q = 2, and 20 steps
+    ("steps 10\nq = 1\np_q = 0\nq = 2", 7, 1, "q already assigned on line 5"),
+    ("steps 10\nsteps 20\nq = 1", 5, 1, "steps already given on line 4"),
+    ("steps 10\nq = 1\n  p_q = 0\n  p_q = 0", 7, 3, "p_q already assigned on line 6"),
+], ids=["assignment", "steps", "indented"])
+def test_flow_config_refuses_a_repeated_line(tmp_path, lines, line, column, message):
+    text = f"params t0\n0\n1\n{lines}\n"
+    with pytest.raises(ModelSyntaxError, match=message) as info:
+        run_pipeline(parse_model(fixture_text("sho.smf")), stage="flow", path_text=text)
+    assert (info.value.line, info.value.column) == (line, column)
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), "--stage", "flow",
+                               "--path", str(cfg), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "model"
+
+
+@pytest.mark.parametrize("model,text,line,column,message", [
+    ("sho.smf", "params t0\n0\n1\nsteps 10\nzz = 3\n", 5, 1, "unknown generator 'zz'"),
+    ("sho.smf", "params t0\n0\n1\nsteps 10\n  q[1] = 2\n", 5, 3,
+     "q is not an indexed family"),
+    ("sho.smf", "params t0 zz\n0, 0\n1, 0\nsteps 10\n", 1, 11, "unknown generator 'zz'"),
+    ("flavour3.smf", "params t0\n0\n1\nsteps 10\npsi[4] = 1*g1\n", 5, 1,
+     "index 4 outside psi\\[1..3\\]"),
+    ("flavour3.smf", "params  t0   psi[0]\n0, 0\n1, 0\nsteps 10\n", 1, 14,
+     "index 0 outside psi\\[1..3\\]"),
+    # a parameter named twice was a FlowError with no position
+    ("sho.smf", "params t0 q q\n0, 0, 0\n1, 0, 0\nsteps 10\n", 1, 13,
+     "parameter q named twice"),
+], ids=["unknown", "scalar", "parameter", "index", "parameter-index", "parameter-twice"])
+def test_flow_config_name_errors_carry_their_position(tmp_path, model, text, line,
+                                                      column, message):
+    with pytest.raises(ModelSyntaxError, match=message) as info:
+        run_pipeline(parse_model(bundled_text(model)), stage="flow", path_text=text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value).endswith(f"(line {line}, column {column})")
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    path = FIXTURES / model if (FIXTURES / model).exists() else DATA / model
+    code, out, err = _cli_main("analyze", str(path), "--stage", "flow",
+                               "--path", str(cfg), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "model"
+
+
 def test_cli_flow_that_overflows_exits_2(tmp_path):
     # each RK4 step of q over 1e299 time units overflows to inf, then nan
     cfg = tmp_path / "overflow.cfg"

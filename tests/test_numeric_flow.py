@@ -378,8 +378,13 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
     # one plan for the drift audit, which first measures the initial state,
     # and one for the RK4 derivative
     audit, deriv = plans.values()
-    assert (len(deriv), len(audit)) == (419, 185)
-    for plan in (deriv, audit):
+    assert (len(deriv), len(audit)) == (346, 151)
+    # a term whose coefficient is folded starts from the env bank and
+    # carries the coefficient's sign into its first product: -1 in the audit
+    # (H'0's six mass and Yukawa terms), 1 in the derivative (p_x's three
+    # g*psi*psibar terms)
+    env_bank = sum(map(len, values))
+    for plan, carried in ((deriv, 1), (audit, -1)):
         written = set()
         for out, left, right, op in plan:
             # the first write of a register sets it (op 2, -2 or 3), every
@@ -392,7 +397,8 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
             else:
                 assert not a & b
                 assert masks[out] == a | b
-                assert (1 if op > 0 else -1) == reference_sign(a, b)
+                sign = carried if left < env_bank else 1
+                assert (1 if op > 0 else -1) == sign * reference_sign(a, b)
 
 
 def _assert_same_flow(got, want):
@@ -409,7 +415,7 @@ def _assert_same_flow(got, want):
     assert got.onsurface_residual == want.onsurface_residual
 
 
-@pytest.mark.parametrize("model,cfg", [
+BUNDLED_FLOWS = [
     ("sho.smf", "sho_flow.cfg"),
     ("free_singular.smf", "free_singular_flow.cfg"),
     ("gauge_toy.smf", "gauge_toy_flow.cfg"),
@@ -418,7 +424,10 @@ def _assert_same_flow(got, want):
     ("free_singular.smf", "free_singular_diagonal_flow.cfg"),
     # the drift carries over from one segment to the next
     ("fermionic_oscillator.smf", "fermionic_two_segment_flow.cfg"),
-])
+]
+
+
+@pytest.mark.parametrize("model,cfg", BUNDLED_FLOWS)
 def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
     result = run_pipeline(parse_model(fixture_text(model)), stage="hj")
     cfg_text = data_text(cfg) if (DATA / cfg).exists() else fixture_text(cfg)
@@ -427,10 +436,59 @@ def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
                       reference_integrate(result.tds, path, init, result.closure))
 
 
+@pytest.mark.parametrize("model,cfg",
+                         BUNDLED_FLOWS + [("flavour3.smf", "flavour3_flow.cfg")])
+def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
+        monkeypatch, model, cfg):
+    # the registers a plan leaves for the flow: the values of the family
+    # members for the drift audit, k and Z for a stage
+    plans, values = {}, set()
+    program, run = numeric_flow._Plan.program, numeric_flow._run
+
+    def recording_program(self, *args):
+        out = program(self, *args)
+        values.update(out.values())
+        return out
+
+    def recording_run(plan, reg):
+        plans.setdefault(id(plan), plan)
+        return run(plan, reg)
+
+    monkeypatch.setattr(numeric_flow._Plan, "program", recording_program)
+    monkeypatch.setattr(numeric_flow, "_run", recording_run)
+    text = data_text(model) if (DATA / model).exists() else fixture_text(model)
+    cfg_text = data_text(cfg) if (DATA / cfg).exists() else fixture_text(cfg)
+    run_pipeline(parse_model(text), stage="flow", path_text=cfg_text)
+    audit, *stages = plans.values()
+    for plan in [audit, *stages]:
+        if plan is audit:
+            roots = {out for out, *_ in plan if out in values}
+        else:
+            roots = {out for out, left, *_ in plan if left in values}
+        # every write is read by a later entry or left for the flow
+        read = set()
+        for out, left, right, op in reversed(plan):
+            assert out in read or out in roots
+            read.add(left)
+            if op not in (0, 3):
+                read.add(right)
+        # a partial product is identified by how its register is computed:
+        # (op, left, right) per write, a register the plan does not write
+        # standing for itself; no two registers compute the same one
+        made = {}
+        for out, left, right, op in plan:
+            step = (op, made.get(left, left),
+                    None if op in (0, 3) else made.get(right, right))
+            made[out] = made.get(out, ()) + (step,)
+        partial = [how for r, how in made.items() if r not in values and r not in roots]
+        assert len(set(partial)) == len(partial)
+
+
 @pytest.mark.parametrize("model,cfg,runs", [
-    # the drift audit, then the t0 segment's stage (four runs a step over
-    # 5,000 steps), then the q2 segment's, which reads no state
-    ("gauge_toy.smf", "gauge_toy_flow.cfg", [(1, 10_001), (2, 20_000), (2, 1)]),
+    # the drift audit, whose one product nothing reads, then the t0
+    # segment's stage (four runs a step over 5,000 steps), then the q2
+    # segment's, which reads no state
+    ("gauge_toy.smf", "gauge_toy_flow.cfg", [(0, 10_001), (2, 20_000), (2, 1)]),
     # t0 and q2 move together over 100 steps, then q2 alone
     ("free_singular.smf", "free_singular_diagonal_flow.cfg",
      [(3, 201), (7, 400), (2, 1)]),
@@ -603,7 +661,7 @@ def test_lowered_programs_match_evaluate(n, count):
         plan = numeric_flow._Plan([values[g].coeff for g in gens],
                                   [tuple(sorted(values[g].coeff)) for g in gens])
         entries = []
-        out = plan.program(lower(p, slot_of), entries)
+        out = plan.program(lower(p, slot_of), entries, {})
         numeric_flow._run(entries, plan.reg)
         got = GrassmannValue(n, {m: plan.reg[r] for m, r in out.items()})
         assert evaluate(p, values).coeff == got.coeff
@@ -631,10 +689,10 @@ def test_lowered_programs_initialise_their_registers(n, count):
         values = {g: _random_graded(rng, n, g.parity) for g in gens}
         plan = numeric_flow._Plan([values[g].coeff for g in gens],
                                   [tuple(sorted(values[g].coeff)) for g in gens])
-        entries = []
+        entries, held = [], {}
         for _ in range(rng.randint(1, 3)):
             p = random_poly(rng, gens, max_terms=4, max_degree=4)
-            plan.program(lower(p, slot_of), entries)
+            plan.program(lower(p, slot_of), entries, held)
         numeric_flow._run(entries, plan.reg)
         once = list(plan.reg)
         numeric_flow._run(entries, plan.reg)
