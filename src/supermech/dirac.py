@@ -18,9 +18,8 @@ from .errors import (
 from .smatrix import (
     SpanReducer,
     body_nullspace,
-    has_nilpotent_soul,
-    invert_poly,
     invert_supermatrix,
+    pivot_inverse,
     solve_left,
     solve_linear_rows,
 )
@@ -87,12 +86,13 @@ def try_solve(expr, basis):
         a = grad.get(g)
         if a is None:
             continue
-        if contains(a, g) or a.body.is_zero or not has_nilpotent_soul(a):
+        inv = None if contains(a, g) else pivot_inverse(a)
+        if inv is None:
             continue
         rest = expr - a * gen_poly(g)
         if contains(rest, g):
             continue
-        value = -(invert_poly(a) * rest)
+        value = -(inv * rest)
         if not value.is_zero and parity_of(value) != g.parity:
             continue
         if substitute(expr, {g: value}).is_zero:

@@ -130,7 +130,7 @@ def main(argv=None):
     except (Inconsistent, ClosureDiverged) as exc:
         _emit_error("inconsistent", exc, args.fmt, sys.stderr)
         return INCONSISTENT
-    except (SupermechError, ValueError) as exc:
+    except SupermechError as exc:
         _emit_error("model", exc, args.fmt, sys.stderr)
         return MODEL_ERROR
     if args.fmt == "structured":

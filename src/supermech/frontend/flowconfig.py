@@ -138,8 +138,9 @@ def _generator(elaborated, name, kind, line_no, column):
 def parse_path_config(text, elaborated, hj_system):
     """Parse waypoints, steps and the initial state for a flow run.
 
-    Malformed or repeated lines and names that name no generator are
-    ModelSyntaxErrors at their line and column."""
+    Malformed or repeated lines, names that name no generator and waypoints
+    that PathSpec would refuse are ModelSyntaxErrors at their line and
+    column; too few waypoints are one at the steps line."""
     raw_lines = text.splitlines()
     lines = [(no + 1, raw.split("#", 1)[0].strip())
              for no, raw in enumerate(raw_lines)]
@@ -160,7 +161,7 @@ def parse_path_config(text, elaborated, hj_system):
         params.append(gen)
 
     waypoints = []
-    steps = steps_line = None
+    steps = steps_at = None
     assignments = []
     for no, line in lines[1:]:
         parts = line.split()
@@ -170,9 +171,9 @@ def parse_path_config(text, elaborated, hj_system):
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ModelSyntaxError(f"bad steps line {line!r}", no, 1)
             if steps is not None:
-                raise ModelSyntaxError(f"steps already given on line {steps_line}",
+                raise ModelSyntaxError(f"steps already given on line {steps_at[0]}",
                                        no, start)
-            steps, steps_line = int(parts[1]), no
+            steps, steps_at = int(parts[1]), (no, start)
             continue
         if "=" in line:
             target, value = line.split("=", 1)
@@ -189,8 +190,14 @@ def parse_path_config(text, elaborated, hj_system):
             raise ModelSyntaxError(f"bad waypoint line {line!r}", no, 1) from None
         if not all(map(isfinite, waypoints[-1])):
             raise ModelSyntaxError(f"waypoint {line!r} is not finite", no, 1)
+        if len(waypoints[-1]) != len(params):
+            raise ModelSyntaxError("waypoint arity does not match parameters", no, start)
+        if len(waypoints) > 1 and waypoints[-2] == waypoints[-1]:
+            raise ModelSyntaxError("consecutive waypoints must differ", no, start)
     if steps is None:
         raise ModelSyntaxError("flow config misses a steps line", 1, 1)
+    if len(waypoints) < 2:
+        raise ModelSyntaxError("need at least two waypoints", *steps_at)
     path = PathSpec(tuple(params), tuple(waypoints), steps)
 
     n = max(elaborated.n_odd,

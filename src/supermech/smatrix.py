@@ -1,11 +1,13 @@
 """Exact linear algebra for supermatrices: one Gauss-Jordan elimination.
 
 A supported matrix entry is a constant "body" plus a "soul" in which every
-term contains at least one odd generator; such souls are nilpotent.  A pivot
-is an entry with a nonzero body, and rows are scaled and combined by
-multiplying from the left, so the one elimination runs over Coefficient rows
-(body rank, pivots and null space) and over SuperPoly rows (the inverse and
-linear solves of a supermatrix), and it terminates exactly.
+term contains at least one odd generator; such souls are nilpotent.  The one
+pivot rule, pivot_inverse, takes an entry with a nonzero body and such a
+soul.  The one elimination, _eliminate, takes rows in turn without swapping
+them and combines them from the left, over Coefficient rows (body rank,
+pivots, null space and SpanReducer's span) and over SuperPoly rows
+(supermatrix inverse and solves, and the block of solve_linear_rows); it
+terminates exactly.
 """
 from __future__ import annotations
 
@@ -45,64 +47,68 @@ def _coefficient_inverse(c):
     return None if c.is_zero else c.inv()
 
 
-def _poly_inverse(p):
-    """Pivot inverse b^-1 * sum_k (-s*b^-1)^k of body b and soul s; None
-    when b is zero.
+def pivot_inverse(p):
+    """Inverse b^-1 * sum_k (-s*b^-1)^k of an entry with nonzero body b and
+    nilpotent soul s; None for any other entry, which is not a pivot.
 
     The series ends because the soul is nilpotent: a product of more terms
     than it has distinct odd generators repeats one of them.
     """
+    p = as_poly(p)
     body = p.body
-    if body.is_zero:
+    if body.is_zero or not has_nilpotent_soul(p):
         return None
     binv = body.inv()
     series = power = const_poly(binv)
     if p.is_constant:
         return series
     step = SuperPoly(p.terms[1:]) * -binv
-    n_odd = len({g for m in step.terms for g, _ in m.factors if g.parity})
-    for _ in range(n_odd + 1):
+    for _ in range(len({g for m in step.terms for g, _ in m.factors if g.parity})):
         power = power * step
         if power.is_zero:
-            return series
+            break
         series = series + power
-    raise NonNumericBody("soul part is not nilpotent")
+    return series
 
 
-def _eliminate(rows, ncols, pivot_inverse):
-    """Gauss-Jordan elimination of rows in place; returns the pivot columns.
+def _eliminate(rows, ncols, inverse):
+    """Gauss-Jordan elimination of rows in place; returns {pivot column:
+    row index}.
 
-    pivot_inverse gives an entry's inverse, or None when the entry is not a
-    pivot.  Rows are scaled and combined from the left, and products with a
-    zero entry are skipped.  Columns are taken in order, so the pivots are
-    the first column basis.
+    Rows are taken in turn and never swapped.  Each one subtracts the
+    earlier pivot rows, takes its first column whose entry inverse inverts
+    (None: not a pivot), is scaled to 1 there and clears that column from
+    every earlier pivot row.  Rows are scaled and combined from the left,
+    and products with a zero entry are skipped.  The pivot rows are the
+    first independent rows; in column order they are the reduced echelon
+    form, which is unique, so the pivots are the first column basis.
     """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        for pivot in range(rank, len(rows)):
-            inv = pivot_inverse(rows[pivot][col])
+    pivots = {}
+    for r, row in enumerate(rows):
+        for col, p in pivots.items():
+            f = row[col]
+            if not f.is_zero:
+                row = [x if y.is_zero else x - f * y for x, y in zip(row, rows[p])]
+        for col in range(ncols):
+            inv = inverse(row[col])
             if inv is not None:
                 break
         else:
+            rows[r] = row
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        row = rows[rank] = [x if x.is_zero else inv * x for x in rows[rank]]
-        for r in range(len(rows)):
-            f = rows[r][col]
-            if r != rank and not f.is_zero:
-                rows[r] = [x if y.is_zero else x - f * y
-                           for x, y in zip(rows[r], row)]
-        pivots.append(col)
-        if len(pivots) == len(rows):
-            break
+        row = rows[r] = [x if x.is_zero else inv * x for x in row]
+        for p in pivots.values():
+            f = rows[p][col]
+            if not f.is_zero:
+                rows[p] = [x if y.is_zero else x - f * y for x, y in zip(rows[p], row)]
+        pivots[col] = r
     return pivots
 
 
 def body_pivots(b):
     """Pivot columns of a Coefficient matrix: its first column basis."""
-    return tuple(_eliminate([list(row) for row in b], len(b[0]) if b else 0,
-                            _coefficient_inverse))
+    return tuple(sorted(_eliminate([list(row) for row in b], len(b[0]) if b else 0,
+                                   _coefficient_inverse)))
 
 
 def body_rank(b):
@@ -125,7 +131,7 @@ def body_nullspace(b):
             continue
         vec = [C_ZERO] * ncols
         vec[fc] = C_ONE
-        for r, pc in enumerate(pivots):
+        for pc, r in pivots.items():
             vec[pc] = -rows[r][fc]
         basis[fc] = vec
     return basis
@@ -142,9 +148,10 @@ def _reduce_augmented(m, rhs):
             check_numeric_body(entry)
     n = len(m)
     rows = [[as_poly(x) for x in row] + extra for row, extra in zip(m, rhs)]
-    if len(_eliminate(rows, n, _poly_inverse)) < n:
+    pivots = _eliminate(rows, n, pivot_inverse)
+    if len(pivots) < n:
         raise SingularBody("matrix body is singular")
-    return [row[n:] for row in rows]
+    return [rows[pivots[c]][n:] for c in range(n)]
 
 
 def invert_supermatrix(m):
@@ -163,25 +170,16 @@ def solve_left(m, rhs):
     return [row[0] for row in _reduce_augmented(m, [[as_poly(x)] for x in rhs])]
 
 
-def invert_poly(p):
-    """Inverse of a ring element with invertible body and nilpotent soul."""
-    p = as_poly(p)
-    check_numeric_body(p)
-    inv = _poly_inverse(p)
-    if inv is None:
-        raise SingularBody(f"entry {p} has a zero body")
-    return inv
-
-
 def solve_linear_rows(rows, unknowns, reduce_fn):
     """Jointly solve rows of the form const + sum_k coeff_k * x_k = 0.
 
     rows: (label, const: SuperPoly, {unknown_key: coeff SuperPoly}).
-    Unknowns are eliminated one at a time where a body-invertible single
-    pivot exists, falling back to a block solve over a body-invertible
-    square subsystem.  Returns (solution, pivot_labels, residual_rows,
-    implicit_rows): residual rows lost all unknowns but kept a nonzero
-    constant part; implicit rows could not be solved.
+    Unknowns are eliminated one at a time where a single pivot exists.
+    Otherwise one elimination over the rows whose coefficients all have
+    numeric bodies solves every unknown left, from the first
+    body-independent rows, or none.  Returns (solution, pivot_labels,
+    residual_rows, implicit_rows): residual rows lost all unknowns but kept
+    a nonzero constant part; implicit rows could not be solved.
     """
     solution = {}
     pivot_labels = set()
@@ -207,72 +205,62 @@ def solve_linear_rows(rows, unknowns, reduce_fn):
                 continue
             if len(live) == 1:
                 (key, c), = live.items()
-                if not c.body.is_zero and has_nilpotent_soul(c):
-                    solution[key] = reduce_fn(-(invert_poly(c) * acc))
+                inv = pivot_inverse(c)
+                if inv is not None:
+                    solution[key] = reduce_fn(-(inv * acc))
                     pivot_labels.add(label)
                     progress = True
                     continue
             next_rows.append((label, acc, live))
-        if progress:
-            pending = next_rows
-            continue
-        # block fallback: square body-invertible subsystem
-        present = [u for u in unknowns
-                   if u not in solution and any(u in live for _, _, live in next_rows)]
-        if not present or not next_rows:
-            pending = next_rows
-            break
-        eligible = []
-        for row in next_rows:
-            vec = [row[2].get(u, ZERO) for u in present]
-            if all(has_nilpotent_soul(v) for v in vec):
-                eligible.append((row, vec))
-        # pivot columns of the transpose: the first body-independent rows
-        picked = body_pivots([[vec[k].body for _, vec in eligible]
-                              for k in range(len(present))])
-        if len(picked) != len(present):
-            pending = next_rows
-            break
-        chosen = [eligible[k][0] for k in picked]
-        mat = [eligible[k][1] for k in picked]
-        rhs = [-row[1] for row in chosen]
-        values = solve_left(mat, rhs)
-        for u, v in zip(present, values):
-            solution[u] = reduce_fn(v)
-        pivot_labels.update(row[0] for row in chosen)
         pending = next_rows
+        if progress:
+            continue
+        # block: the pivot rows of one elimination are the first
+        # body-independent rows, and their last column is the solution
+        present = [u for u in unknowns
+                   if u not in solution and any(u in live for _, _, live in pending)]
+        if not present:
+            break
+        eligible = [row for row in pending
+                    if all(has_nilpotent_soul(row[2].get(u, ZERO)) for u in present)]
+        block = [[row[2].get(u, ZERO) for u in present] + [-row[1]] for row in eligible]
+        picked = _eliminate(block, len(present), pivot_inverse)
+        if len(picked) != len(present):
+            break
+        for k, u in enumerate(present):
+            solution[u] = reduce_fn(block[picked[k]][-1])
+        pivot_labels.update(eligible[r][0] for r in picked.values())
     return solution, pivot_labels, residuals, pending
 
 
 class SpanReducer:
-    """Row-echelon reduction of expressions over their monomial supports.
+    """Normal forms modulo the span of the added expressions.
 
     Coefficients of the eliminating combinations are rational constants,
-    so the reduction never invents relations that do not already hold.
-    Rows are keyed by factor tuples, which hash and compare by generator
-    identity, and pivots follow the global term order.
+    so the reduction never invents relations that do not already hold.  The
+    first reduce eliminates the added expressions as Coefficient rows over
+    their monomials in the global term order, keyed by factor tuples; a
+    reduction subtracts one row per pivot monomial of p.
     """
 
     def __init__(self):
-        self.pivots = []  # (pivot factors, {factors: coeff})
-
-    def _reduce_vec(self, p):
-        coeffs = {m.factors: m.coeff for m in as_poly(p).terms}
-        for key, row in self.pivots:
-            c = coeffs.get(key)
-            if c is not None and not c.is_zero:
-                for k, v in row.items():
-                    coeffs[k] = coeffs.get(k, C_ZERO) - c * v
-        return coeffs
+        self.exprs = []  # {factors: coeff} per added expression
+        self.rows = None  # {pivot factors: {factors: coeff}}
 
     def add(self, expr):
-        coeffs = {k: v for k, v in self._reduce_vec(expr).items() if not v.is_zero}
-        if not coeffs:
-            return
-        pivot = min(coeffs, key=factor_order)
-        inv = coeffs[pivot].inv()
-        self.pivots.append((pivot, {k: v * inv for k, v in coeffs.items()}))
-        self.pivots.sort(key=lambda item: factor_order(item[0]))
+        self.exprs.append({m.factors: m.coeff for m in as_poly(expr).terms})
+        self.rows = None
 
     def reduce(self, p):
-        return SuperPoly._from_map(self._reduce_vec(p))
+        if self.rows is None:
+            keys = sorted({k for e in self.exprs for k in e}, key=factor_order)
+            rows = [[e.get(k, C_ZERO) for k in keys] for e in self.exprs]
+            pivots = _eliminate(rows, len(keys), _coefficient_inverse)
+            self.rows = {keys[c]: {k: x for k, x in zip(keys, rows[r]) if not x.is_zero}
+                         for c, r in pivots.items()}
+        coeffs = {m.factors: m.coeff for m in as_poly(p).terms}
+        for key in [k for k in coeffs if k in self.rows]:
+            c = coeffs[key]
+            for k, v in self.rows[key].items():
+                coeffs[k] = coeffs.get(k, C_ZERO) - c * v
+        return SuperPoly._from_map(coeffs)

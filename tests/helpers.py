@@ -25,7 +25,7 @@ from supermech.numeric_flow import (
     lower,
     make_flow,
 )
-from supermech.smatrix import SpanReducer, body_matrix, body_rank
+from supermech.smatrix import body_matrix, body_rank, has_nilpotent_soul
 from supermech.superalgebra import (
     Coefficient,
     Generator,
@@ -33,9 +33,12 @@ from supermech.superalgebra import (
     Parity,
     SuperPoly,
     C_I,
+    C_ZERO,
+    ZERO,
     accumulate,
     as_poly,
     const_poly,
+    factor_order,
     gen_poly,
     normalize,
     parity_of,
@@ -210,7 +213,7 @@ def reference_weak_reduce(p, records):
         raise UnsolvableConstraint("solved forms do not reach a fixpoint")
 
     p = to_fixpoint(p)
-    span = SpanReducer()
+    span = ReferenceSpan()
     for rec in active:
         residual = to_fixpoint(rec.expr)
         if not residual.is_zero:
@@ -360,6 +363,143 @@ def reference_invert_supermatrix(m):
             return mat_mul(series, binv)
         series = [[a + b for a, b in zip(r, s)] for r, s in zip(series, power)]
     raise NonNumericBody("soul part is not nilpotent")
+
+
+def _reference_pivot_columns(b):
+    """First column basis of a Coefficient matrix, by column-wise
+    elimination with row swaps."""
+    rows = [list(row) for row in b]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inv()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != rank and not f.is_zero:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return pivots
+
+
+def reference_solve_linear_rows(rows, unknowns, reduce_fn):
+    """Jointly solve rows of the form const + sum_k coeff_k * x_k = 0.
+
+    smatrix.solve_linear_rows must match this reference exactly.  It is the
+    former solver: each block picks the first body-independent rows by
+    column-wise elimination with row swaps, and solves them through the
+    Neumann-series inverse.
+
+    rows: (label, const: SuperPoly, {unknown_key: coeff SuperPoly}).
+    Unknowns are eliminated one at a time where a body-invertible single
+    pivot exists, falling back to a block solve over a body-invertible
+    square subsystem.  Returns (solution, pivot_labels, residual_rows,
+    implicit_rows): residual rows lost all unknowns but kept a nonzero
+    constant part; implicit rows could not be solved.
+    """
+    solution = {}
+    pivot_labels = set()
+    residuals = []
+    pending = list(rows)
+    for _ in range(len(unknowns) + 2):
+        next_rows = []
+        progress = False
+        for label, const, coeffs in pending:
+            acc = const
+            live = {}
+            for key, c in coeffs.items():
+                if key in solution:
+                    acc = acc + c * solution[key]
+                else:
+                    live[key] = c
+            acc = reduce_fn(acc)
+            live = {k: reduce_fn(c) for k, c in live.items()}
+            live = {k: c for k, c in live.items() if not c.is_zero}
+            if not live:
+                if not acc.is_zero:
+                    residuals.append((label, acc))
+                continue
+            if len(live) == 1:
+                (key, c), = live.items()
+                if not c.body.is_zero and has_nilpotent_soul(c):
+                    solution[key] = reduce_fn(
+                        -(reference_invert_supermatrix([[c]])[0][0] * acc))
+                    pivot_labels.add(label)
+                    progress = True
+                    continue
+            next_rows.append((label, acc, live))
+        if progress:
+            pending = next_rows
+            continue
+        # block fallback: square body-invertible subsystem
+        present = [u for u in unknowns
+                   if u not in solution and any(u in live for _, _, live in next_rows)]
+        if not present or not next_rows:
+            pending = next_rows
+            break
+        eligible = []
+        for row in next_rows:
+            vec = [row[2].get(u, ZERO) for u in present]
+            if all(has_nilpotent_soul(v) for v in vec):
+                eligible.append((row, vec))
+        # pivot columns of the transpose: the first body-independent rows
+        picked = _reference_pivot_columns([[vec[k].body for _, vec in eligible]
+                                           for k in range(len(present))])
+        if len(picked) != len(present):
+            pending = next_rows
+            break
+        chosen = [eligible[k][0] for k in picked]
+        mat = [eligible[k][1] for k in picked]
+        rhs = [-row[1] for row in chosen]
+        values = [row[0] for row in mat_mul(reference_invert_supermatrix(mat),
+                                            [[x] for x in rhs])]
+        for u, v in zip(present, values):
+            solution[u] = reduce_fn(v)
+        pivot_labels.update(row[0] for row in chosen)
+        pending = next_rows
+    return solution, pivot_labels, residuals, pending
+
+
+class ReferenceSpan:
+    """Row-echelon reduction of expressions over their monomial supports.
+
+    smatrix.SpanReducer must give the same normal forms.  It is the former
+    span: each added expression is reduced by the pivots already held, and
+    a new pivot row is never subtracted from the earlier ones.
+
+    Coefficients of the eliminating combinations are rational constants,
+    so the reduction never invents relations that do not already hold.
+    Rows are keyed by factor tuples, which hash and compare by generator
+    identity, and pivots follow the global term order.
+    """
+
+    def __init__(self):
+        self.pivots = []  # (pivot factors, {factors: coeff})
+
+    def _reduce_vec(self, p):
+        coeffs = {m.factors: m.coeff for m in as_poly(p).terms}
+        for key, row in self.pivots:
+            c = coeffs.get(key)
+            if c is not None and not c.is_zero:
+                for k, v in row.items():
+                    coeffs[k] = coeffs.get(k, C_ZERO) - c * v
+        return coeffs
+
+    def add(self, expr):
+        coeffs = {k: v for k, v in self._reduce_vec(expr).items() if not v.is_zero}
+        if not coeffs:
+            return
+        pivot = min(coeffs, key=factor_order)
+        inv = coeffs[pivot].inv()
+        self.pivots.append((pivot, {k: v * inv for k, v in coeffs.items()}))
+        self.pivots.sort(key=lambda item: factor_order(item[0]))
+
+    def reduce(self, p):
+        return SuperPoly._from_map(self._reduce_vec(p))
 
 
 def random_supermatrix(rng, n):

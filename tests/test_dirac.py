@@ -1,4 +1,5 @@
 """Constraint algorithm: consistency, classification, inversion, brackets."""
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from helpers import (
     DATA,
     FIXTURES,
+    ReferenceSpan,
     build_fermionic,
     build_free_singular,
     build_gauge_toy,
@@ -16,10 +18,12 @@ from helpers import (
     gamma_matrices,
     mat_mul,
     random_homogeneous,
+    random_poly,
     random_supermatrix,
     reference_bracket_table,
     reference_constraint_matrix,
     reference_invert_supermatrix,
+    reference_solve_linear_rows,
     reference_substitute,
     reference_weak_reduce,
     small_basis,
@@ -50,8 +54,9 @@ from supermech.smatrix import (
     body_nullspace,
     body_pivots,
     body_rank,
-    invert_poly,
+    pivot_inverse,
     solve_left,
+    solve_linear_rows,
 )
 from supermech.brackets import PhaseBasis
 from supermech.superalgebra import (
@@ -60,10 +65,12 @@ from supermech.superalgebra import (
     Generator,
     Kind,
     Parity,
+    ZERO,
     as_poly,
     const_poly,
     gen_poly,
     parity_of,
+    substitute,
 )
 
 MI = Coefficient(0, -1)  # -i
@@ -212,7 +219,10 @@ def test_invert_supermatrix_with_soul():
     inv = invert_supermatrix(m)
     assert mat_mul(m, inv) == [[const_poly(1), const_poly(0)],
                                [const_poly(0), const_poly(1)]]
-    assert invert_poly(const_poly(2) - th) * (const_poly(2) - th) == const_poly(1)
+    assert pivot_inverse(const_poly(2) - th) * (const_poly(2) - th) == const_poly(1)
+    # the pivot rule: a zero body or a non-constant even part is no pivot
+    assert pivot_inverse(th) is None and pivot_inverse(const_poly(0)) is None
+    assert pivot_inverse(const_poly(1) + gen_poly(g["m"])) is None
 
 
 def _random_body(rng, nrows, ncols):
@@ -296,6 +306,85 @@ def test_invert_and_solve_graded_supermatrices_match_reference():
         assert inv == ref
         assert x == [row[0] for row in mat_mul(ref, [[v] for v in rhs])]
     assert min(outcomes.values()) >= 5, outcomes
+
+
+def _random_row_system(rng, q, psi, chi):
+    """Rows const + sum_k coeff_k * x_k = 0 over 1-4 unknowns: numeric,
+    soul-carrying (psi*chi) and non-numeric (+ q) coefficients, 1-5 rows,
+    and constants that are consistent with a chosen solution or random."""
+    soul = gen_poly(psi) * gen_poly(chi)
+    unknowns = [f"x{k}" for k in range(rng.randint(1, 4))]
+
+    def entry():
+        p = const_poly(Coefficient(rng.choice((0, rng.randint(-3, 3), rng.randint(1, 3))),
+                                   rng.choice((0, 0, rng.randint(-2, 2)))))
+        if rng.random() < 0.3:
+            p = p + soul * rng.randint(-2, 2)
+        if rng.random() < 0.1:
+            p = p + gen_poly(q)
+        return p
+
+    target = {u: entry() for u in unknowns}
+    consistent = rng.random() < 0.5
+    rows = []
+    for r in range(rng.randint(1, 5)):
+        coeffs = {u: entry() for u in unknowns if rng.random() < 0.7}
+        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero}
+        const = ZERO
+        for u, c in coeffs.items():
+            const = const - c * target[u]
+        if not consistent or rng.random() < 0.1:
+            const = entry()
+        rows.append((f"r{r}", const, coeffs))
+    return rows, unknowns
+
+
+def test_solve_linear_rows_matches_reference():
+    # the single pivots, the one block elimination and the residual and
+    # implicit rows, against the former solver kept in tests/helpers.py
+    rng = random.Random(27)
+    q = Generator("sq", Parity.EVEN, Kind.COORDINATE, None, 0)
+    psi = Generator("spsi", Parity.ODD, Kind.COORDINATE, None, 1)
+    chi = Generator("schi", Parity.ODD, Kind.COORDINATE, None, 2)
+    reductions = (lambda p: p, lambda p: substitute(p, {q: const_poly(2)}))
+    seen = {"block": 0, "residual": 0, "implicit": 0}
+    for trial in range(1500):
+        rows, unknowns = _random_row_system(rng, q, psi, chi)
+        reduce_fn = reductions[trial % 2]
+        got = solve_linear_rows(rows, unknowns, reduce_fn)
+        ref = reference_solve_linear_rows(rows, unknowns, reduce_fn)
+        assert got[:3] == ref[:3], rows
+        assert [row[0] for row in got[3]] == [row[0] for row in ref[3]], rows
+        # no row starts with a single unknown, so a solve is a block solve
+        seen["block"] += bool(got[0]) and all(len(c) != 1 for _, _, c in rows)
+        seen["residual"] += bool(got[2])
+        seen["implicit"] += bool(got[3])
+    assert min(seen.values()) >= 50, seen
+
+
+def test_span_reducer_matches_reference():
+    # normal forms over spans with complex coefficients, constant monomials
+    # and dependent rows, against the former span kept in tests/helpers.py
+    rng = random.Random(270)
+    gens = [Generator(f"sg{k}", Parity(k % 2), Kind.COORDINATE, None, k)
+            for k in range(4)]
+    for _ in range(600):
+        span, ref = SpanReducer(), ReferenceSpan()
+        added = []
+        for _ in range(rng.randint(1, 5)):
+            if added and rng.random() < 0.3:
+                expr = added[0] * rng.randint(-2, 2) + added[-1] * Coefficient(1, 1)
+            else:
+                expr = random_poly(rng, gens, max_terms=4, max_degree=2)
+            added.append(expr)
+            span.add(expr)
+            ref.add(expr)
+        for _ in range(3):
+            p = random_poly(rng, gens, max_terms=5, max_degree=2)
+            if rng.random() < 0.4:
+                p = p + rng.choice(added) * Coefficient(rng.randint(-2, 2), 1)
+            assert span.reduce(p) == ref.reduce(p)
+        assert span.reduce(added[0] * Coefficient(0, 3) - added[-1]).is_zero
 
 
 def test_weak_reduce_examples():
@@ -710,46 +799,51 @@ def test_lift_null_vector_lets_unexpected_errors_through(monkeypatch):
         run_dirac(build_qed().legres)
 
 
-COUPLED_FERMIONS = """model coupled_fermions
-odd a b
-param m: even
-lagrangian: 1/2*i*(a*dot(a) + b*dot(b)) + 1/2*i*(a*dot(b) + b*dot(a)) + 1/4*i*(b*dot(b)) - m*a*b
-"""
-
-
 def test_block_fallback_solves_coupled_fermions(monkeypatch):
-    # both consistency rows carry both multipliers, so no single pivot exists
+    # both consistency rows carry both multipliers, so no single pivot
+    # exists; tests/golden pins this model's reports byte for byte
+    import sys
     import supermech.smatrix as smatrix
 
     block_solves = []
-    solve_left = smatrix.solve_left
+    eliminate = smatrix._eliminate
 
-    def counting(m, rhs):
-        block_solves.append(len(m))
-        return solve_left(m, rhs)
+    def recording(rows, ncols, inverse):
+        pivots = eliminate(rows, ncols, inverse)
+        if sys._getframe(1).f_code.co_name == "solve_linear_rows":
+            block_solves.append((len(rows), ncols, sorted(pivots.values())))
+        return pivots
 
-    monkeypatch.setattr(smatrix, "solve_left", counting)
-    result = run_pipeline(parse_model(COUPLED_FERMIONS), stage="hj")
+    monkeypatch.setattr(smatrix, "_eliminate", recording)
+    result = run_pipeline(parse_model(data_text("coupled_fermions.smf")), stage="hj")
     expected = {"a": "-2i*a*m - 3i*b*m", "b": "2i*a*m + 2i*b*m"}
     assert {str(q): str(v) for q, v in result.analysis.multipliers.items()} == expected
     assert {str(q): str(v) for q, v in result.closure.dt_relations.items()} == expected
     assert result.crosscheck.equivalent
-    # one block solve for the multipliers, one for the dt relations
-    assert block_solves == [2, 2]
+    # one elimination for the multipliers and one for the dt relations, and
+    # both rows of each are pivots; dH'0's row, whose coefficients -b*m and
+    # a*m have no body, joins the second elimination as no pivot
+    assert block_solves == [(2, 2, [0, 1]), (3, 2, [1, 2])]
 
 
-def test_block_fallback_rank_deficient_is_unsupported(tmp_path, capsys):
-    source = """model three_fermions
-odd a b c
-param m: even
-lagrangian: 1/2*i*(a*dot(a) + 2*b*dot(b) + c*dot(c)) + 1/2*i*(a*dot(b) + b*dot(a)) + 1/2*i*(b*dot(c) + c*dot(b)) - m*a*b
-"""
-    with pytest.raises(UnsupportedLagrangian, match="no body-invertible pivot"):
-        run_pipeline(parse_model(source), stage="dirac")
-    path = tmp_path / "three_fermions.smf"
-    path.write_text(source, encoding="utf-8")
-    assert cli.main(["analyze", str(path)]) == 2
-    assert "no body-invertible pivot" in capsys.readouterr().err
+def _assert_no_multiplier_pivot(path, capsys):
+    with pytest.raises(UnsupportedLagrangian,
+                       match="^multiplier system has no body-invertible pivot$"):
+        run_pipeline(parse_model(path.read_text(encoding="utf-8")), stage="dirac")
+    assert cli.main(["analyze", str(path), "--format", "structured"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {
+        "kind": "model", "message": "multiplier system has no body-invertible pivot"}}
+
+
+def test_block_fallback_rank_deficient_is_unsupported(capsys):
+    # three coupled fermions whose multiplier block has a singular body
+    _assert_no_multiplier_pivot(DATA / "unsupported" / "three_fermions.smf", capsys)
+
+
+def test_odd_auxiliary_coupling_is_unsupported(capsys):
+    # the smallest generated model of this class: an odd velocity-free
+    # auxiliary ch3 that enters only as ch3*mj2*dot(q1)
+    _assert_no_multiplier_pivot(DATA / "unsupported" / "odd_auxiliary.smf", capsys)
 
 
 def _classes(analysis):

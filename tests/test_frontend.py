@@ -331,6 +331,16 @@ def test_cli_closure_round_limit():
     assert (code, err) == (0, "")
 
 
+
+def test_cli_lets_a_bare_value_error_through(monkeypatch):
+    # only typed SupermechErrors are model errors; a bare ValueError is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a model error")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    with pytest.raises(ValueError, match="a bug, not a model error"):
+        cli.main(["analyze", str(FIXTURES / "sho.smf")])
+
 def test_cli_structured_io_error(tmp_path):
     missing = tmp_path / "missing.smf"
     code, out, err = _cli_main("analyze", str(missing), "--format", "structured")
@@ -687,6 +697,29 @@ def test_flow_config_refuses_a_repeated_line(tmp_path, lines, line, column, mess
                                "--path", str(cfg), "--format", "structured")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "model"
+
+
+# each was a FlowError from PathSpec with no position
+@pytest.mark.parametrize("text,line,column,message", [
+    ("params t0 q2\n  0\n1, 1\nsteps 10\n", 2, 3,
+     "waypoint arity does not match parameters"),
+    ("params t0 q2\n0, 0\n1, 1\n1, 1\nsteps 10\n", 4, 1,
+     "consecutive waypoints must differ"),
+    ("params t0\n0\n  steps 10\n", 3, 3, "need at least two waypoints"),
+], ids=["arity", "repeated", "too-few"])
+def test_flow_config_waypoint_errors_carry_their_position(tmp_path, text, line, column,
+                                                          message):
+    with pytest.raises(ModelSyntaxError, match=message) as info:
+        run_pipeline(parse_model(fixture_text("gauge_toy.smf")), stage="flow",
+                     path_text=text)
+    assert (info.value.line, info.value.column) == (line, column)
+    cfg = tmp_path / "waypoints.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = _cli_main("analyze", str(FIXTURES / "gauge_toy.smf"), "--stage",
+                               "flow", "--path", str(cfg), "--format", "structured")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "kind": "model", "message": f"{message} (line {line}, column {column})"}
 
 
 @pytest.mark.parametrize("model,text,line,column,message", [
