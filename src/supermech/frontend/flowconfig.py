@@ -6,7 +6,9 @@ state lines `generator = <value>` where the value is a sum of terms
 `scalar*g<k>*...` over the odd basis slots g1..gn (scalars accept a
 trailing `j` for the imaginary part).  Every waypoint, number and value must
 be finite, `steps` is given once, each parameter named once and each
-generator assigned at most once.
+generator assigned at most once, a value of its generator's grade.  Each
+error points at the line's first character, or at the parameter, name or
+value token it names.
 """
 from __future__ import annotations
 
@@ -63,7 +65,11 @@ def parse_value(text, n, line_no=0, column=1):
 
     text starts at column of line line_no, and errors count their columns
     from the start of that line.  Every `*` stands between two factors."""
-    tokens = _tokenize_value(text, line_no, column)
+    return _value(_tokenize_value(text, line_no, column), text, n, line_no, column)
+
+
+def _value(tokens, text, n, line_no, column):
+    """The GrassmannValue of Lambda_n that text's tokens spell."""
     if not tokens:
         raise ModelSyntaxError("empty value", line_no, column)
     end = column + len(text)
@@ -119,11 +125,6 @@ def parse_value(text, n, line_no=0, column=1):
     return total
 
 
-def max_generator_index(text, line_no, column):
-    return max((value for kind, value, _ in _tokenize_value(text, line_no, column)
-                 if kind == "gen"), default=0)
-
-
 def _generator(elaborated, name, kind, line_no, column):
     """The generator that name, at column of line line_no, names."""
     m = _NAME.match(name)
@@ -138,95 +139,91 @@ def _generator(elaborated, name, kind, line_no, column):
 def parse_path_config(text, elaborated, hj_system):
     """Parse waypoints, steps and the initial state for a flow run.
 
-    Malformed or repeated lines, names that name no generator and waypoints
-    that PathSpec would refuse are ModelSyntaxErrors at their line and
-    column; too few waypoints are one at the steps line."""
-    raw_lines = text.splitlines()
-    lines = [(no + 1, raw.split("#", 1)[0].strip())
-             for no, raw in enumerate(raw_lines)]
-    lines = [(no, line) for no, line in lines if line]
-    if not lines or lines[0][1].split()[0] != "params":
-        raise ModelSyntaxError("flow config must start with a params line", 1, 1)
-    no0, _ = lines[0]
-    # the header's names and their columns
-    names = [(m.group(), m.start() + 1)
-             for m in re.finditer(r"\S+", raw_lines[no0 - 1].split("#", 1)[0])][1:]
-    if not names or names[0][0] != "t0":
-        raise ModelSyntaxError("first flow parameter must be t0", no0, 1)
+    Every error is a ModelSyntaxError at the line's first character, or at
+    the header parameter, target name or value token it names.  A config
+    with no params line or no steps line fails at its first line that holds
+    more than a comment, and at (1, 1) when it has none."""
+    lines = (raw.split("#", 1)[0].rstrip() for raw in text.splitlines())
+    # (line number, column of the first character, text) of every line that
+    # holds more than a comment
+    records = [(no, len(line) - len(line.lstrip()) + 1, line.lstrip())
+               for no, line in enumerate(lines, 1) if line]
+    no0, start0, header = records[0] if records else (1, 1, "")
+    names = [(m.group(), start0 + m.start()) for m in re.finditer(r"\S+", header)]
+    if not names or names[0][0] != "params":
+        raise ModelSyntaxError("flow config must start with a params line", no0, start0)
+    name, column = names[1] if len(names) > 1 else names[0]
+    if name != "t0":
+        raise ModelSyntaxError("first flow parameter must be t0", no0, column)
     params = [hj_system.t0]
-    for name, column in names[1:]:
+    for name, column in names[2:]:
         gen = _generator(elaborated, name, "parameter", no0, column)
         if gen in params:
             raise ModelSyntaxError(f"parameter {gen} named twice", no0, column)
         params.append(gen)
 
-    waypoints = []
+    waypoints, assignments = [], []
     steps = steps_at = None
-    assignments = []
-    for no, line in lines[1:]:
+    for no, start, line in records[1:]:
         parts = line.split()
-        # the column of the line's first character
-        start = len(raw_lines[no - 1]) - len(raw_lines[no - 1].lstrip()) + 1
         if parts[0] == "steps":
-            if len(parts) != 2 or not parts[1].isdecimal():
-                raise ModelSyntaxError(f"bad steps line {line!r}", no, 1)
+            if len(parts) != 2 or not parts[1].isdecimal() or not int(parts[1]):
+                raise ModelSyntaxError(f"bad steps line {line!r}", no, start)
             if steps is not None:
                 raise ModelSyntaxError(f"steps already given on line {steps_at[0]}",
                                        no, start)
             steps, steps_at = int(parts[1]), (no, start)
-            continue
-        if "=" in line:
+        elif "=" in line:
             target, value = line.split("=", 1)
-            # the column of the value's first character in the raw line
-            column = (raw_lines[no - 1].index("=") + 2
-                      + len(value) - len(value.lstrip()))
-            assignments.append((no, target.strip(), start, value.strip(), column))
-            continue
-        if steps is not None:
-            raise ModelSyntaxError("waypoints must precede steps", no, 1)
-        try:
-            waypoints.append(tuple(float(x) for x in line.split(",")))
-        except ValueError:
-            raise ModelSyntaxError(f"bad waypoint line {line!r}", no, 1) from None
-        if not all(map(isfinite, waypoints[-1])):
-            raise ModelSyntaxError(f"waypoint {line!r} is not finite", no, 1)
-        if len(waypoints[-1]) != len(params):
-            raise ModelSyntaxError("waypoint arity does not match parameters", no, start)
-        if len(waypoints) > 1 and waypoints[-2] == waypoints[-1]:
-            raise ModelSyntaxError("consecutive waypoints must differ", no, start)
+            column = start + len(line) - len(value.lstrip())
+            value = value.strip()
+            assignments.append((no, start, target.strip(), value, column,
+                                _tokenize_value(value, no, column)))
+        elif steps is not None:
+            raise ModelSyntaxError("waypoints must precede steps", no, start)
+        else:
+            try:
+                point = tuple(float(x) for x in line.split(","))
+            except ValueError:
+                raise ModelSyntaxError(f"bad waypoint line {line!r}", no, start) from None
+            if not all(map(isfinite, point)):
+                raise ModelSyntaxError(f"waypoint {line!r} is not finite", no, start)
+            if len(point) != len(params):
+                raise ModelSyntaxError("waypoint arity does not match parameters",
+                                       no, start)
+            if waypoints and waypoints[-1] == point:
+                raise ModelSyntaxError("consecutive waypoints must differ", no, start)
+            waypoints.append(point)
     if steps is None:
-        raise ModelSyntaxError("flow config misses a steps line", 1, 1)
+        raise ModelSyntaxError("flow config misses a steps line", no0, start0)
     if len(waypoints) < 2:
         raise ModelSyntaxError("need at least two waypoints", *steps_at)
-    path = PathSpec(tuple(params), tuple(waypoints), steps)
 
-    n = max(elaborated.n_odd,
-            max((max_generator_index(v, no, column)
-                 for no, _, _, v, column in assignments), default=0))
-    init = {}
-    line_of = {}
-    for no, target, start, value, column in assignments:
+    n = max([elaborated.n_odd] + [k for *_, tokens in assignments
+                                  for kind, k, _ in tokens if kind == "gen"])
+    init, at = {}, {}
+    for no, start, target, value, column, tokens in assignments:
         gen = _generator(elaborated, target, "generator", no, start)
         if gen in init:
-            raise ModelSyntaxError(f"{gen} already assigned on line {line_of[gen]}",
+            raise ModelSyntaxError(f"{gen} already assigned on line {at[gen][0]}",
                                    no, start)
-        init[gen] = parse_value(value, n, no, column)
-        line_of[gen] = no
+        init[gen] = _value(tokens, value, n, no, column)
+        if not init[gen].pure_grade(gen.parity):
+            raise ModelSyntaxError(f"{gen} assigned a value of the wrong grade",
+                                   no, column)
+        at[gen] = no, start
 
     # a free parameter starts at its first waypoint, also when it is a
     # coordinate that the defaults below would otherwise set to zero
-    for i, p in enumerate(params):
-        if p is hj_system.t0:
-            continue
-        start = GrassmannValue.body_value(n, waypoints[0][i])
-        if p in init and init[p].coeff != start.coeff:
+    for p, x in zip(params[1:], waypoints[0][1:]):
+        first = GrassmannValue.body_value(n, x)
+        if p in init and init[p].coeff != first.coeff:
             raise ModelSyntaxError(
-                f"{p} is assigned a value other than its first waypoint "
-                f"{waypoints[0][i]:g}", line_of[p], 1)
-        init[p] = start
+                f"{p} is assigned a value other than its first waypoint {x:g}", *at[p])
+        init[p] = first
     model = elaborated.model
     zero = GrassmannValue(n)
     for q in model.coordinates:
         init.setdefault(q, zero)
         init.setdefault(model.momentum(q), zero)
-    return path, init
+    return PathSpec(tuple(params), tuple(waypoints), steps), init

@@ -449,8 +449,11 @@ class _Plan:
         its own, which are then added.  The first entry that writes a
         register sets it and every later one adds to it, so the entries need
         no zeroed registers and may run again on their own results.  Entries
-        that nothing reads are left for `_live` to drop.
+        that nothing reads are left for `_live` to drop.  A program that is
+        one slot with coefficient 1 returns that slot's registers.
         """
+        if len(program) == 1 and program[0][0] == 1 and len(program[0][1]) == 1:
+            return self.env[program[0][1][0]]
         terms = []
         for coeff, slots in program:
             steps = []

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -526,6 +527,24 @@ def _cli_main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _refuses(tmp_path, model, text, message, line, column=r"\d+"):
+    """text, as a flow config of model, fails through run_pipeline and
+    through the CLI's structured errors (exit 2, kind model) with message
+    (a pattern) ending in its line and column."""
+    want = rf"{message} \(line {line}, column {column}\)"
+    with pytest.raises(ModelSyntaxError) as info:
+        run_pipeline(parse_model(bundled_text(model)), stage="flow", path_text=text)
+    assert re.fullmatch(want, str(info.value))
+    cfg = tmp_path / "flow.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    path = FIXTURES / model if (FIXTURES / model).exists() else DATA / model
+    code, out, err = _cli_main("analyze", str(path), "--stage", "flow",
+                               "--path", str(cfg), "--format", "structured")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "model" and re.fullmatch(want, error["message"])
+
+
 GAUGE_FROM_HALF = """\
 params t0 q2
 0, 0.5
@@ -575,16 +594,8 @@ def test_fermionic_flow_at_the_lambda_cap(tmp_path):
 
 
 def test_flow_assignment_disagreeing_with_first_waypoint(tmp_path):
-    cfg = tmp_path / "disagree.cfg"
-    cfg.write_text(GAUGE_FROM_HALF + "q2 = 0.25\n", encoding="utf-8")
-    with pytest.raises(ModelSyntaxError) as info:
-        run_pipeline(parse_model(fixture_text("gauge_toy.smf")), stage="flow",
-                     path_text=cfg.read_text(encoding="utf-8"))
-    assert info.value.line == 8
-    code, _, err = _cli_main("analyze", str(FIXTURES / "gauge_toy.smf"),
-                             "--stage", "flow", "--path", str(cfg))
-    assert code == 2
-    assert "first waypoint" in err and "line 8" in err
+    _refuses(tmp_path, "gauge_toy.smf", GAUGE_FROM_HALF + "q2 = 0.25\n",
+             "q2 is assigned a value other than its first waypoint 0.5", 8, 1)
     agree = tmp_path / "agree.cfg"
     agree.write_text(GAUGE_FROM_HALF + "q2 = 0.5\n", encoding="utf-8")
     code, _, _ = _cli_main("analyze", str(FIXTURES / "gauge_toy.smf"),
@@ -594,13 +605,8 @@ def test_flow_assignment_disagreeing_with_first_waypoint(tmp_path):
 
 @pytest.mark.parametrize("line", ["steps", "steps x", "steps 5 6", "steps -3"])
 def test_cli_bad_steps_line_exits_2(tmp_path, line):
-    cfg = tmp_path / "bad_steps.cfg"
-    cfg.write_text(f"params t0\n0\n1\n{line}\nq = 1\n", encoding="utf-8")
-    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"),
-                               "--stage", "flow", "--path", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error (model): bad steps line") and "line 4" in err
+    _refuses(tmp_path, "sho.smf", f"params t0\n0\n1\n{line}\nq = 1\n",
+             f"bad steps line '{line}'", 4, 1)
 
 
 STEPSIZE = """\
@@ -642,15 +648,7 @@ def test_flow_config_refuses_non_finite_numbers(tmp_path, lines, line, message):
     text = f"params t0\n{lines}\n"
     if "steps" not in text:
         text += "steps 10\n"
-    with pytest.raises(ModelSyntaxError, match=message) as info:
-        run_pipeline(parse_model(fixture_text("sho.smf")), stage="flow", path_text=text)
-    assert info.value.line == line
-    cfg = tmp_path / "non_finite.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), "--stage", "flow",
-                               "--path", str(cfg), "--format", "structured")
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"]["kind"] == "model"
+    _refuses(tmp_path, "sho.smf", text, message, line)
 
 
 @pytest.mark.parametrize("value_line,column,message", [
@@ -672,12 +670,10 @@ def test_flow_config_refuses_non_finite_numbers(tmp_path, lines, line, message):
     ("q = g0", 5, "generator index 0 outside 1\\.\\.0"),
     ("q = 1 + 0.5*g13", 13, "Lambda_n capped at n=12, got g13"),
 ])
-def test_flow_config_value_errors_count_columns_from_the_line_start(value_line, column,
-                                                                    message):
+def test_flow_config_value_errors_count_columns_from_the_line_start(tmp_path, value_line,
+                                                                    column, message):
     text = f"params t0\n0\n1\nsteps 10\n{value_line}  # on line 5\n"
-    with pytest.raises(ModelSyntaxError, match=message) as info:
-        run_pipeline(parse_model(fixture_text("sho.smf")), stage="flow", path_text=text)
-    assert (info.value.line, info.value.column) == (5, column)
+    _refuses(tmp_path, "sho.smf", text, message, 5, column)
 
 
 @pytest.mark.parametrize("lines,line,column,message", [
@@ -687,16 +683,7 @@ def test_flow_config_value_errors_count_columns_from_the_line_start(value_line, 
     ("steps 10\nq = 1\n  p_q = 0\n  p_q = 0", 7, 3, "p_q already assigned on line 6"),
 ], ids=["assignment", "steps", "indented"])
 def test_flow_config_refuses_a_repeated_line(tmp_path, lines, line, column, message):
-    text = f"params t0\n0\n1\n{lines}\n"
-    with pytest.raises(ModelSyntaxError, match=message) as info:
-        run_pipeline(parse_model(fixture_text("sho.smf")), stage="flow", path_text=text)
-    assert (info.value.line, info.value.column) == (line, column)
-    cfg = tmp_path / "repeated.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    code, out, err = _cli_main("analyze", str(FIXTURES / "sho.smf"), "--stage", "flow",
-                               "--path", str(cfg), "--format", "structured")
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"]["kind"] == "model"
+    _refuses(tmp_path, "sho.smf", f"params t0\n0\n1\n{lines}\n", message, line, column)
 
 
 # each was a FlowError from PathSpec with no position
@@ -709,17 +696,7 @@ def test_flow_config_refuses_a_repeated_line(tmp_path, lines, line, column, mess
 ], ids=["arity", "repeated", "too-few"])
 def test_flow_config_waypoint_errors_carry_their_position(tmp_path, text, line, column,
                                                           message):
-    with pytest.raises(ModelSyntaxError, match=message) as info:
-        run_pipeline(parse_model(fixture_text("gauge_toy.smf")), stage="flow",
-                     path_text=text)
-    assert (info.value.line, info.value.column) == (line, column)
-    cfg = tmp_path / "waypoints.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    code, out, err = _cli_main("analyze", str(FIXTURES / "gauge_toy.smf"), "--stage",
-                               "flow", "--path", str(cfg), "--format", "structured")
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == {
-        "kind": "model", "message": f"{message} (line {line}, column {column})"}
+    _refuses(tmp_path, "gauge_toy.smf", text, message, line, column)
 
 
 @pytest.mark.parametrize("model,text,line,column,message", [
@@ -737,17 +714,44 @@ def test_flow_config_waypoint_errors_carry_their_position(tmp_path, text, line, 
 ], ids=["unknown", "scalar", "parameter", "index", "parameter-index", "parameter-twice"])
 def test_flow_config_name_errors_carry_their_position(tmp_path, model, text, line,
                                                       column, message):
-    with pytest.raises(ModelSyntaxError, match=message) as info:
-        run_pipeline(parse_model(bundled_text(model)), stage="flow", path_text=text)
-    assert (info.value.line, info.value.column) == (line, column)
-    assert str(info.value).endswith(f"(line {line}, column {column})")
-    cfg = tmp_path / "unknown.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    path = FIXTURES / model if (FIXTURES / model).exists() else DATA / model
-    code, out, err = _cli_main("analyze", str(path), "--stage", "flow",
-                               "--path", str(cfg), "--format", "structured")
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"]["kind"] == "model"
+    _refuses(tmp_path, model, text, message, line, column)
+
+
+# each reported column 1, line 1 or no position before positions were taken
+# from one record per line
+@pytest.mark.parametrize("model,text,message,line,column", [
+    ("sho.smf", "params t0\n0\n  nan\nsteps 10\n", "waypoint 'nan' is not finite", 3, 3),
+    ("sho.smf", "params t0\n0\n  1, x\nsteps 10\n", "bad waypoint line '1, x'", 3, 3),
+    ("sho.smf", "params t0\n0\n1\nsteps 10\n  2\n", "waypoints must precede steps", 5, 3),
+    ("sho.smf", "params t0\n0\n1\n   steps x\n", "bad steps line 'steps x'", 4, 4),
+    # a FlowError from PathSpec
+    ("sho.smf", "params t0\n0\n1\nsteps 0\n", "bad steps line 'steps 0'", 4, 1),
+    ("sho.smf", "params  q t0\n0, 0\n1, 0\nsteps 10\n",
+     "first flow parameter must be t0", 1, 9),
+    ("gauge_toy.smf", GAUGE_FROM_HALF + "  q2 = 1\n",
+     "q2 is assigned a value other than its first waypoint 0.5", 8, 3),
+    ("sho.smf", "# a path\n  0\n1\nsteps 10\n",
+     "flow config must start with a params line", 2, 3),
+    ("sho.smf", "# a path\nparams t0\n0\n1\n", "flow config misses a steps line", 2, 1),
+    # a GradeMismatch with no position, raised only because a program reads psi
+    ("fermionic_oscillator.smf", "params t0\n0\n1\nsteps 10\n  psi = 0.5\nm = 1\n",
+     "psi assigned a value of the wrong grade", 5, 9),
+    # accepted: no program reads q1
+    ("free_singular.smf", "params t0 q2\n0, 0\n1, 0\nsteps 10\nq1 = 1*g1\n",
+     "q1 assigned a value of the wrong grade", 5, 6),
+    ("sho.smf", "params t0\n0\n1\nsteps 10\nq =  # no value\n", "empty value", 5, 4),
+    ("sho.smf", "params t0\n0\n1\nsteps 10\n  q x = 1\n",
+     "bad generator name 'q x'", 5, 3),
+    ("sho.smf", "params t0 1q\n0, 0\n1, 0\nsteps 10\n", "bad parameter name '1q'", 1, 11),
+    ("sho.smf", "  params\n0\n1\nsteps 10\n", "first flow parameter must be t0", 1, 3),
+    ("sho.smf", "# only a comment\n", "flow config must start with a params line", 1, 1),
+], ids=["nan-indented", "waypoint-indented", "waypoint-after-steps", "steps-indented",
+        "steps-0", "t0-not-first", "first-waypoint-indented", "params-after-comment",
+        "steps-missing-after-comment", "grade-read", "grade-unread", "empty-value",
+        "generator-name", "parameter-name", "no-parameter", "empty"])
+def test_flow_config_errors_carry_their_position(tmp_path, model, text, message, line,
+                                                 column):
+    _refuses(tmp_path, model, text, message, line, column)
 
 
 def test_cli_flow_that_overflows_exits_2(tmp_path):

@@ -376,9 +376,10 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
     assert [len(v) for v in values] == [7, 4, 4, 4, 4, 4, 4, 7, 4, 4, 4, 4, 4, 4, 3, 1, 1]
     assert len(z_layout) == 4
     # one plan for the drift audit, which first measures the initial state,
-    # and one for the RK4 derivative
+    # and one for the RK4 derivative, whose rate copies dx/dt0 = p_x
+    # straight from p_x's registers into k
     audit, deriv = plans.values()
-    assert (len(deriv), len(audit)) == (346, 151)
+    assert (len(deriv), len(audit)) == (339, 151)
     # a term whose coefficient is folded starts from the env bank and
     # carries the coefficient's sign into its first product: -1 in the audit
     # (H'0's six mass and Yukawa terms), 1 in the derivative (p_x's three
@@ -489,9 +490,10 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
     # segment's stage (four runs a step over 5,000 steps), then the q2
     # segment's, which reads no state
     ("gauge_toy.smf", "gauge_toy_flow.cfg", [(0, 10_001), (2, 20_000), (2, 1)]),
-    # t0 and q2 move together over 100 steps, then q2 alone
+    # t0 and q2 move together over 100 steps, then q2 alone; the rates copy
+    # dq1/dt0 = p_q1 straight from p_q1's registers
     ("free_singular.smf", "free_singular_diagonal_flow.cfg",
-     [(3, 201), (7, 400), (2, 1)]),
+     [(3, 201), (6, 400), (2, 1)]),
 ])
 def test_a_stage_that_reads_no_state_runs_once_a_segment(monkeypatch, model, cfg, runs):
     # each plan's size and runs, in the order of its first run
