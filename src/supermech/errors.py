@@ -43,8 +43,8 @@ class GradeMismatch(SupermechError):
 
 class FlowError(SupermechError, ValueError):
     """A flow request is invalid: a bad path, an initial state off the
-    constraint surface, a Lambda_n above the cap, or a flow that needs more
-    product entries than numeric_flow.PLAN_LIMIT."""
+    constraint surface, a Lambda_n above the cap, or a flow whose step plan
+    needs more entries than numeric_flow.PLAN_LIMIT."""
 
 
 class ClosureDiverged(SupermechError):

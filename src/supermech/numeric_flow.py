@@ -12,23 +12,28 @@ dicts that `_product` multiplies.  A flow instead lowers its polynomials
 once (`lower`), finds the masks each value can hold during the run, lays
 every value out as a flat run of complex registers, and plans the products
 it reads, each once, as (output, left, right, op) entries, which one loop,
-`_run`, applies at every RK4 stage and every drift audit, for any n.  The
-terms of one plan that share a coefficient and leading slots share their
-partial products, one backward pass (`_live`) drops the entries nothing
-reads, a coefficient of exactly 1 or -1 is carried as a sign instead of
-multiplied in, and a rate of exactly 1 copies the derivative into k.  A
-plan's first write of a register sets it and its later writes add to it, so
-a stage runs one plan on the register file as the previous stage left it.
-A segment whose stage reads no register of the state runs it once: its four
-rates are equal at every step, so each step adds one update summed from
-them.  Both engines sum the products that land on one slot in ascending
-order of the left mask, so a flow gives what the same sums of sparse
-products give, except possibly for the sign of zero parts.
+`_run`, applies for any n.  The terms of one plan that share a coefficient
+and leading slots share their partial products, one backward pass (`_live`)
+drops the entries nothing reads, a coefficient of exactly 1 or -1 is
+carried as a sign instead of multiplied in, and a derivative whose rate is
+exactly 1 lands on its k registers.  A plan's first write of a register
+sets it and its later writes add to it, so no register is reset between
+runs.  Each segment of a path runs one step plan per RK4 step: its stage
+four times, on the state and then on three sets of stage inputs, the
+inputs between the copies, the update of the state and Z, and the drift
+audit, so the state and Z live only in the register file.  A segment whose
+stage reads no number of the state that it moves runs the stage once: its
+four rates are equal at every step, so its step adds one update summed from
+them.  Segments that move the same parameters, each at a rate of 1 or not,
+share their plans.  Both engines sum the products that land on one slot in
+ascending order of the left mask, and a step sums its derivatives in the
+reference's order, so a flow gives what the same sums of sparse products
+give, except possibly for the sign of zero parts.
 """
 from __future__ import annotations
 
 from cmath import isfinite
-from operator import add, itemgetter, mul
+from operator import itemgetter
 
 from .brackets import berezin
 from .errors import FlowError, GradeMismatch
@@ -291,10 +296,12 @@ def lower(p, slot_of):
 # how far the initial state may lie off the constraint surface
 _SURFACE_TOL = 1e-12
 
-# the most product entries a flow may plan, which holds its plan to about
-# 10 MB: tracemalloc reads 93-121 bytes per entry, registers included, on
-# the plans of three-flavour flows with dense values in Lambda_6..Lambda_9
-PLAN_LIMIT = 100_000
+# the most entries a flow's step plan may hold, which holds it to about
+# 10 MB: tracemalloc reads 133-150 bytes per counted entry, registers and
+# the lists built while planning included, on the step plans of three-flavour
+# flows with 19,000-58,000 entries in Lambda_9..Lambda_11
+PLAN_LIMIT = 70_000
+_over_the_limit = f"the flow needs more than PLAN_LIMIT = {PLAN_LIMIT:,} entries"
 
 
 def integrate_flow(tds, path, init, report):
@@ -312,25 +319,31 @@ def integrate_flow(tds, path, init, report):
     masks each value can hold (`_static_layouts`, `_Plan`), each partial
     product of a plan made once, coefficients of exactly 1 and -1 folded,
     and only the entries kept whose registers the flow reads (`_live`).
-    Each segment joins the plans of its moving parameters into one, a rate
-    of exactly 1 copying instead of scaling, and every RK4 stage runs that
-    plan (`_run`) once on a flat list of complex numbers, which holds the
-    state, the derivatives and every partial product.  The results are those
-    of the same sums of sparse products, except possibly for the sign of
-    zero parts.  A segment whose plan reads no register of the state (a
-    gauge parameter whose H' has state-free coefficients) runs it once;
-    every step then adds the update its four equal rates sum to, bit for bit
-    what four runs give.  P0 is `-evaluate(h0)` on the initial state.  The
-    family members are measured only by the drift-audit plan: its first run,
-    on the initial state, gives the surface residual, and its run after
-    every step the drift.  The drift is read in one pass per step over every
-    register of the members' values, which keeps a running maximum of each
-    register's absolute value; after the last step these give each member's
-    drift and their largest the flow's.  A flow whose plan, or whose P0
-    program alone, needs more than PLAN_LIMIT product entries, counted
-    before any is shared or dropped, fails with FlowError before any entry
-    is built, and a flow whose initial residual is not a number, or whose
-    state or Z at a waypoint is not finite, fails with FlowError too.
+    Each segment plans its stage, the programs of its moving parameters
+    joined into one that leaves the derivative of the state and of Z in one
+    block of registers, a program with a rate of exactly 1 landing there
+    and the others scaled into it.  Its step plan holds that stage four
+    times, the first copy reading the state and each later one the stage
+    inputs that the entries before it set from the state and the previous
+    copy's block, then the RK4 update of every number the stage moves, then
+    the drift audit.  Every step is one run of that plan (`_run`) on a flat
+    list of complex numbers, which holds the state, Z, the derivatives and
+    every partial product.  The results are those of the same sums of sparse
+    products, except possibly for the sign of zero parts.  A segment whose
+    stage reads no number of the state that it moves (a gauge parameter
+    whose H' has state-free coefficients, or dq/dt0 = p while p stays) runs
+    it once; its step plan then adds the update its four equal rates sum to,
+    bit for bit what four runs give.  P0 is `-evaluate(h0)` on the initial
+    state.  The family members are measured only by the drift audit: its
+    first run, on the initial state, gives the surface residual, and its run
+    at the end of every step the drift.  The drift is read in one pass per
+    step over every register of the members' values, which keeps a running
+    maximum of each register's absolute value; after the last step these
+    give each member's drift and their largest the flow's.  A flow whose step plan, or whose P0 program alone, needs more
+    than PLAN_LIMIT entries, counted before any is shared or dropped, fails
+    with FlowError before any entry is built, and a flow whose initial
+    residual is not a number, or whose state or Z at a waypoint is not
+    finite, fails with FlowError too.
     """
     return _integrate(make_flow(tds, report), path, init)
 
@@ -351,9 +364,7 @@ def _support(program, supports, budget):
                 partners = _partners(a, right, span)
                 entries += len(partners)
                 if entries > budget:
-                    raise FlowError(
-                        f"the flow needs more than PLAN_LIMIT = {PLAN_LIMIT:,} "
-                        f"product entries")
+                    raise FlowError(_over_the_limit)
                 masks.update([a | b for b in partners])
             acc = masks
         out |= acc
@@ -366,9 +377,12 @@ def _static_layouts(supports, n, p0_slot, h0, rows, dz, audited):
 
     supports holds the masks of each initial value; P0's follow from h0.
     They grow to the fixpoint of the (state slot, program) rows the RK4
-    steps run.  The plans of the rows, of the dz programs and of the
-    audited ones are counted on the final supports against PLAN_LIMIT
-    before any of them is built.
+    steps run.  What a step plan can hold is counted on the final supports
+    against PLAN_LIMIT before any entry is built: the product entries of
+    the rows and of the dz programs four times, as a step runs its stage
+    four times, those of the audited programs once, and one entry for each
+    of the three stage inputs and the update of every number of the state,
+    and for the update of every number of Z.
     """
     supports[p0_slot] = _support(h0, supports, PLAN_LIMIT)[0]
     # every round but the last adds a mask to some state value
@@ -376,8 +390,8 @@ def _static_layouts(supports, n, p0_slot, h0, rows, dz, audited):
         budget = PLAN_LIMIT
         grown = []
         for j, prog in rows:
-            masks, entries = _support(prog, supports, budget)
-            budget -= entries
+            masks, entries = _support(prog, supports, budget // 4)
+            budget -= 4 * entries
             grown.append((j, masks - supports[j]))
         if not any(masks for _, masks in grown):
             break
@@ -387,11 +401,13 @@ def _static_layouts(supports, n, p0_slot, h0, rows, dz, audited):
         raise FlowError("the static supports of the flow did not settle")
     z = set()
     for prog in dz:
-        masks, entries = _support(prog, supports, budget)
-        budget -= entries
+        masks, entries = _support(prog, supports, budget // 4)
+        budget -= 4 * entries
         z |= masks
     for prog in audited:
         budget -= _support(prog, supports, budget)[1]
+    if 4 * sum(map(len, supports[:p0_slot + 1])) + len(z) > budget:
+        raise FlowError(_over_the_limit)
     return [tuple(sorted(masks)) for masks in supports], tuple(sorted(z))
 
 
@@ -400,11 +416,13 @@ class _Plan:
 
     `reg` starts with the env bank, each env value a run of registers, one
     per mask of its layout in ascending order.  Planning a program gives it
-    fresh registers for its value and for the partial products that no
-    earlier program of its plan made, and each distinct coefficient one
-    register.  A plan is a list of (output, left, right, op) entries, which
-    `_run` applies in order; the first entry that writes a register sets it,
-    so no register needs zeroing between runs.
+    registers for its value, fresh ones or those it is asked to land on,
+    fresh ones for the partial products that no earlier program of its plan
+    made, and each distinct coefficient one register.  A plan is a list of
+    (output, left, right, op) entries, which `_run` applies in order; the
+    first entry of a run that writes a register sets it, so no register
+    needs zeroing between runs, and one plan may hold several copies of the
+    same entries on other registers.
     """
 
     def __init__(self, values, layouts):
@@ -429,8 +447,8 @@ class _Plan:
             self.reg.append(value)
         return self.consts[value]
 
-    def program(self, program, entries, held):
-        """Append to entries what leaves program's value in a fresh run of
+    def program(self, program, entries, held, into=None):
+        """Append to entries what leaves program's value in a run of
         registers, and return them as {mask: register}.
 
         A term multiplies in one env slot per step.  It starts from the
@@ -446,12 +464,17 @@ class _Plan:
         `_product` sums them.  A term's last step lands on the value's
         registers when none of those it writes is written yet or when it
         puts one product on each mask; otherwise it lands on registers of
-        its own, which are then added.  The first entry that writes a
-        register sets it and every later one adds to it, so the entries need
-        no zeroed registers and may run again on their own results.  Entries
-        that nothing reads are left for `_live` to drop.  A program that is
-        one slot with coefficient 1 returns that slot's registers.
+        its own, which are then added.  The value's registers are those of
+        into, {mask: register}, which no earlier entry may write, or fresh
+        ones.  The first entry that writes a register sets it and every
+        later one adds to it, so the entries need no zeroed registers and
+        may run again on their own results.  Entries that nothing reads are
+        left for `_live` to drop.  A program that is one slot with
+        coefficient 1 returns that slot's registers, and one that is a lone
+        constant its coefficient's register; neither appends an entry.
         """
+        if len(program) == 1 and not program[0][1]:
+            return {0: self.const(program[0][0])}
         if len(program) == 1 and program[0][0] == 1 and len(program[0][1]) == 1:
             return self.env[program[0][1][0]]
         terms = []
@@ -465,7 +488,8 @@ class _Plan:
                 acc = tuple(sorted({a | b for a, b in pairs}))
                 steps.append((right, pairs, acc))
             terms.append((coeff, slots, steps, acc))
-        total = self.alloc(sorted(set().union(*(acc for *_, acc in terms))))
+        masks = sorted(set().union(*(acc for *_, acc in terms)))
+        total = self.alloc(masks) if into is None else {m: into[m] for m in masks}
         written = set()
         for coeff, slots, steps, _ in terms:
             done = len(slots)
@@ -501,6 +525,15 @@ class _Plan:
         return total
 
 
+def _reads(left, right, op):
+    """The registers an entry with these operands reads."""
+    if op in (0, 3):
+        return (left,)
+    if op > 3:
+        return (left, *right)
+    return (left, right)
+
+
 def _live(entries, roots):
     """The entries, in order, that write a register of roots or one that a
     later kept entry reads: one backward pass."""
@@ -509,7 +542,7 @@ def _live(entries, roots):
     for entry in reversed(entries):
         if entry[0] in needed:
             kept.append(entry)
-            needed.update(entry[1:3])
+            needed.update(_reads(*entry[1:]))
     kept.reverse()
     return kept
 
@@ -518,7 +551,12 @@ def _run(plan, reg):
     """Apply a plan's entries (output, left, right, op) in order to the
     register file reg.  A first write (op 2, -2 or 3) sets reg[output] to
     reg[left] * reg[right], to its negative or to reg[left]; a later one
-    (op 1, -1 or 0) adds, subtracts or adds that value."""
+    (op 1, -1 or 0) adds, subtracts or adds that value.  Op 4 sets an RK4
+    stage input, reg[left] + reg[k] * reg[c] for right = (k, c), and op 5
+    advances a number of the state or Z by its four derivatives, right =
+    (k1, k2, k3, k4, two, sixth), to
+    reg[left] + (((reg[k1] + reg[k2] * reg[two]) + reg[k3] * reg[two]) + reg[k4])
+    * reg[sixth], the order of the reference's sums."""
     for out, left, right, op in plan:
         if op == 2:
             reg[out] = reg[left] * reg[right]
@@ -528,6 +566,14 @@ def _run(plan, reg):
             reg[out] = -(reg[left] * reg[right])
         elif op == -1:
             reg[out] -= reg[left] * reg[right]
+        elif op == 4:
+            k, c = right
+            reg[out] = reg[left] + reg[k] * reg[c]
+        elif op == 5:
+            k1, k2, k3, k4, two, sixth = right
+            two = reg[two]
+            reg[out] = reg[left] + (
+                ((reg[k1] + reg[k2] * two) + reg[k3] * two) + reg[k4]) * reg[sixth]
         elif op:
             reg[out] = reg[left]
         else:
@@ -593,27 +639,35 @@ def _integrate(flow, path, init):
     lifted[sys.p0] = -evaluate(sys.legres.h0, lifted)
 
     # registers: the env bank (the state first), the rates of the moving
-    # parameters, the derivatives (k in the state's layout, then Z's), then
-    # the planned programs' own
+    # parameters, four derivative blocks k1..k4 in the layout of the state
+    # then of Z, the stage inputs in the state's, Z itself, the step's
+    # constants, and the planned programs' own
     plan = _Plan([lifted[g].coeff for g in order], layouts)
     reg = plan.reg
-    width = sum(map(len, layouts[:p0_slot + 1]))
+    shape = layouts[:p0_slot + 1]
+    width = sum(map(len, shape))
+    shape.append(z_layout)
+
+    def bank(layouts):
+        """The registers of a fresh run in the given layouts, as a list."""
+        start = len(reg)
+        for layout in layouts:
+            plan.alloc(layout)
+        return list(range(start, len(reg)))
+
     rate = {i: plan.alloc((0,))[0] for i in moved}
-    k0 = len(reg)
-    k_regs = [plan.alloc(where) for where in plan.env[:p0_slot + 1]]
-    z_regs = plan.alloc(z_layout)
-    kz = slice(k0, len(reg))
-    # each moving parameter's programs, planned as one, and the (derivative,
-    # value) register pairs that its rate scales into k and Z
-    derivs = {}
-    for i in moved:
-        entries, scaled, held = [], [], {}
-        for j, prog in rhs[i]:
-            scaled += [(k_regs[j][m], r)
-                       for m, r in plan.program(prog, entries, held).items()]
-        scaled += [(z_regs[m], r)
-                   for m, r in plan.program(dz[i], entries, held).items()]
-        derivs[i] = _live(entries, [r for _, r in scaled]), scaled
+    ks = [bank(shape) for _ in range(4)]
+    inputs = bank(shape[:-1])
+    # the number of the state or Z that each offset of a block stands for
+    home = [*range(width), *bank(shape[-1:])]
+    k_regs = [{m: ks[0][r] for m, r in where.items()}
+              for where in plan.env[:p0_slot + 1]]
+    z_regs = dict(zip(z_layout, ks[0][width:]))
+    h = 1.0 / path.steps
+    half, full = plan.const(complex(h / 2)), plan.const(complex(h))
+    two, sixth = plan.const(complex(2)), plan.const(complex(h / 6))
+    zero = plan.const(0j)
+
     # gather reads the registers of every family member's value, member
     # after member; each member reads its own span of what gather reads
     audit, held, audited, members = [], {}, [], []
@@ -628,77 +682,102 @@ def _integrate(flow, path, init):
         start = audited[0] if audited else 0
         gather = itemgetter(slice(start, start + len(audited)))
 
-    def sample(point, sz):
-        if not all(map(isfinite, sz)):
-            raise FlowError(f"the flow is not finite at waypoint "
-                            f"({', '.join(f'{x:g}' for x in point)})")
-        return (tuple(point),
-                {g: GrassmannValue(n, {m: sz[r] for m, r in where.items()})
-                 for g, where in zip(state_gens, plan.env)})
+    def step_plan(moving):
+        """The plans of a segment that moves the parameters i of its (i, unit)
+        pairs, unit when the rate is exactly 1: one to run when the segment
+        starts, if any, and one to run at every step, which ends in the drift
+        audit."""
+        # the stage: the moving parameters' programs in order, on k1 and Z's
+        # block of it, sharing their partial products; a program with a rate
+        # of 1 lands on its derivative's registers when it is the first to
+        # write them, and otherwise its rate scales or copies it into them
+        stage, held, written = [], {}, set()
+        for i, unit in moving:
+            first, more = (3, 0) if unit else (2, 1)
+            for dest, prog in [*((k_regs[j], prog) for j, prog in rhs[i]),
+                               (z_regs, dz[i])]:
+                start = len(stage)
+                land = unit and written.isdisjoint(dest.values())
+                value = plan.program(prog, stage, held, dest if land else None)
+                written.update(out for out, *_ in stage[start:])
+                for m, r in value.items():
+                    if dest[m] != r:
+                        stage.append((dest[m], r, rate[i],
+                                      more if dest[m] in written else first))
+                        written.add(dest[m])
+        stage = _live(stage, ks[0])
+        # the offsets of the numbers the stage moves; the others keep their
+        # value for the whole segment
+        offset = {r: o for o, r in enumerate(ks[0])}
+        moves = sorted({offset[out] for out, *_ in stage if out in offset})
+        roots = [home[o] for o in moves] + audited
+        shifted = [o for o in moves if o < width]
+        shifting = set(shifted)
+        if not any(left in shifting or op not in (0, 3) and right in shifting
+                   for _, left, right, op in stage):
+            # a stage that reads no number of the state that it moves gives
+            # four equal rates at every step: run it once, with the update
+            # they sum to (added to zero), and add that update at every step
+            update = bank(shape)
+            stage += [(update[o], zero, (*[ks[0][o]] * 4, two, sixth), 5)
+                      for o in moves]
+            step = [(home[o], update[o], 0, 0) for o in moves]
+            return stage, _live(step + audit, roots)
+        # the stage four times, the first on the state bank and the others on
+        # the stage inputs, each on its own block; after each of the first
+        # three, the inputs s + k * c, of which `_live` keeps those that a
+        # later copy reads; then the update of every number moved
+        step = list(stage)
+        for k, c, next_k in zip(ks, (half, half, full), ks[1:]):
+            step += [(inputs[o], o, (k[o], c), 4) for o in shifted]
+            shift = {ks[0][o]: next_k[o] for o in moves}
+            shift.update((o, inputs[o]) for o in shifted)
+            step += [(shift.get(out, out), shift.get(left, left),
+                      shift.get(right, right), op)
+                     for out, left, right, op in stage]
+        step += [(home[o], home[o], (*(k[o] for k in ks), two, sixth), 5)
+                 for o in moves]
+        step += audit
+        return [], _live(step, roots)
 
-    # the state, then Z, as one list
-    sz = reg[:width] + [0j] * len(z_layout)
     _run(audit, reg)
     residual = max(map(abs, gather(reg)), default=0.0)
     if not residual <= _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
+
+    def sample(point):
+        if not all(map(isfinite, map(reg.__getitem__, home))):
+            raise FlowError(f"the flow is not finite at waypoint "
+                            f"({', '.join(f'{x:g}' for x in point)})")
+        return (tuple(point),
+                {g: GrassmannValue(n, {m: reg[r] for m, r in where.items()})
+                 for g, where in zip(state_gens, plan.env)})
+
     # the largest absolute value each audited register reaches after a step
     peaks = [0.0] * len(audited)
-    samples = [sample(path.waypoints[0], sz)]
-    h = 1.0 / path.steps
-    halves, fulls = [complex(h / 2)] * width, [complex(h)] * width
-    sixth, two = complex(h / 6), complex(2)
+    samples = [sample(path.waypoints[0])]
+    # segments that move the same parameters, each at a rate of 1 or not,
+    # share their plans, which read the rates from their registers
+    plans = {}
     for w1, moving in segments:
-        # one plan for the stage: the moving parameters' entries in order,
-        # each derivative register set by the first rate that scales into it,
-        # and copied when the rate is 1; the registers no rate reaches stay
-        # zero for the whole segment
-        stage, written = [], set()
         for i, vf in moving:
             reg[rate[i]] = vf
-            entries, scaled = derivs[i]
-            first, more = (3, 0) if vf == 1 else (2, 1)
-            stage += entries
-            stage += [(dest, r, rate[i], more if dest in written else first)
-                      for dest, r in scaled]
-            written.update(dest for dest, _ in scaled)
-        reg[kz] = [0j] * (kz.stop - k0)
-        # a stage that reads no register of the state bank (op 0 and 3 read
-        # no right operand) gives four equal rates at every step: run it
-        # once, and sum them as a step would
-        update = None
-        if all(left >= width and (right >= width or op in (0, 3))
-               for _, left, right, op in stage):
-            _run(stage, reg)
-            update = [(((k + k * two) + k * two) + k) * sixth for k in reg[kz]]
-        # a step's first stage reads the state bank as the last drift audit
-        # left it
+        key = tuple((i, vf == 1) for i, vf in moving)
+        if key not in plans:
+            plans[key] = step_plan(key)
+        once, step = plans[key]
+        if once:
+            _run(once, reg)
         for _ in range(path.steps):
-            if update is None:
-                _run(stage, reg)
-                k1 = reg[kz]
-                reg[:width] = map(add, sz, map(mul, k1, halves))
-                _run(stage, reg)
-                k2 = reg[kz]
-                reg[:width] = map(add, sz, map(mul, k2, halves))
-                _run(stage, reg)
-                k3 = reg[kz]
-                reg[:width] = map(add, sz, map(mul, k3, fulls))
-                _run(stage, reg)
-                sz = [s + (((a + b * two) + c * two) + d) * sixth
-                      for s, a, b, c, d in zip(sz, k1, k2, k3, reg[kz])]
-            else:
-                sz = list(map(add, sz, update))
-            reg[:width] = sz[:width]
-            _run(audit, reg)
+            _run(step, reg)
             # max(peak, nan) keeps the peak
             peaks = list(map(max, peaks, map(abs, gather(reg))))
-        samples.append(sample(w1, sz))
+        samples.append(sample(w1))
     drift_by = {label: max(peaks[a:b], default=0.0) for label, a, b in members}
     drift = max(drift_by.values(), default=0.0)
-    return FlowResult(samples, GrassmannValue(n, dict(zip(z_layout, sz[width:]))),
-                      drift, drift_by, residual)
+    z = GrassmannValue(n, dict(zip(z_layout, map(reg.__getitem__, home[width:]))))
+    return FlowResult(samples, z, drift, drift_by, residual)
 
 
 class PathIndependenceReport:

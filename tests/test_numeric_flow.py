@@ -2,6 +2,7 @@
 import cmath
 import math
 import random
+from itertools import groupby
 
 import pytest
 
@@ -345,9 +346,17 @@ def test_lambda12_literal_builds_only_the_signs_it_meets(monkeypatch):
     assert len(signed) == 4
 
 
+def _parts(step):
+    """A step plan split where its kind of entry changes: the stage copies
+    and the audit (ops -2..3), the stage inputs (op 4) and the updates
+    (op 5)."""
+    return [list(part) for _, part in groupby(step, key=lambda e: max(e[3], 3))]
+
+
 def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
     # the three-flavour flow in Lambda_6: every register of the plan holds
-    # one mask of a value (coefficients and rates hold mask 0)
+    # one mask of a value (coefficients, rates and the step's constants hold
+    # mask 0)
     masks, plans, layouts = {}, {}, []
     alloc, run = numeric_flow._Plan.alloc, numeric_flow._run
     static = numeric_flow._static_layouts
@@ -376,16 +385,27 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
     assert [len(v) for v in values] == [7, 4, 4, 4, 4, 4, 4, 7, 4, 4, 4, 4, 4, 4, 3, 1, 1]
     assert len(z_layout) == 4
     # one plan for the drift audit, which first measures the initial state,
-    # and one for the RK4 derivative, whose rate copies dx/dt0 = p_x
-    # straight from p_x's registers into k
-    audit, deriv = plans.values()
-    assert (len(deriv), len(audit)) == (339, 151)
-    # a term whose coefficient is folded starts from the env bank and
-    # carries the coefficient's sign into its first product: -1 in the audit
-    # (H'0's six mass and Yukawa terms), 1 in the derivative (p_x's three
-    # g*psi*psibar terms)
+    # and one for the RK4 step, which ends in that audit
+    audit, step = plans.values()
+    assert (len(step), len(audit)) == (1448, 151)
+    # the stage four times, whose derivatives land on k or are copied from
+    # p_x's registers (dx/dt0 = p_x), the 37 stage inputs that a later copy
+    # reads after each of the first three, the update of the 66 numbers the
+    # stage moves (every number of the state and Z but P0's 3), the audit
+    parts = _parts(step)
+    assert [len(part) for part in parts] == [280, 37, 280, 37, 280, 37, 280, 66, 151]
+    copies, inputs, updates = parts[0:7:2], parts[1:7:2], parts[7]
+    assert parts[8] == audit
+    shape = [[(op, masks.get(left, 0), masks.get(right, 0), masks[out])
+              for out, left, right, op in copy] for copy in copies]
+    assert shape[1:] == shape[:1] * 3
+    # a term whose coefficient is folded starts from the env bank or the
+    # stage inputs and carries the coefficient's sign into its first
+    # product: -1 in the audit (H'0's six mass and Yukawa terms), 1 in the
+    # stage (p_x's three g*psi*psibar terms)
     env_bank = sum(map(len, values))
-    for plan, carried in ((deriv, 1), (audit, -1)):
+    read_as_state = set(range(env_bank)) | {out for part in inputs for out, *_ in part}
+    for plan, carried in [*((copy, 1) for copy in copies), (audit, -1)]:
         written = set()
         for out, left, right, op in plan:
             # the first write of a register sets it (op 2, -2 or 3), every
@@ -398,8 +418,15 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
             else:
                 assert not a & b
                 assert masks[out] == a | b
-                sign = carried if left < env_bank else 1
+                sign = carried if left in read_as_state else 1
                 assert (1 if op > 0 else -1) == sign * reference_sign(a, b)
+    # a stage input is s + k * c on one mask, and an update reads the four
+    # derivatives of its number's mask
+    for out, left, (k, c), op in (entry for part in inputs for entry in part):
+        assert masks[out] == masks[left] == masks[k] and masks.get(c, 0) == 0
+    for out, left, (*ks, two, sixth), op in updates:
+        assert out == left and {masks[k] for k in ks} == {masks[out]}
+        assert masks.get(two, 0) == masks.get(sixth, 0) == 0
 
 
 def _assert_same_flow(got, want):
@@ -437,13 +464,24 @@ def test_planned_flow_matches_dict_reference_on_bundled_flows(model, cfg):
                       reference_integrate(result.tds, path, init, result.closure))
 
 
+def _written_and_read(entry):
+    """The register an entry writes and those it reads, its own output
+    included when it adds to it."""
+    out, left, right, op = entry
+    reads = (left,) if op in (0, 3) else (left, *right) if op > 3 else (left, right)
+    return out, reads + (out,) * (op in (-1, 0, 1))
+
+
 @pytest.mark.parametrize("model,cfg",
                          BUNDLED_FLOWS + [("flavour3.smf", "flavour3_flow.cfg")])
 def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
         monkeypatch, model, cfg):
-    # the registers a plan leaves for the flow: the values of the family
-    # members for the drift audit, k and Z for a stage
-    plans, values = {}, set()
+    # the registers a run leaves for the flow: the values of the family
+    # members, and those another run reads before it writes them: the
+    # state and Z, which a step reads, advances and carries to the next
+    # step, and the update that the first run of a segment whose stage
+    # reads nothing it moves leaves for its steps
+    plans, values, audited = {}, set(), set()
     program, run = numeric_flow._Plan.program, numeric_flow._run
 
     def recording_program(self, *args):
@@ -452,6 +490,9 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
         return out
 
     def recording_run(plan, reg):
+        if not plans:
+            # the audit's programs are planned before its first run
+            audited.update(values)
         plans.setdefault(id(plan), plan)
         return run(plan, reg)
 
@@ -460,43 +501,50 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
     text = data_text(model) if (DATA / model).exists() else fixture_text(model)
     cfg_text = data_text(cfg) if (DATA / cfg).exists() else fixture_text(cfg)
     run_pipeline(parse_model(text), stage="flow", path_text=cfg_text)
-    audit, *stages = plans.values()
-    for plan in [audit, *stages]:
-        if plan is audit:
-            roots = {out for out, *_ in plan if out in values}
-        else:
-            roots = {out for out, left, *_ in plan if left in values}
-        # every write is read by a later entry or left for the flow
-        read = set()
-        for out, left, right, op in reversed(plan):
-            assert out in read or out in roots
-            read.add(left)
-            if op not in (0, 3):
-                read.add(right)
+    first_read = {}
+    for key, plan in plans.items():
+        first_read[key], written = set(), set()
+        for entry in plan:
+            out, reads = _written_and_read(entry)
+            first_read[key].update(r for r in reads if r not in written)
+            written.add(out)
+    handed = set().union(*first_read.values())
+    for key, plan in plans.items():
+        written = {out for out, *_ in plan}
+        # a register that a run reads before it writes it is only ever
+        # advanced by it (the state and Z), never set
+        carried = first_read[key] & written
+        assert all(op in (0, 5) for out, *_, op in plan if out in carried)
+        roots = (audited | handed) & written
+        # every write is read before the next write that sets its register,
+        # or is the last write of a register the flow reads
+        live = set(roots)
+        for entry in reversed(plan):
+            out, reads = _written_and_read(entry)
+            assert out in live
+            if out not in reads:
+                live.discard(out)
+            live.update(reads)
         # a partial product is identified by how its register is computed:
         # (op, left, right) per write, a register the plan does not write
-        # standing for itself; no two registers compute the same one
+        # standing for itself; no two registers compute the same one, so
+        # each is made once in each copy of the stage
         made = {}
         for out, left, right, op in plan:
-            step = (op, made.get(left, left),
-                    None if op in (0, 3) else made.get(right, right))
+            if op > 3:
+                right = tuple(made.get(r, r) for r in right)
+            else:
+                right = None if op in (0, 3) else made.get(right, right)
+            step = (op, made.get(left, left), right)
             made[out] = made.get(out, ()) + (step,)
-        partial = [how for r, how in made.items() if r not in values and r not in roots]
+        partial = [how for r, how in made.items()
+                   if r not in values and r not in roots]
         assert len(set(partial)) == len(partial)
 
 
-@pytest.mark.parametrize("model,cfg,runs", [
-    # the drift audit, whose one product nothing reads, then the t0
-    # segment's stage (four runs a step over 5,000 steps), then the q2
-    # segment's, which reads no state
-    ("gauge_toy.smf", "gauge_toy_flow.cfg", [(0, 10_001), (2, 20_000), (2, 1)]),
-    # t0 and q2 move together over 100 steps, then q2 alone; the rates copy
-    # dq1/dt0 = p_q1 straight from p_q1's registers
-    ("free_singular.smf", "free_singular_diagonal_flow.cfg",
-     [(3, 201), (6, 400), (2, 1)]),
-])
-def test_a_stage_that_reads_no_state_runs_once_a_segment(monkeypatch, model, cfg, runs):
-    # each plan's size and runs, in the order of its first run
+def _plan_runs(monkeypatch, model, cfg):
+    """The size and the runs of each plan of a bundled flow, in the order of
+    its first run."""
     plans, counts = {}, {}
     run = numeric_flow._run
 
@@ -508,7 +556,54 @@ def test_a_stage_that_reads_no_state_runs_once_a_segment(monkeypatch, model, cfg
     monkeypatch.setattr(numeric_flow, "_run", counting)
     cfg_text = data_text(cfg) if (DATA / cfg).exists() else fixture_text(cfg)
     run_pipeline(parse_model(fixture_text(model)), stage="flow", path_text=cfg_text)
-    assert [(len(plans[i]), count) for i, count in counts.items()] == runs
+    return [(len(plans[i]), count) for i, count in counts.items()]
+
+
+@pytest.mark.parametrize("model,cfg,runs", [
+    # the drift audit, whose one product nothing reads; then each segment's
+    # stage, which reads no number that it moves (dq1/dt0 = p_q1 while p_q1
+    # stays, dq1/dq2 = 1), runs once with the update its four equal rates
+    # sum to, and each of the 5,000 steps adds that update to q1
+    ("gauge_toy.smf", "gauge_toy_flow.cfg",
+     [(0, 1), (2, 1), (1, 5_000), (2, 1), (1, 5_000)]),
+    # t0 and q2 move together over 100 steps, then q2 alone; the first
+    # stage copies dq1/dt0 = p_q1 straight from p_q1's registers and adds
+    # dq1/dq2 = 1 from the coefficient's register, and its steps add the
+    # updates of q1 and Z's two numbers before the audit
+    ("free_singular.smf", "free_singular_diagonal_flow.cfg",
+     [(3, 1), (7, 1), (6, 100), (2, 1), (4, 100)]),
+])
+def test_a_stage_that_reads_no_state_runs_once_a_segment(monkeypatch, model, cfg, runs):
+    assert _plan_runs(monkeypatch, model, cfg) == runs
+
+
+def test_a_flow_runs_one_plan_a_step(monkeypatch):
+    # the audit of the initial state, then one run for each of the 2,000
+    # steps: 2,001 runs of the table-driven loop in all
+    runs = _plan_runs(monkeypatch, "sho.smf", "sho_flow.cfg")
+    assert runs == [(5, 1), (46, 2_000)]
+    assert sum(count for _, count in runs) == 2_001
+
+
+def test_segments_that_move_the_same_parameters_share_their_plans(monkeypatch):
+    # t0 moves at rates 0.25, 0.5 and 0.25 and then at 1: two step plans, so
+    # the register file does not grow with the number of segments
+    sho, sys, tds, report = _sho_setup()
+    g = sho.gens
+    init = {g["q"]: GrassmannValue.body_value(0, 1.0),
+            g["pq"]: GrassmannValue.body_value(0, 0.0)}
+    plans, counts = {}, {}
+    run = numeric_flow._run
+
+    def counting(plan, reg):
+        plans.setdefault(id(plan), plan)
+        counts[id(plan)] = counts.get(id(plan), 0) + 1
+        return run(plan, reg)
+
+    monkeypatch.setattr(numeric_flow, "_run", counting)
+    path = PathSpec((sys.t0,), ((0.0,), (0.25,), (0.75,), (1.0,), (2.0,)), 10)
+    integrate_flow(tds, path, init, report=report)
+    assert list(counts.values()) == [1, 30, 10]
 
 
 @pytest.mark.parametrize("name", sorted(PATH_PAIRS))
@@ -566,6 +661,25 @@ def test_two_parameters_moving_one_coordinate_add_their_rates():
     q1 = result.elaborated.lookup("q1")
     assert [values[q1].body for _, values in out.samples] == \
         pytest.approx([0.3, 2.0, 3.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("model,cfg,waypoints,steps", [
+    # t0 and q2 at unequal rates, neither 1, then q2 alone, then both again;
+    # each rate scales into q1's derivative of every stage copy
+    (SHEAR, "params t0 q2\n0, 0\n1, 1\nsteps 1\nq1 = 0.3\np_q1 = 0.7\n"
+     "p_q2 = -0.7\n", ((0, 0), (0.7, 0.3), (0.7, 1.1), (1.9, 0.4)), 37),
+    # t0 at rates 0.35 and 0.85: every derivative of the three flavours is
+    # scaled, not landed, in all four copies of the stage
+    (data_text("flavour3.smf"), data_text("flavour3_flow.cfg"),
+     ((0.0,), (0.35,), (1.2,)), 20),
+], ids=["shear", "flavour3"])
+def test_unequal_rates_match_the_reference(model, cfg, waypoints, steps):
+    result = run_pipeline(parse_model(model), stage="hj")
+    path, init = parse_path_config(cfg, result.elaborated, result.hj_system)
+    path = PathSpec(path.params, waypoints, steps)
+    out = integrate_flow(result.tds, path, init, report=result.closure)
+    _assert_same_flow(out, reference_integrate(result.tds, path, init, result.closure))
+    assert out.z.max_abs > 0
 
 
 def _seeded_init(elab, n, rng, flavours, evens):
