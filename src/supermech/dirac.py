@@ -486,7 +486,7 @@ def run_dirac(legres):
     basis = model.phase_basis()
     analysis = DiracAnalysis(model=model, basis=basis, h0=legres.h0, hp=legres.h0)
     order0 = 10 ** 6
-    for k, (q, expr) in enumerate(legres.primary_constraints()):
+    for k, (q, expr) in enumerate(legres.primary.items()):
         rec = ConstraintRecord(
             name=f"Phi{k + 1}",
             expr=expr,

@@ -48,20 +48,40 @@ class ElaboratedModel:
     def lookup(self, name, index=None):
         """Resolve a printed generator name (coordinates, momenta, params)."""
         if name in self.families:
-            coords = self.families[name]
-            if self.sizes[name] is None:
-                if index is not None:
-                    raise IndexOutOfRange(f"{name} is not an indexed family")
-                return coords[0]
-            if index is None or not 1 <= index <= len(coords):
-                raise IndexOutOfRange(f"index {index} outside {name}[1..{len(coords)}]")
-            return coords[index - 1]
+            indices = () if index is None else (index,)
+            return _coordinate(self.families, self.sizes, name, indices, {})
         if name.startswith("p_"):
             coord = self.lookup(name[2:], index)
             return self.model.momentum(coord)
         if name in self.params:
             return self.params[name]
         raise UnknownSymbol(f"unknown generator {name!r}")
+
+
+def _resolve_index(ix, bindings):
+    if isinstance(ix, int):
+        return ix
+    if ix in bindings:
+        return bindings[ix]
+    raise UnknownSymbol(f"unbound index variable {ix!r}")
+
+
+def _coordinate(families, sizes, name, indices, bindings):
+    """The coordinate name[indices] of a declared family, one rule for the
+    model source and the flow config: an unsized name takes no index and a
+    family exactly one, in range."""
+    coords = families[name]
+    size = sizes[name]
+    if size is None:
+        if indices:
+            raise IndexOutOfRange(f"{name} is not an indexed family")
+        return coords[0]
+    if len(indices) != 1:
+        raise IndexOutOfRange(f"{name} needs exactly one index")
+    k = _resolve_index(indices[0], bindings)
+    if not 1 <= k <= size:
+        raise IndexOutOfRange(f"index {k} outside {name}[1..{size}]")
+    return coords[k - 1]
 
 
 def _check_name(name, seen):
@@ -142,27 +162,6 @@ class _Env:
         self.tensors = tensors
         self.builder = builder
 
-    def resolve_index(self, ix, bindings):
-        if isinstance(ix, int):
-            return ix
-        if ix in bindings:
-            return bindings[ix]
-        raise UnknownSymbol(f"unbound index variable {ix!r}")
-
-    def coordinate(self, name, indices, bindings):
-        coords = self.families[name]
-        size = self.sizes[name]
-        if size is None:
-            if indices:
-                raise IndexOutOfRange(f"{name} is not an indexed family")
-            return coords[0]
-        if len(indices) != 1:
-            raise IndexOutOfRange(f"{name} needs exactly one index")
-        k = self.resolve_index(indices[0], bindings)
-        if not 1 <= k <= size:
-            raise IndexOutOfRange(f"index {k} outside {name}[1..{size}]")
-        return coords[k - 1]
-
     def eval(self, node, bindings):
         if isinstance(node, syn.Num):
             return const_poly(Coefficient(node.value))
@@ -195,7 +194,8 @@ class _Env:
             return gen_poly(self.builder.velocity_of(coord))
         if isinstance(node, syn.Ref):
             if node.name in self.families:
-                return gen_poly(self.coordinate(node.name, node.indices, bindings))
+                return gen_poly(_coordinate(self.families, self.sizes, node.name,
+                                            node.indices, bindings))
             if node.name in self.params:
                 if node.indices:
                     raise IndexOutOfRange(f"parameter {node.name} takes no index")
@@ -206,8 +206,8 @@ class _Env:
                     raise IndexOutOfRange(f"tensor {node.name} needs two indices")
                 if entries is None:
                     raise _TensorInEntry
-                r = self.resolve_index(node.indices[0], bindings)
-                c = self.resolve_index(node.indices[1], bindings)
+                r = _resolve_index(node.indices[0], bindings)
+                c = _resolve_index(node.indices[1], bindings)
                 if not (1 <= r <= len(entries) and 1 <= c <= len(entries[0])):
                     raise IndexOutOfRange(
                         f"tensor index [{r},{c}] outside {node.name}")
@@ -223,4 +223,4 @@ class _Env:
     def coordinate_checked(self, name, indices, bindings):
         if name not in self.families:
             raise UnknownSymbol(f"dot() of unknown coordinate {name!r}")
-        return self.coordinate(name, indices, bindings)
+        return _coordinate(self.families, self.sizes, name, indices, bindings)

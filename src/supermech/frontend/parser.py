@@ -8,7 +8,7 @@ happens later during canonicalization.  Grammar::
     odd <name>[N] ...
     param <name>: even|odd
     tensor <name>[N,M] = [[...], ...]
-    lagrangian: <expr>
+    lagrangian: <expr>          # exactly once
 
     expr   := term (('+'|'-') term)*
     term   := unary ('*' unary)*
@@ -218,7 +218,7 @@ class _Parser:
         declarations = []
         params = []
         tensors = []
-        lagrangian = None
+        lagrangian = lagrangian_line = None
         while self.current.kind != "eof":
             tok = self.current
             if tok.kind != "name":
@@ -241,9 +241,12 @@ class _Parser:
                 self.pos += 1
                 tensors.append(self.parse_tensor())
             elif tok.text == "lagrangian":
+                if lagrangian is not None:
+                    raise ModelSyntaxError(f"lagrangian already given on line "
+                                           f"{lagrangian_line}", tok.line, tok.col)
                 self.pos += 1
                 self.expect("sym", ":")
-                lagrangian = self.parse_expr()
+                lagrangian, lagrangian_line = self.parse_expr(), tok.line
             else:
                 raise self.error("unknown declaration")
         if lagrangian is None:

@@ -64,7 +64,7 @@ def _legendre_lines(result):
             out.append(f"  {v} = {legres.solved_velocities[v]}")
     if legres.unexpressed_coords:
         out.append("primary constraints:")
-        for q, expr in legres.primary_constraints():
+        for q, expr in legres.primary.items():
             out.append(f"  [{q}] {expr} = 0   (H[{q}] = {legres.primary_h[q]})")
     out.append(f"H0 = {legres.h0}")
     return out
@@ -234,8 +234,7 @@ def render_structured(result):
             "unexpressed": [str(q) for q in legres.unexpressed_coords],
             "solved_velocities": {str(v): str(e)
                                   for v, e in legres.solved_velocities.items()},
-            "primary_constraints": {str(q): str(e)
-                                    for q, e in legres.primary_constraints()},
+            "primary_constraints": {str(q): str(e) for q, e in legres.primary.items()},
             "h0": str(legres.h0),
         },
     }

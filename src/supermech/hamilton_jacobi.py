@@ -46,18 +46,15 @@ class HPrime:
 class HJSystem:
     """The family H'_alpha with its parameters over the extended basis."""
 
-    __slots__ = ("model", "legres", "basis", "t0", "p0", "parameters", "hamiltonians",
-                 "h_parts")
+    __slots__ = ("legres", "basis", "t0", "p0", "parameters", "hamiltonians")
 
-    def __init__(self, model, legres, basis, t0, p0, parameters, hamiltonians, h_parts):
-        self.model = model
+    def __init__(self, legres, basis, t0, p0, parameters, hamiltonians):
         self.legres = legres
         self.basis = basis
         self.t0: Generator = t0
         self.p0: Generator = p0
         self.parameters: tuple[Generator, ...] = parameters
         self.hamiltonians: dict[Generator, SuperPoly] = hamiltonians
-        self.h_parts: dict[Generator, SuperPoly] = h_parts
 
     def label_of(self, param):
         return f"H'{self.parameters.index(param)}"
@@ -72,23 +69,14 @@ class HJSystem:
 
 
 def build_hj_system(legres):
-    """Assemble H'_0 = P0 + H0 and H'_alpha = P_alpha + H_alpha."""
-    model = legres.model
+    """Assemble H'_0 = P0 + H0; H'_alpha is the Legendre primary Phi_alpha itself."""
     t0 = Generator("t0", Parity.EVEN, Kind.COORDINATE, None, _T0_ORDER)
     p0 = Generator("P0", Parity.EVEN, Kind.MOMENTUM, None, _T0_ORDER)
-    basis = model.phase_basis().extend([(t0, p0)])
-    parameters = [t0]
+    basis = legres.model.phase_basis().extend([(t0, p0)])
     hamiltonians = {t0: gen_poly(p0) + legres.h0}
-    h_parts = {t0: legres.h0}
-    for q in legres.unexpressed_coords:
-        parameters.append(q)
-        h_alpha = legres.primary_h[q]
-        hamiltonians[q] = gen_poly(model.momentum(q)) + h_alpha
-        h_parts[q] = h_alpha
-    for expr in hamiltonians.values():
-        parity_of(expr)
-    return HJSystem(model, legres, basis, t0, p0, tuple(parameters),
-                    hamiltonians, h_parts)
+    parity_of(hamiltonians[t0])
+    hamiltonians.update(legres.primary)
+    return HJSystem(legres, basis, t0, p0, tuple(hamiltonians), hamiltonians)
 
 
 class TotalDifferentialSystem:
@@ -108,8 +96,9 @@ def total_differentials(sys):
     dq = {}
     dp = {}
     dz = {}
-    model = sys.model
-    expressible = sys.legres.expressible_coords
+    legres = sys.legres
+    model = legres.model
+    expressible = legres.expressible_coords
     for param in sys.parameters:
         grad = gradient(sys.hamiltonians[param], False)
         p_a = param.parity
@@ -123,7 +112,7 @@ def total_differentials(sys):
             if not (p_i * p_a) & 1:
                 cp = -cp
             dp[(p, param)] = cp
-        acc = -sys.h_parts[param]
+        acc = -(legres.h0 if param is sys.t0 else legres.primary_h[param])
         for q in expressible:
             mom = model.momentum(q)
             term = gen_poly(mom) * grad.get(mom, ZERO)

@@ -1,8 +1,10 @@
 """Legendre analysis of an even polynomial Lagrangian.
 
 Derives momenta, the velocity Hessian and its body rank, solves the
-expressible velocities exactly, extracts the primary-constraint functions
-for the unexpressed directions and assembles the canonical Hamiltonian.
+expressible velocities exactly, builds the primary constraint
+Phi_alpha = p_alpha + H_alpha for each unexpressed direction and assembles
+the canonical Hamiltonian.  Phi_alpha is built here only: the Dirac stage's
+primary records and the Hamilton-Jacobi H'_alpha are the same objects.
 Supported Lagrangians are polynomial and at most quadratic in velocities,
 which keeps velocity solving inside exact graded linear algebra.
 """
@@ -113,16 +115,17 @@ class RankSplit:
 
 class LegendreResult:
     __slots__ = ("model", "momenta_defs", "hessian", "split", "solved_velocities",
-                 "primary_h", "h0")
+                 "primary_h", "primary", "h0")
 
     def __init__(self, model, momenta_defs, hessian, split, solved_velocities,
-                 primary_h, h0):
+                 primary_h, primary, h0):
         self.model: LagrangianModel = model
         self.momenta_defs: dict[Generator, SuperPoly] = momenta_defs
         self.hessian: list[list[SuperPoly]] = hessian
         self.split: RankSplit = split
         self.solved_velocities: dict[Generator, SuperPoly] = solved_velocities
-        self.primary_h: dict[Generator, SuperPoly] = primary_h
+        self.primary_h: dict[Generator, SuperPoly] = primary_h  # H_alpha
+        self.primary: dict[Generator, SuperPoly] = primary  # Phi_alpha
         self.h0: SuperPoly = h0
 
     @property
@@ -136,13 +139,6 @@ class LegendreResult:
     @property
     def unexpressed_coords(self):
         return tuple(self.model.coordinates[i] for i in self.split.unexpressed)
-
-    def primary_constraints(self):
-        """Constraint expressions p_alpha + H_alpha, one per unexpressed coordinate."""
-        out = []
-        for q in self.unexpressed_coords:
-            out.append((q, gen_poly(self.model.momentum(q)) + self.primary_h[q]))
-        return out
 
 
 def momenta(model):
@@ -224,8 +220,12 @@ def solve_velocities(model, momenta_defs, hess, split):
 
 
 def primary_constraints(model, momenta_defs, split, solved_velocities):
-    """H_alpha for each unexpressed direction, with p_alpha = -H_alpha."""
-    out = []
+    """H_alpha and Phi_alpha = p_alpha + H_alpha for each unexpressed direction.
+
+    Returns the two as {q: H_alpha} and {q: Phi_alpha}, in split order.
+    """
+    primary_h = {}
+    primary = {}
     for i in split.unexpressed:
         q = model.coordinates[i]
         expr = substitute(momenta_defs[q], solved_velocities)
@@ -233,10 +233,10 @@ def primary_constraints(model, momenta_defs, split, solved_velocities):
             if contains(expr, v):
                 raise UnsupportedLagrangian(
                     f"constraint for {q} retains a velocity: {expr}")
-        h_alpha = -expr
-        parity_of(gen_poly(model.momentum(q)) + h_alpha)
-        out.append((q, h_alpha))
-    return out
+        primary_h[q] = -expr
+        primary[q] = gen_poly(model.momentum(q)) + primary_h[q]
+        parity_of(primary[q])
+    return primary_h, primary
 
 
 def canonical_hamiltonian(model, momenta_defs, split, solved_velocities, primary_h):
@@ -266,6 +266,6 @@ def analyze(model):
     _check_affine(model, hess)
     split = rank_and_split(hess)
     solved = solve_velocities(model, defs, hess, split)
-    primary = dict(primary_constraints(model, defs, split, solved))
-    h0 = canonical_hamiltonian(model, defs, split, solved, primary)
-    return LegendreResult(model, defs, hess, split, solved, primary, h0)
+    primary_h, primary = primary_constraints(model, defs, split, solved)
+    h0 = canonical_hamiltonian(model, defs, split, solved, primary_h)
+    return LegendreResult(model, defs, hess, split, solved, primary_h, primary, h0)

@@ -339,11 +339,12 @@ def integrate_flow(tds, path, init, report):
     at the end of every step the drift.  The drift is read in one pass per
     step over every register of the members' values, which keeps a running
     maximum of each register's absolute value; after the last step these
-    give each member's drift and their largest the flow's.  A flow whose step plan, or whose P0 program alone, needs more
-    than PLAN_LIMIT entries, counted before any is shared or dropped, fails
-    with FlowError before any entry is built, and a flow whose initial
-    residual is not a number, or whose state or Z at a waypoint is not
-    finite, fails with FlowError too.
+    give each member's drift and their largest the flow's.  A flow whose
+    step plan, or whose P0 program alone, needs more than PLAN_LIMIT
+    entries, counted before any is shared or dropped, fails with FlowError
+    before any entry is built, and a flow whose initial residual is not a
+    number, or whose state or Z at a waypoint is not finite, fails with
+    FlowError too.
     """
     return _integrate(make_flow(tds, report), path, init)
 

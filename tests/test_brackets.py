@@ -47,7 +47,7 @@ def test_reduced_model_constraint_pair_bracket():
     legres = qed.legres
     basis = qed.model.phase_basis()
     g0 = gamma_matrices()[0]
-    primaries = dict(legres.primary_constraints())
+    primaries = legres.primary
     for b in range(4):
         phi2 = primaries[qed.gens["psi"][b][0]]
         for a in range(4):

@@ -80,6 +80,19 @@ def test_parse_division_by_zero_location(tmp_path, text, line, col):
     assert err_text.startswith("error (model): division by zero")
 
 
+def test_parse_refuses_a_second_lagrangian(tmp_path):
+    # a second section would silently replace the first (L = x, rank 0)
+    text = "model m\neven x\nlagrangian: 1/2*dot(x)*dot(x)\nlagrangian: x\n"
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert str(err.value) == "lagrangian already given on line 3 (line 4, column 1)"
+    bad = tmp_path / "twice.smf"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err_text = _cli_main("analyze", str(bad), "--format", "structured")
+    assert code == 2 and out == ""
+    assert json.loads(err_text)["error"] == {"kind": "model", "message": str(err.value)}
+
+
 def test_index_out_of_range():
     doc = parse_model("model m\nodd psi[4]\nlagrangian: psi[5]*psi[1]\n")
     with pytest.raises(IndexOutOfRange):
@@ -415,7 +428,8 @@ def test_output_independent_of_generator_addresses():
 def test_qed_gradient_counts(monkeypatch):
     # a deterministic count for the headline model: every derivative, in
     # the brackets and in the Legendre and Dirac solvers alike, reads a
-    # kept gradient, built at most once per polynomial and side
+    # kept gradient, built at most once per polynomial and side; the Dirac
+    # and Hamilton-Jacobi stages share each Phi_alpha, so its gradients too
     builds = []
     build = superalgebra._build_gradient
 
@@ -431,7 +445,7 @@ def test_qed_gradient_counts(monkeypatch):
     result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
                           stage="all")
     render_text(result)
-    assert len(builds) == 111
+    assert len(builds) == 93
     assert len({(id(p), left) for p, left in builds}) == len(builds)
 
 
@@ -711,7 +725,11 @@ def test_flow_config_waypoint_errors_carry_their_position(tmp_path, text, line, 
     # a parameter named twice was a FlowError with no position
     ("sho.smf", "params t0 q q\n0, 0, 0\n1, 0, 0\nsteps 10\n", 1, 13,
      "parameter q named twice"),
-], ids=["unknown", "scalar", "parameter", "index", "parameter-index", "parameter-twice"])
+    # a family named with no index, worded as the model source words it
+    ("flavour3.smf", "params t0\n0\n1\nsteps 10\npsi = 1*g1\n", 5, 1,
+     "psi needs exactly one index"),
+], ids=["unknown", "scalar", "parameter", "index", "parameter-index", "parameter-twice",
+        "family-without-index"])
 def test_flow_config_name_errors_carry_their_position(tmp_path, model, text, line,
                                                       column, message):
     _refuses(tmp_path, model, text, message, line, column)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from helpers import (
+    DATA,
     FIXTURES,
     HALF,
     HALF_I,
@@ -73,6 +74,21 @@ def test_build_fermionic_family():
         + gen_poly(g["m"]) * gen_poly(g["psibar"]) * gen_poly(g["psi"])
     assert sys.hamiltonians[g["psi"]] == gen_poly(g["ppsi"]) - HALF_I * gen_poly(g["psibar"])
     assert sys.hamiltonians[g["psibar"]] == gen_poly(g["ppsibar"]) - HALF_I * gen_poly(g["psi"])
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.smf")) + sorted(DATA.glob("*.smf")),
+                         ids=lambda path: path.stem)
+def test_dirac_and_hj_read_the_legendre_primary_constraints(path):
+    # Phi_alpha is built once, by the Legendre stage: the Dirac stage-0
+    # records and the family's H'_alpha are that same object
+    result = run_pipeline(parse_model(path.read_text(encoding="utf-8")), stage="hj")
+    primary = result.legres.primary
+    records = [rec for rec in result.analysis.records if rec.origin == "primary"]
+    assert [rec.coordinate for rec in records] == list(primary)
+    assert result.hj_system.parameters[1:] == tuple(primary)
+    for rec in records:
+        assert rec.expr is primary[rec.coordinate]
+        assert result.hj_system.hamiltonians[rec.coordinate] is primary[rec.coordinate]
 
 
 def test_total_differentials_sho_reduces_to_hamilton_equations():

@@ -160,7 +160,7 @@ def test_reduced_model_momenta_and_constraints():
         assert legres.momenta_defs[q].is_zero
     assert legres.momenta_defs[qed.gens["A0"][0]].is_zero
     # primary constraints: p_A0; p_psi - i psibar gamma0; p_psibar
-    primaries = dict(legres.primary_constraints())
+    primaries = legres.primary
     a0 = qed.gens["A0"][0]
     assert primaries[a0] == gen_poly(qed.model.momentum(a0))
 
@@ -204,7 +204,7 @@ def test_solved_velocities_reproduce_momenta():
 
 def test_constraint_parity_matches_coordinate():
     for built in (build_gauge_toy(), build_fermionic(), build_qed()):
-        for q, expr in built.legres.primary_constraints():
+        for q, expr in built.legres.primary.items():
             assert parity_of(expr) == q.parity
 
 
@@ -241,7 +241,7 @@ def test_coupled_rows_reduce_exactly():
     model = b.finish(HALF * (gen_poly(q1d) + gen_poly(q2d)) ** 2)
     legres = analyze(model)
     assert legres.rank == 1
-    (coord, constraint), = legres.primary_constraints()
+    (coord, constraint), = legres.primary.items()
     assert coord == q2
     assert constraint == gen_poly(p2) - gen_poly(p1)
     assert not contains(legres.h0, q1d) and not contains(legres.h0, q2d)
