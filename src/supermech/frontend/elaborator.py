@@ -46,13 +46,13 @@ class ElaboratedModel:
         return sum(q.parity == Parity.ODD for q in self.model.coordinates)
 
     def lookup(self, name, index=None):
-        """Resolve a printed generator name (coordinates, momenta, params)."""
-        if name in self.families:
+        """Resolve a printed generator name (coordinates, momenta, params).
+        A momentum p_q is that of a coordinate q, and its errors name p_q."""
+        coord = name[2:] if name.startswith("p_") else name
+        if coord in self.families:
             indices = () if index is None else (index,)
-            return _coordinate(self.families, self.sizes, name, indices, {})
-        if name.startswith("p_"):
-            coord = self.lookup(name[2:], index)
-            return self.model.momentum(coord)
+            q = _coordinate(self.families, self.sizes, coord, indices, {}, name)
+            return q if coord == name else self.model.momentum(q)
         if name in self.params:
             return self.params[name]
         raise UnknownSymbol(f"unknown generator {name!r}")
@@ -66,21 +66,22 @@ def _resolve_index(ix, bindings):
     raise UnknownSymbol(f"unbound index variable {ix!r}")
 
 
-def _coordinate(families, sizes, name, indices, bindings):
+def _coordinate(families, sizes, name, indices, bindings, shown=None):
     """The coordinate name[indices] of a declared family, one rule for the
     model source and the flow config: an unsized name takes no index and a
-    family exactly one, in range."""
+    family exactly one, in range.  Errors call it shown, by default name."""
     coords = families[name]
     size = sizes[name]
+    shown = shown or name
     if size is None:
         if indices:
-            raise IndexOutOfRange(f"{name} is not an indexed family")
+            raise IndexOutOfRange(f"{shown} is not an indexed family")
         return coords[0]
     if len(indices) != 1:
-        raise IndexOutOfRange(f"{name} needs exactly one index")
+        raise IndexOutOfRange(f"{shown} needs exactly one index")
     k = _resolve_index(indices[0], bindings)
     if not 1 <= k <= size:
-        raise IndexOutOfRange(f"index {k} outside {name}[1..{size}]")
+        raise IndexOutOfRange(f"index {k} outside {shown}[1..{size}]")
     return coords[k - 1]
 
 

@@ -9,7 +9,8 @@ requested path exactly.
 
 One-off values (literals, products, `evaluate`, a flow's P0) are sparse
 dicts that `_product` multiplies.  A flow instead lowers its polynomials
-once (`lower`), finds the masks each value can hold during the run, lays
+once (`lower`), with each constant whose value has no soul folded into the
+coefficients, finds the masks each value can hold during the run, lays
 every value out as a flat run of complex registers, and plans the products
 it reads, each once, as (output, left, right, op) entries, which one loop,
 `_run`, applies for any n.  The terms of one plan that share a coefficient
@@ -274,22 +275,31 @@ class FlowResult:
         self.onsurface_residual: float = onsurface_residual
 
 
-def lower(p, slot_of):
+def lower(p, slot_of, fixed):
     """Flatten p into a program over an environment of slot values.
 
     A program is a list of (complex coefficient, env slots) terms in the
     order of p's terms, with one slot per unit of exponent: the order in
-    which `evaluate` and a flow's plan multiply and sum.
+    which `evaluate` and a flow's plan multiply and sum.  A generator of
+    fixed, {generator: complex}, is a number no slot holds: each term
+    that reads it multiplies its coefficient by value**e, in the order of
+    its factors, and a term that reads one whose value is zero is dropped.
     """
     program = []
     for mono in as_poly(p).terms:
-        slots = []
+        coeff, slots = complex(mono.coeff), []
         for g, e in mono.factors:
-            slot = slot_of.get(g)
-            if slot is None:
-                raise GradeMismatch(f"no value assigned to {g}")
-            slots += [slot] * e
-        program.append((complex(mono.coeff), tuple(slots)))
+            if g not in fixed:
+                slot = slot_of.get(g)
+                if slot is None:
+                    raise GradeMismatch(f"no value assigned to {g}")
+                slots += [slot] * e
+            elif fixed[g]:
+                coeff *= fixed[g] ** e
+            else:
+                break
+        else:
+            program.append((coeff, tuple(slots)))
     return program
 
 
@@ -315,7 +325,14 @@ def integrate_flow(tds, path, init, report):
 
     Every polynomial the run needs is lowered once against a fixed
     generator -> slot map, and grades are checked once on the initial
-    assignment.  The programs the steps run are then planned once on the
+    assignment.  A constant (a generator that is neither state nor P0)
+    whose value is a body of its generator's grade holds no slot: `lower`
+    folds its value into the coefficients, so the plans and the PLAN_LIMIT
+    count below are those of the folded programs.  Folding rounds as
+    reading a slot does only for a power of two; for other values the
+    results may differ in their last bits from a run that reads the value
+    from a slot.  A constant of the wrong grade stays a slot and fails the
+    grade check.  The programs the steps run are then planned once on the
     masks each value can hold (`_static_layouts`, `_Plan`), each partial
     product of a plan made once, coefficients of exactly 1 and -1 folded,
     and only the entries kept whose registers the flow reads (`_live`).
@@ -613,13 +630,19 @@ def _integrate(flow, path, init):
                   if w1[i] - w0[i] != 0.0]
         segments.append((w1, moving))
     moved = sorted({i for _, moving in segments for i, _ in moving})
-    h0 = lower(sys.legres.h0, slot_of)
-    invariants = [(label, lower(expr, slot_of)) for label, expr in flow.invariants]
-    dz = {i: lower(flow.dz[path.params[i]], slot_of) for i in moved}
+    # a constant whose value has no soul is folded into the coefficients
+    # that read it; one of the wrong grade stays a slot, which the grade
+    # check below refuses
+    fixed = {g: lifted[g].body for g in order[p0_slot + 1:]
+             if set(lifted[g].coeff) <= {0} and lifted[g].pure_grade(g.parity)}
+    h0 = lower(sys.legres.h0, slot_of, fixed)
+    invariants = [(label, lower(expr, slot_of, fixed))
+                  for label, expr in flow.invariants]
+    dz = {i: lower(flow.dz[path.params[i]], slot_of, fixed) for i in moved}
     # a zero right-hand side adds exact zeros: keep only the nonzero ones
     rhs = {}
     for i in moved:
-        row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of))
+        row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of, fixed))
                for j, g in enumerate(state_gens))
         rhs[i] = [(j, prog) for j, prog in row if prog]
     programs = [h0, *(prog for _, prog in invariants), *dz.values(),

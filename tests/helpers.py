@@ -22,6 +22,7 @@ from supermech.numeric_flow import (
     FlowResult,
     GrassmannValue,
     _product,
+    evaluate,
     lower,
     make_flow,
 )
@@ -597,13 +598,18 @@ def run_program(program, env):
     return {} if total is None else total
 
 
-def reference_integrate(tds, path, init, report):
+def reference_integrate(tds, path, init, report, fold=True):
     """numeric_flow.integrate_flow as a dict-based RK4 loop: every value a
     mask -> complex dict of the slots it holds, every program run with
     run_program, and the update summed as
     ((k1 + 2k2) + 2k3) + k4, then times h/6, with z4*1 for Z.  A slot
-    missing from a value is 0j wherever it enters a sum.  The planned flow
-    must equal it bit for bit, but for the sign of zero parts."""
+    missing from a value is 0j wherever it enters a sum.  Like the flow, it
+    lowers with every constant whose value is a body of its generator's
+    grade folded into the coefficients, so the planned flow must equal it
+    bit for bit, but for the sign of zero parts.  With fold=False every
+    constant stays a slot, as a flow lowered before the fold did: that run
+    agrees with the folded one to rounding, and bit for bit when every
+    folded value is a power of two."""
     flow = make_flow(tds, report)
     sys = flow.tds.system
     n = max((v.n for v in init.values()), default=0)
@@ -624,12 +630,16 @@ def reference_integrate(tds, path, init, report):
                   if w1[i] - w0[i] != 0.0]
         segments.append((w1, moving))
     moved = {i for _, moving in segments for i, _ in moving}
-    h0 = lower(sys.legres.h0, slot_of)
-    invariants = [(label, lower(expr, slot_of)) for label, expr in flow.invariants]
-    dz = {i: lower(flow.dz[path.params[i]], slot_of) for i in moved}
+    fixed = {g: lifted[g].body for g in order[p0_slot + 1:]
+             if fold and set(lifted[g].coeff) <= {0}
+             and lifted[g].pure_grade(g.parity)}
+    h0 = lower(sys.legres.h0, slot_of, fixed)
+    invariants = [(label, lower(expr, slot_of, fixed))
+                  for label, expr in flow.invariants]
+    dz = {i: lower(flow.dz[path.params[i]], slot_of, fixed) for i in moved}
     rhs = {}
     for i in moved:
-        row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of))
+        row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of, fixed))
                for j, g in enumerate(state_gens))
         rhs[i] = [(j, prog) for j, prog in row if prog]
     programs = [h0, *(prog for _, prog in invariants), *dz.values(),
@@ -644,7 +654,8 @@ def reference_integrate(tds, path, init, report):
         return max(map(abs, value.values()), default=0.0)
 
     env = [None if g == sys.p0 else lifted[g].coeff for g in order]
-    env[p0_slot] = {m: -v for m, v in run_program(h0, env).items()}
+    # P0 is -evaluate(h0), which reads every constant as a slot
+    env[p0_slot] = (-evaluate(sys.legres.h0, lifted)).coeff
     state, constants = env[:p0_slot + 1], env[p0_slot + 1:]
 
     def sample(point):

@@ -522,6 +522,9 @@ FLOW_CONFIGS = [
     # t0 and q2 move together on the first segment, so its RK4 stages run
     # the derivatives of both parameters
     ("free_singular.smf", "free_singular_diagonal_flow"),
+    # m = 0.3 folded into the coefficients, which rounds otherwise than m
+    # read as a value: the drift pins the folded arithmetic
+    ("fermionic_oscillator.smf", "fermionic_m03_flow"),
 ]
 
 
@@ -728,8 +731,21 @@ def test_flow_config_waypoint_errors_carry_their_position(tmp_path, text, line, 
     # a family named with no index, worded as the model source words it
     ("flavour3.smf", "params t0\n0\n1\nsteps 10\npsi = 1*g1\n", 5, 1,
      "psi needs exactly one index"),
+    # a momentum's errors name the momentum, not its coordinate
+    ("flavour3.smf", "params t0\n0\n1\nsteps 10\np_psi = 0.5j*g4\n", 5, 1,
+     "p_psi needs exactly one index"),
+    ("flavour3.smf", "params t0\n0\n1\nsteps 10\n p_psi[4] = 0.5j*g4\n", 5, 2,
+     "index 4 outside p_psi\\[1..3\\]"),
+    ("flavour3.smf", "params t0\n0\n1\nsteps 10\np_x[1] = 1\n", 5, 1,
+     "p_x is not an indexed family"),
+    # p_ of a parameter or of a momentum names nothing; both raised KeyError
+    ("flavour3.smf", "params t0\n0\n1\nsteps 10\np_m = 1\n", 5, 1,
+     "unknown generator 'p_m'"),
+    ("flavour3.smf", "params t0\n0\n1\nsteps 10\np_p_x = 1\n", 5, 1,
+     "unknown generator 'p_p_x'"),
 ], ids=["unknown", "scalar", "parameter", "index", "parameter-index", "parameter-twice",
-        "family-without-index"])
+        "family-without-index", "momentum-without-index", "momentum-index",
+        "scalar-momentum", "parameter-momentum", "momentum-momentum"])
 def test_flow_config_name_errors_carry_their_position(tmp_path, model, text, line,
                                                       column, message):
     _refuses(tmp_path, model, text, message, line, column)

@@ -381,31 +381,38 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
                  path_text=data_text("flavour3_flow.cfg"))
     (values, z_layout), = layouts
     # x, psi[1..3], psibar[1..3], p_x, p_psi[1..3], p_psibar[1..3], P0, m
-    # and g each hold at most 7 of the 64 slots of Lambda_6
+    # and g each hold at most 7 of the 64 slots of Lambda_6; m and g keep
+    # their registers, though no program reads them once they are folded
     assert [len(v) for v in values] == [7, 4, 4, 4, 4, 4, 4, 7, 4, 4, 4, 4, 4, 4, 3, 1, 1]
     assert len(z_layout) == 4
     # one plan for the drift audit, which first measures the initial state,
-    # and one for the RK4 step, which ends in that audit
+    # and one for the RK4 step, which ends in that audit; with m = 1 and
+    # g = 0.5 folded into the coefficients, no term multiplies by m or g
+    # last, and the Yukawa terms of the audit scale x by their coefficient
+    # -0.5 once, where they started from x with a carried sign
     audit, step = plans.values()
-    assert (len(step), len(audit)) == (1448, 151)
+    assert (len(step), len(audit)) == (1147, 154)
     # the stage four times, whose derivatives land on k or are copied from
     # p_x's registers (dx/dt0 = p_x), the 37 stage inputs that a later copy
     # reads after each of the first three, the update of the 66 numbers the
     # stage moves (every number of the state and Z but P0's 3), the audit
     parts = _parts(step)
-    assert [len(part) for part in parts] == [280, 37, 280, 37, 280, 37, 280, 66, 151]
+    assert [len(part) for part in parts] == [204, 37, 204, 37, 204, 37, 204, 66, 154]
     copies, inputs, updates = parts[0:7:2], parts[1:7:2], parts[7]
     assert parts[8] == audit
     shape = [[(op, masks.get(left, 0), masks.get(right, 0), masks[out])
               for out, left, right, op in copy] for copy in copies]
     assert shape[1:] == shape[:1] * 3
-    # a term whose coefficient is folded starts from the env bank or the
-    # stage inputs and carries the coefficient's sign into its first
-    # product: -1 in the audit (H'0's six mass and Yukawa terms), 1 in the
-    # stage (p_x's three g*psi*psibar terms)
+    # a term whose coefficient is exactly -1 starts from the env bank and
+    # carries the sign into its first product: H'0's three mass terms in
+    # the audit, 27 entries; no stage term does, as each coefficient of
+    # more than one slot there, g = 0.5 of p_x's g*psi*psibar terms
+    # included, is neither 1 nor -1
     env_bank = sum(map(len, values))
     read_as_state = set(range(env_bank)) | {out for part in inputs for out, *_ in part}
-    for plan, carried in [*((copy, 1) for copy in copies), (audit, -1)]:
+    for plan, carried, count in [*((copy, 1, 0) for copy in copies), (audit, -1, 27)]:
+        assert sum(left in read_as_state and op not in (0, 3)
+                   for _, left, _, op in plan) == count
         written = set()
         for out, left, right, op in plan:
             # the first write of a register sets it (op 2, -2 or 3), every
@@ -721,6 +728,88 @@ def test_planned_flow_matches_dict_reference_on_seeded_flows(seed, text, n,
                       reference_integrate(result.tds, path, init, result.closure))
 
 
+FOLDED_FLOWS = [
+    (fixture_text("fermionic_oscillator.smf"), 2, (None,), (), ("m",)),
+    (data_text("flavour3.smf"), 6, (1, 2, 3), ("x", "p_x"), ("m", "g")),
+]
+
+
+def _folded_and_slotted(text, n, flavours, evens, params, rng, values):
+    """A seeded flow whose params have the body values that values draws
+    from rng, run as integrate_flow folds them and by the dict reference
+    with every param a slot."""
+    result = run_pipeline(parse_model(text), stage="hj")
+    init = _seeded_init(result.elaborated, n, rng, flavours, evens)
+    for name in params:
+        init[result.elaborated.lookup(name)] = GrassmannValue.body_value(n, values(rng))
+    path = PathSpec((result.hj_system.t0,), ((0.0,), (rng.uniform(0.5, 2.0),)), 12)
+    return (integrate_flow(result.tds, path, init, report=result.closure),
+            reference_integrate(result.tds, path, init, result.closure, fold=False))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("text,n,flavours,evens,params", FOLDED_FLOWS,
+                         ids=["fermionic", "flavour3"])
+def test_folded_params_agree_with_slots_to_rounding(seed, text, n, flavours,
+                                                    evens, params):
+    # m and g in 0.5..1.5, which no power of two is: folding them rounds
+    # differently.  Single numbers and the drift come out of cancellations,
+    # so each is measured against the largest number of the endpoint
+    # state and Z
+    folded, slotted = _folded_and_slotted(text, n, flavours, evens, params,
+                                          random.Random(3100 + seed),
+                                          lambda rng: rng.uniform(0.5, 1.5))
+    ends = [(folded.samples[-1][1][g], value)
+            for g, value in slotted.samples[-1][1].items()]
+    ends.append((folded.z, slotted.z))
+    scale = max(value.max_abs for pair in ends for value in pair)
+    assert scale > 0.5
+    tol = 1e-12 * scale
+    for got, want in ends:
+        for m in got.coeff.keys() | want.coeff.keys():
+            assert abs(got.coeff.get(m, 0j) - want.coeff.get(m, 0j)) <= tol
+    assert folded.drift_by_invariant.keys() == slotted.drift_by_invariant.keys()
+    for label, drift in slotted.drift_by_invariant.items():
+        assert abs(folded.drift_by_invariant[label] - drift) <= tol
+    assert abs(folded.drift - slotted.drift) <= tol
+    assert abs(folded.onsurface_residual - slotted.onsurface_residual) <= tol
+
+
+@pytest.mark.parametrize("values", [(1.0, 0.5), (2.0, 1.0), (0.5, 2.0)],
+                         ids=["1,0.5", "2,1", "0.5,2"])
+@pytest.mark.parametrize("text,n,flavours,evens,params", FOLDED_FLOWS,
+                         ids=["fermionic", "flavour3"])
+def test_folded_powers_of_two_equal_slots_bit_for_bit(values, text, n, flavours,
+                                                      evens, params):
+    # scaling by a power of two commutes with rounding
+    chosen = iter(values)
+    folded, slotted = _folded_and_slotted(text, n, flavours, evens, params,
+                                          random.Random(3200),
+                                          lambda rng: next(chosen))
+    _assert_same_flow(folded, slotted)
+
+
+def test_folded_odd_param_keeps_its_grade_check():
+    # a body value for an odd param is refused, as for any generator, and
+    # is never folded in silently; a value with a soul runs as a slot.  th
+    # enters only Phi_psi = p_psi - i/2 psibar - th, not H0, so the flow's
+    # own grade check is the one that sees it
+    source = ("model odd_source\nodd psi psibar\nparam m: even\nparam th: odd\n"
+              "lagrangian: 1/2*i*(psibar*dot(psi) - dot(psibar)*psi)"
+              " - m*psibar*psi + th*dot(psi)\n")
+    result = run_pipeline(parse_model(source), stage="hj")
+    path, init = parse_path_config(
+        "params t0\n0\n1\nsteps 10\npsi = 1*g1\npsibar = 1*g2\n"
+        "p_psi = 0.5j*g2 + 1*g3\np_psibar = 0.5j*g1\nm = 0.3\nth = 1*g3\n",
+        result.elaborated, result.hj_system)
+    _assert_same_flow(integrate_flow(result.tds, path, init, report=result.closure),
+                      reference_integrate(result.tds, path, init, result.closure))
+    th = result.elaborated.lookup("th")
+    for value in (GrassmannValue.body_value(3, 1.0), GrassmannValue.body_value(3, 0.5j)):
+        with pytest.raises(GradeMismatch, match="th assigned a value of the wrong grade"):
+            integrate_flow(result.tds, path, {**init, th: value}, report=result.closure)
+
+
 @pytest.mark.parametrize("dense", ["x", "fermions"])
 def test_flow_plan_above_the_limit_fails_before_any_entry(monkeypatch, dense):
     # the three-flavour flow in Lambda_12 with a dense x, whose supports
@@ -763,6 +852,22 @@ def _random_graded(rng, n, parity):
 LOWERED_GRID = [(0, 150), (1, 150), (2, 150), (3, 80), (6, 25)]
 
 
+def test_lower_folds_fixed_values_into_coefficients():
+    # m**2 scales the coefficient, a zero value drops its terms, and a
+    # generator neither fixed nor in a slot is refused
+    q = Generator("q", Parity.EVEN, Kind.COORDINATE, None, 0)
+    m = Generator("m", Parity.EVEN, Kind.PARAMETER, None, 1)
+    g = Generator("g", Parity.EVEN, Kind.PARAMETER, None, 2)
+    p = (const_poly(3) * gen_poly(m) * gen_poly(m) * gen_poly(q)
+         + const_poly(2) * gen_poly(m) * gen_poly(g) * gen_poly(q) * gen_poly(q)
+         + gen_poly(g) * gen_poly(q) + gen_poly(m))
+    program = lower(p, {q: 0}, {m: 0.5 + 0j, g: 0j})
+    assert sorted(program, key=lambda term: term[1]) == [(0.5 + 0j, ()), (0.75 + 0j, (0,))]
+    assert len(lower(p, {q: 0, m: 1, g: 2}, {})) == 4
+    with pytest.raises(GradeMismatch, match="no value assigned to q"):
+        lower(p, {}, {m: 0.5 + 0j, g: 1j})
+
+
 @pytest.mark.parametrize("n,count", LOWERED_GRID)
 def test_lowered_programs_match_evaluate(n, count):
     # a flow's plan of one lowered program, on values that hold about half
@@ -777,7 +882,7 @@ def test_lowered_programs_match_evaluate(n, count):
         plan = numeric_flow._Plan([values[g].coeff for g in gens],
                                   [tuple(sorted(values[g].coeff)) for g in gens])
         entries = []
-        out = plan.program(lower(p, slot_of), entries, {})
+        out = plan.program(lower(p, slot_of, {}), entries, {})
         numeric_flow._run(entries, plan.reg)
         got = GrassmannValue(n, {m: plan.reg[r] for m, r in out.items()})
         assert evaluate(p, values).coeff == got.coeff
@@ -808,7 +913,7 @@ def test_lowered_programs_initialise_their_registers(n, count):
         entries, held = [], {}
         for _ in range(rng.randint(1, 3)):
             p = random_poly(rng, gens, max_terms=4, max_degree=4)
-            plan.program(lower(p, slot_of), entries, held)
+            plan.program(lower(p, slot_of, {}), entries, held)
         numeric_flow._run(entries, plan.reg)
         once = list(plan.reg)
         numeric_flow._run(entries, plan.reg)
