@@ -101,24 +101,23 @@ def try_solve(expr, basis):
 
 
 class Surface:
-    """The constraint surface of one record set, built once and reused.
+    """The constraint surface of active constraints, built once and reused.
 
-    Holds the solved-form bindings of the active records, closed once so
-    that no bound value contains a bound generator, and the span over the
-    residuals the records leave under those bindings.  A surface belongs
-    to the analysis or closure round that built it: build a new one
-    whenever the active record set changes.
+    Each constraint has an `expr` and a `solved` form or None: the active
+    records of a Dirac analysis, or a Hamilton-Jacobi family.  The surface
+    holds their solved-form bindings, closed once so that no bound value
+    contains a bound generator, and the span over the residuals they leave
+    under those bindings.  Build a new one whenever the constraints change.
     """
 
-    def __init__(self, records):
-        active = [rec for rec in records if not rec.superseded]
-        self.bindings = _close({rec.solved[0]: rec.solved[1]
-                                for rec in active if rec.solved})
+    def __init__(self, constraints):
+        self.bindings = _close({c.solved[0]: c.solved[1]
+                                for c in constraints if c.solved})
         # the residuals still vanish on the surface, and they are what
         # unsolvable constraints (secondaries, recombinations) reduce to
         self.span = SpanReducer()
-        for rec in active:
-            residual = self._to_fixpoint(rec.expr)
+        for c in constraints:
+            residual = self._to_fixpoint(c.expr)
             if not residual.is_zero:
                 self.span.add(residual)
 
@@ -166,8 +165,8 @@ def _close(bindings):
 
 
 def weak_reduce(p, records):
-    """Canonical representative of p on the surface of records (see Surface)."""
-    return Surface(records).reduce(p)
+    """p reduced on the surface of the records not superseded (see Surface)."""
+    return Surface([rec for rec in records if not rec.superseded]).reduce(p)
 
 
 def constraint_matrix(constraints, basis, surface):
@@ -210,7 +209,7 @@ class DiracAnalysis:
 
     @property
     def surface(self):
-        """The constraint surface of the current records.
+        """The constraint surface of the active records.
 
         Built on first use and rebuilt whenever a record is added, edited
         or superseded, so it always matches records.
@@ -218,7 +217,7 @@ class DiracAnalysis:
         key = tuple((rec.name, rec.expr, rec.solved, rec.superseded)
                     for rec in self.records)
         if self._surface is None or key != self._surface_key:
-            self._surface = Surface(self.records)
+            self._surface = Surface(self.active())
             self._surface_key = key
         return self._surface
 

@@ -157,7 +157,8 @@ def parse_path_config(text, elaborated, hj_system):
         raise ModelSyntaxError("first flow parameter must be t0", no0, column)
     params = [hj_system.t0]
     for name, column in names[2:]:
-        gen = _generator(elaborated, name, "parameter", no0, column)
+        gen = (hj_system.t0 if name == "t0"
+               else _generator(elaborated, name, "parameter", no0, column))
         if gen in params:
             raise ModelSyntaxError(f"parameter {gen} named twice", no0, column)
         params.append(gen)

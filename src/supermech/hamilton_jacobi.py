@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .brackets import berezin, reversed_bracket
 from .errors import ClosureDiverged, Inconsistent
-from .dirac import ConstraintRecord, Surface, try_solve
+from .dirac import Surface, try_solve
 from .smatrix import solve_linear_rows
 from .superalgebra import (
     Generator,
@@ -92,42 +92,28 @@ class TotalDifferentialSystem:
 
 
 def total_differentials(sys):
-    """dq^i = (-1)^{P_i + P_i P_a} d_r H'_a/dp_i dt^a and its dp, dZ partners."""
+    """dq^i = {q^i, H'_a} dt^a, dp_i = {p_i, H'_a} dt^a, dZ = (p_i dq^i - H_a) dt^a.
+
+    {q^i, H'_a} is the kept left gradient of H'_a at p_i; its kept right
+    gradient at q^i is {H'_a, p_i}, reversed into {p_i, H'_a}.  dZ sums
+    over the expressible coordinates."""
     dq = {}
     dp = {}
     dz = {}
     legres = sys.legres
-    model = legres.model
-    expressible = legres.expressible_coords
+    momentum = legres.model.momentum
     for param in sys.parameters:
-        grad = gradient(sys.hamiltonians[param], False)
-        p_a = param.parity
+        h = sys.hamiltonians[param]
+        left, right = gradient(h, True), gradient(h, False)
         for q, p in sys.basis.pairs:
-            p_i = q.parity
-            cq = grad.get(p, ZERO)
-            if (p_i + p_i * p_a) & 1:
-                cq = -cq
-            dq[(q, param)] = cq
-            cp = grad.get(q, ZERO)
-            if not (p_i * p_a) & 1:
-                cp = -cp
-            dp[(p, param)] = cp
+            dq[(q, param)] = left.get(p, ZERO)
+            dp[(p, param)] = reversed_bracket(right.get(q, ZERO), param.parity,
+                                              p.parity)
         acc = -(legres.h0 if param is sys.t0 else legres.primary_h[param])
-        for q in expressible:
-            mom = model.momentum(q)
-            term = gen_poly(mom) * grad.get(mom, ZERO)
-            if (q.parity + q.parity * p_a) & 1:
-                term = -term
-            acc = acc + term
+        for q in legres.expressible_coords:
+            acc = acc + gen_poly(momentum(q)) * dq[(q, param)]
         dz[param] = acc
     return TotalDifferentialSystem(sys, dq, dp, dz)
-
-
-def _family_surface(family):
-    return Surface([
-        ConstraintRecord(m.label, m.expr, 0, solved=m.solved)
-        for m in family
-    ])
 
 
 class ClosureOutcome:
@@ -177,7 +163,7 @@ def closure_loop(sys, max_rounds=32):
     params = sys.parameters
     t0 = sys.t0
     # rebuilt whenever a member joins the family
-    surface = _family_surface(family)
+    surface = Surface(family)
     # {H'_b, H'_a} by (label_b, label_a): a bracket never changes between
     # rounds, so each pair is computed once; graded antisymmetry gives the other
     brackets = {}
@@ -233,7 +219,7 @@ def closure_loop(sys, max_rounds=32):
                                 try_solve(candidate, sys.basis))
                 family.append(member)
                 added.append(member)
-                surface = _family_surface(family)
+                surface = Surface(family)
                 outcomes[source] = ClosureOutcome(
                     "new_hamiltonian", detail=f"adds {label}")
             continue

@@ -323,16 +323,15 @@ def integrate_flow(tds, path, init, report):
     1e-12.  Z is accumulated alongside the state; drift reports the worst
     family-member violation seen.
 
-    Every polynomial the run needs is lowered once against a fixed
-    generator -> slot map, and grades are checked once on the initial
-    assignment.  A constant (a generator that is neither state nor P0)
-    whose value is a body of its generator's grade holds no slot: `lower`
+    Every value of init must have its generator's grade, which is
+    checked once, and every polynomial the run needs is lowered once
+    against a fixed generator -> slot map.  A constant (a generator that
+    is neither state nor P0) whose value has no soul holds no slot: `lower`
     folds its value into the coefficients, so the plans and the PLAN_LIMIT
     count below are those of the folded programs.  Folding rounds as
     reading a slot does only for a power of two; for other values the
     results may differ in their last bits from a run that reads the value
-    from a slot.  A constant of the wrong grade stays a slot and fails the
-    grade check.  The programs the steps run are then planned once on the
+    from a slot.  The programs the steps run are then planned once on the
     masks each value can hold (`_static_layouts`, `_Plan`), each partial
     product of a plan made once, coefficients of exactly 1 and -1 folded,
     and only the entries kept whose registers the flow reads (`_live`).
@@ -598,6 +597,13 @@ def _run(plan, reg):
             reg[out] += reg[left]
 
 
+def _lift(init):
+    """n, the largest n of init's values, and init with each value in Lambda_n."""
+    n = max((v.n for v in init.values()), default=0)
+    return n, {g: v if v.n == n else GrassmannValue(n, v.coeff)
+               for g, v in init.items()}
+
+
 def _integrate(flow, path, init):
     """integrate_flow on a flow that make_flow has already built."""
     sys = flow.tds.system
@@ -605,15 +611,7 @@ def _integrate(flow, path, init):
         raise FlowError(
             f"path parameters {[str(p) for p in path.params]} do not match the "
             f"free parameters {[str(p) for p in flow.free_params]}")
-    for p in path.params:
-        if p.parity == Parity.ODD:
-            for a, b in zip(path.waypoints, path.waypoints[1:]):
-                if a[path.params.index(p)] != b[path.params.index(p)]:
-                    raise FlowError(f"odd free parameter {p} cannot be moved")
-
-    n = max((v.n for v in init.values()), default=0)
-    lifted = {g: v if v.n == n else GrassmannValue(n, v.coeff)
-              for g, v in init.items()}
+    n, lifted = _lift(init)
     state_gens = [g for g in flow.state_gens if g != sys.p0]
     for g in state_gens:
         if g not in lifted:
@@ -628,13 +626,18 @@ def _integrate(flow, path, init):
     for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
         moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
                   if w1[i] - w0[i] != 0.0]
+        for i, _ in moving:
+            if path.params[i].parity == Parity.ODD:
+                raise FlowError(f"odd free parameter {path.params[i]} cannot be moved")
         segments.append((w1, moving))
     moved = sorted({i for _, moving in segments for i, _ in moving})
+    for g, value in lifted.items():
+        if not value.pure_grade(g.parity):
+            raise GradeMismatch(f"{g} assigned a value of the wrong grade")
     # a constant whose value has no soul is folded into the coefficients
-    # that read it; one of the wrong grade stays a slot, which the grade
-    # check below refuses
+    # that read it
     fixed = {g: lifted[g].body for g in order[p0_slot + 1:]
-             if set(lifted[g].coeff) <= {0} and lifted[g].pure_grade(g.parity)}
+             if set(lifted[g].coeff) <= {0}}
     h0 = lower(sys.legres.h0, slot_of, fixed)
     invariants = [(label, lower(expr, slot_of, fixed))
                   for label, expr in flow.invariants]
@@ -645,13 +648,6 @@ def _integrate(flow, path, init):
         row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of, fixed))
                for j, g in enumerate(state_gens))
         rhs[i] = [(j, prog) for j, prog in row if prog]
-    programs = [h0, *(prog for _, prog in invariants), *dz.values(),
-                *(prog for row in rhs.values() for _, prog in row)]
-    used = {slot for prog in programs for _, slots in prog for slot in slots}
-    for slot in sorted(used - {p0_slot}):
-        g = order[slot]
-        if not lifted[g].pure_grade(g.parity):
-            raise GradeMismatch(f"{g} assigned a value of the wrong grade")
 
     # the masks each value can hold, and the plan's size, before any entry
     # or sign is built
@@ -828,7 +824,7 @@ def path_independence_check(tds, path_a, path_b, init, report, tol=1e-8):
     flow = make_flow(tds, report)
     end_a = _integrate(flow, path_a, init).samples[-1][1]
     end_b = _integrate(flow, path_b, init).samples[-1][1]
-    constants = {g: v for g, v in init.items() if g not in flow.state_gens}
+    constants = {g: v for g, v in _lift(init)[1].items() if g not in flow.state_gens}
 
     strict = report.strictly_integrable
     sys = tds.system

@@ -7,8 +7,7 @@ from itertools import combinations
 from fractions import Fraction
 
 from supermech.brackets import PhaseBasis, berezin
-from supermech.dirac import dirac_bracket
-from supermech.hamilton_jacobi import _family_surface
+from supermech.dirac import Surface, dirac_bracket
 from supermech.legendre import ModelBuilder, RankSplit, analyze
 from supermech.errors import (
     FlowError,
@@ -226,7 +225,7 @@ def integrability_matrix(sys, family=None):
     """All pairwise {H'_b, H'_a}, raw and weakly reduced on the family's
     surface, computed afresh; closure_loop's matrices must match it."""
     family = family or sys.family()
-    surface = _family_surface(family)
+    surface = Surface(family)
     raw = {}
     reduced = {}
     for mb in family:
@@ -604,12 +603,12 @@ def reference_integrate(tds, path, init, report, fold=True):
     run_program, and the update summed as
     ((k1 + 2k2) + 2k3) + k4, then times h/6, with z4*1 for Z.  A slot
     missing from a value is 0j wherever it enters a sum.  Like the flow, it
-    lowers with every constant whose value is a body of its generator's
-    grade folded into the coefficients, so the planned flow must equal it
-    bit for bit, but for the sign of zero parts.  With fold=False every
-    constant stays a slot, as a flow lowered before the fold did: that run
-    agrees with the folded one to rounding, and bit for bit when every
-    folded value is a power of two."""
+    checks the grade of every initial value once, and lowers with every
+    constant whose value has no soul folded into the coefficients, so the
+    planned flow must equal it bit for bit, but for the sign of zero parts.
+    With fold=False every constant stays a slot, as a flow lowered before
+    the fold did: that run agrees with the folded one to rounding, and bit
+    for bit when every folded value is a power of two."""
     flow = make_flow(tds, report)
     sys = flow.tds.system
     n = max((v.n for v in init.values()), default=0)
@@ -628,11 +627,16 @@ def reference_integrate(tds, path, init, report, fold=True):
     for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
         moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
                   if w1[i] - w0[i] != 0.0]
+        for i, _ in moving:
+            if path.params[i].parity == Parity.ODD:
+                raise FlowError(f"odd free parameter {path.params[i]} cannot be moved")
         segments.append((w1, moving))
     moved = {i for _, moving in segments for i, _ in moving}
+    for g, value in lifted.items():
+        if not value.pure_grade(g.parity):
+            raise GradeMismatch(f"{g} assigned a value of the wrong grade")
     fixed = {g: lifted[g].body for g in order[p0_slot + 1:]
-             if fold and set(lifted[g].coeff) <= {0}
-             and lifted[g].pure_grade(g.parity)}
+             if fold and set(lifted[g].coeff) <= {0}}
     h0 = lower(sys.legres.h0, slot_of, fixed)
     invariants = [(label, lower(expr, slot_of, fixed))
                   for label, expr in flow.invariants]
@@ -642,13 +646,6 @@ def reference_integrate(tds, path, init, report, fold=True):
         row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of, fixed))
                for j, g in enumerate(state_gens))
         rhs[i] = [(j, prog) for j, prog in row if prog]
-    programs = [h0, *(prog for _, prog in invariants), *dz.values(),
-                *(prog for row in rhs.values() for _, prog in row)]
-    used = {slot for prog in programs for _, slots in prog for slot in slots}
-    for slot in sorted(used - {p0_slot}):
-        g = order[slot]
-        if not lifted[g].pure_grade(g.parity):
-            raise GradeMismatch(f"{g} assigned a value of the wrong grade")
 
     def largest(value):
         return max(map(abs, value.values()), default=0.0)

@@ -501,12 +501,14 @@ def test_surface_matches_per_call_reference_on_fixtures():
         analysis = run_dirac(built.legres)
         sys = build_hj_system(built.legres)
         family = closure_loop(sys).family
+        # a surface takes the active constraints, the reference all records:
+        # the family is taken as it is, and given to the reference as records
         hj_records = [ConstraintRecord(m.label, m.expr, 0, solved=m.solved)
                       for m in family]
         params = list(built.model.parameters)
-        for records, basis in ((analysis.records, analysis.basis),
-                               (hj_records, sys.basis)):
-            surface = Surface(records)
+        for surface, records, basis in (
+                (Surface(analysis.active()), analysis.records, analysis.basis),
+                (Surface(family), hj_records, sys.basis)):
             gens = [g for pair in basis.pairs for g in pair] + params
             for k in range(12):
                 p = random_homogeneous(rng, gens, max_terms=3, max_degree=3)
@@ -667,15 +669,15 @@ def test_surface_returns_a_zero_at_once(monkeypatch, capsys):
 
 
 def _surface_builds(monkeypatch, capsys, path):
-    """Record count of every surface built in a full CLI run of path."""
+    """Constraint count of every surface built in a full CLI run of path."""
     from supermech.frontend.cli import main
 
     builds = []
     original = Surface.__init__
 
-    def counting_init(self, records):
-        builds.append(len(records))
-        original(self, records)
+    def counting_init(self, constraints):
+        builds.append(len(constraints))
+        original(self, constraints)
 
     monkeypatch.setattr(Surface, "__init__", counting_init)
     assert main(["analyze", str(path), "--stage", "all"]) == 0
@@ -684,24 +686,25 @@ def _surface_builds(monkeypatch, capsys, path):
 
 
 def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
-    # surfaces are built only when a record set changes; the count is exact.
-    # Record counts per build.  dirac: the 9 primaries, plus the secondary,
-    # the final records after one recombination, which reduces on the
-    # surface of the records it classifies; closure: the initial family and
-    # its added member.  The closure's final surface serves its
-    # integrability matrix and the cross-check, which also reuses the
-    # Dirac surface
+    # surfaces are built only when the active constraints change; the count
+    # is exact.  Active constraints per build.  dirac: the 9 primaries, plus
+    # the secondary, the final records after one recombination, which
+    # supersedes one record and reduces on the surface of the records it
+    # classifies; closure: the initial family and its added member.  The
+    # closure's final surface serves its integrability matrix and the
+    # cross-check, which also reuses the Dirac surface
     builds = _surface_builds(monkeypatch, capsys,
                              FIXTURES / "dirac_maxwell_reduced.smf")
-    assert builds == [9, 10, 11, 10, 11]
+    assert builds == [9, 10, 10, 10, 11]
 
 
 def test_surface_builds_in_full_run_of_two_gauss(monkeypatch, capsys):
     # dirac: the 10 primaries, with each of the two secondaries, the final
-    # records after two recombinations on one surface; closure: the initial
-    # family, with each of its two added members
+    # records after two recombinations on one surface, which supersede two
+    # records; closure: the initial family, with each of its two added
+    # members
     builds = _surface_builds(monkeypatch, capsys, DATA / "two_gauss.smf")
-    assert builds == [10, 11, 12, 14, 11, 12, 13]
+    assert builds == [10, 11, 12, 12, 11, 12, 13]
 
 
 def test_dirac_analysis_surface_follows_its_records():

@@ -728,6 +728,9 @@ def test_flow_config_waypoint_errors_carry_their_position(tmp_path, text, line, 
     # a parameter named twice was a FlowError with no position
     ("sho.smf", "params t0 q q\n0, 0, 0\n1, 0, 0\nsteps 10\n", 1, 13,
      "parameter q named twice"),
+    # t0 named twice was looked up as a model generator
+    ("sho.smf", "params t0 t0\n0, 0\n1, 1\nsteps 10\n", 1, 11,
+     "parameter t0 named twice"),
     # a family named with no index, worded as the model source words it
     ("flavour3.smf", "params t0\n0\n1\nsteps 10\npsi = 1*g1\n", 5, 1,
      "psi needs exactly one index"),
@@ -744,7 +747,7 @@ def test_flow_config_waypoint_errors_carry_their_position(tmp_path, text, line, 
     ("flavour3.smf", "params t0\n0\n1\nsteps 10\np_p_x = 1\n", 5, 1,
      "unknown generator 'p_p_x'"),
 ], ids=["unknown", "scalar", "parameter", "index", "parameter-index", "parameter-twice",
-        "family-without-index", "momentum-without-index", "momentum-index",
+        "t0-twice", "family-without-index", "momentum-without-index", "momentum-index",
         "scalar-momentum", "parameter-momentum", "momentum-momentum"])
 def test_flow_config_name_errors_carry_their_position(tmp_path, model, text, line,
                                                       column, message):

@@ -377,15 +377,26 @@ def test_closure_reduced_model_relations_are_spinor_equations():
 
 
 def test_df_assembly_matches_bracket():
-    # assembling dF from the flow coefficients equals {F, H'_a} for each a
+    # each flow coefficient is a bracket with H'_a, {q, H'_a} and {p, H'_a},
+    # and assembling dF from them equals {F, H'_a} for each a: on the test
+    # builders and on every fixture and tests/data model
+    from supermech.superalgebra import derive_right
+
     rng = random.Random(42)
-    for built in (build_sho(), build_gauge_toy(), build_fermionic()):
-        sys = build_hj_system(built.legres)
+    legs = [built.legres for built in (build_sho(), build_gauge_toy(), build_fermionic())]
+    legs += [run_pipeline(parse_model(path.read_text(encoding="utf-8")),
+                          stage="legendre").legres
+             for path in sorted(FIXTURES.glob("*.smf")) + sorted(DATA.glob("*.smf"))]
+    for legres in legs:
+        sys = build_hj_system(legres)
         tds = total_differentials(sys)
         basis = sys.basis
         gens = [g for pair in basis.pairs for g in pair]
-        from supermech.superalgebra import derive_right
-
+        for alpha in sys.parameters:
+            h = sys.hamiltonians[alpha]
+            for qq, pp in basis.pairs:
+                assert tds.dq[(qq, alpha)] == berezin(gen_poly(qq), h, basis)
+                assert tds.dp[(pp, alpha)] == berezin(gen_poly(pp), h, basis)
         for _ in range(40):
             f = random_homogeneous(rng, gens, max_terms=3, max_degree=3)
             for alpha in sys.parameters:
@@ -395,7 +406,7 @@ def test_df_assembly_matches_bracket():
                         + derive_right(f, qq) * tds.dq[(qq, alpha)] \
                         + derive_right(f, pp) * tds.dp[(pp, alpha)]
                 direct = berezin(f, sys.hamiltonians[alpha], basis)
-                assert assembled == direct, (str(f), str(alpha))
+                assert assembled == direct, (legres.model.name, str(f), str(alpha))
 
 
 def test_simpletic_route_gives_same_flow():

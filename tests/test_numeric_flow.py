@@ -987,21 +987,42 @@ def _fermionic_setup():
 
 
 def test_flow_checks_grades_and_assignments_on_init():
+    # the flow and the reference refuse each init alike
     fo, sys, tds, report, init = _fermionic_setup()
     g = fo.gens
     path = PathSpec((sys.t0,), ((0.0,), (1.0,)), 10)
-    with pytest.raises(GradeMismatch):
-        integrate_flow(tds, path, {**init, g["psi"]: GrassmannValue.body_value(2, 1.0)},
-                       report=report)
-    with pytest.raises(GradeMismatch):
-        integrate_flow(tds, path, {**init, g["m"]: GrassmannValue.generator(2, 1)},
-                       report=report)
-    with pytest.raises(GradeMismatch):
-        integrate_flow(tds, path, {k: v for k, v in init.items() if k != g["m"]},
-                       report=report)
-    with pytest.raises(FlowError):
-        integrate_flow(tds, path, {k: v for k, v in init.items() if k != g["psi"]},
-                       report=report)
+    fs_tds, fs_report, fs_init, fs_path, _ = _path_pair(*PATH_PAIRS["free_singular"])
+    q2 = fs_path.params[1]
+    for flow, init_, error, message in [
+            ((tds, path, report), {**init, g["psi"]: GrassmannValue.body_value(2, 1.0)},
+             GradeMismatch, "psi assigned a value of the wrong grade"),
+            ((tds, path, report), {**init, g["m"]: GrassmannValue.generator(2, 1)},
+             GradeMismatch, "m assigned a value of the wrong grade"),
+            ((tds, path, report), {k: v for k, v in init.items() if k != g["m"]},
+             GradeMismatch, "no value assigned to m"),
+            ((tds, path, report), {k: v for k, v in init.items() if k != g["psi"]},
+             FlowError, "initial state misses psi"),
+            # no program reads q2: the flow used to run and report an odd q2
+            ((fs_tds, fs_path, fs_report), {**fs_init, q2: GrassmannValue.generator(1, 1)},
+             GradeMismatch, "q2 assigned a value of the wrong grade")]:
+        tds_, path_, report_ = flow
+        for integrate in (integrate_flow, reference_integrate):
+            with pytest.raises(error, match=message):
+                integrate(tds_, path_, init_, report=report_)
+
+
+def test_path_independence_lifts_constants_to_the_flow():
+    # a soulless m given in Lambda_0, the odd values in Lambda_2: the flow
+    # lifts m, and so must the comparison of the family members
+    fo, sys, tds, report, init = _fermionic_setup()
+    path_a = PathSpec((sys.t0,), ((0.0,), (1.0,)), 40)
+    path_b = PathSpec((sys.t0,), ((0.0,), (0.5,), (1.0,)), 20)
+    want = path_independence_check(tds, path_a, path_b, init, report=report)
+    init[fo.gens["m"]] = GrassmannValue.body_value(0, 1.0)
+    out = path_independence_check(tds, path_a, path_b, init, report=report)
+    assert out.agree
+    assert out.comparisons == want.comparisons
+    assert [name for name, *_ in out.comparisons if name.startswith("H'")]
 
 
 def test_flow_that_is_not_finite_fails():
