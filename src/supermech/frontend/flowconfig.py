@@ -6,9 +6,9 @@ state lines `generator = <value>` where the value is a sum of terms
 `scalar*g<k>*...` over the odd basis slots g1..gn (scalars accept a
 trailing `j` for the imaginary part).  Every waypoint, number and value must
 be finite, `steps` is given once, each parameter named once and each
-generator assigned at most once, a value of its generator's grade.  Each
-error points at the line's first character, or at the parameter, name or
-value token it names.
+generator assigned at most once, a value of its generator's grade; an odd
+parameter's coordinate is 0 at every waypoint.  Each error points at the
+line's first character, or at the parameter, name or value token it names.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from cmath import isfinite
 
 from ..errors import IndexOutOfRange, ModelSyntaxError, UnknownSymbol
 from ..numeric_flow import LAMBDA_CAP, GrassmannValue, PathSpec
+from ..superalgebra import Parity
 
 _VALUE_TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?j?)"
@@ -194,6 +195,12 @@ def parse_path_config(text, elaborated, hj_system):
                                        no, start)
             if waypoints and waypoints[-1] == point:
                 raise ModelSyntaxError("consecutive waypoints must differ", no, start)
+            # an odd parameter's value has no body: it starts at 0 and stays
+            for p, x in zip(params, point):
+                if x and p.parity == Parity.ODD:
+                    raise ModelSyntaxError(
+                        f"odd free parameter {p} cannot be moved" if waypoints
+                        else f"{p} assigned a value of the wrong grade", no, start)
             waypoints.append(point)
     if steps is None:
         raise ModelSyntaxError("flow config misses a steps line", no0, start0)

@@ -19,22 +19,24 @@ drops the entries nothing reads, a coefficient of exactly 1 or -1 is
 carried as a sign instead of multiplied in, and a derivative whose rate is
 exactly 1 lands on its k registers.  A plan's first write of a register
 sets it and its later writes add to it, so no register is reset between
-runs.  Each segment of a path runs one step plan per RK4 step: its stage
-four times, on the state and then on three sets of stage inputs, the
-inputs between the copies, the update of the state and Z, and the drift
-audit, so the state and Z live only in the register file.  A segment whose
-stage reads no number of the state that it moves runs the stage once: its
-four rates are equal at every step, so its step adds one update summed from
-them.  Segments that move the same parameters, each at a rate of 1 or not,
-share their plans.  Both engines sum the products that land on one slot in
-ascending order of the left mask, and a step sums its derivatives in the
-reference's order, so a flow gives what the same sums of sparse products
-give, except possibly for the sign of zero parts.
+runs.  Each segment of a path is one run of its step plan, repeated once
+per RK4 step.  A step plan holds its stage four times, on the state and
+then on three sets of stage inputs, the inputs between the copies, the
+update of the state and Z, the drift audit, and one peak entry per audited
+register, which keeps that register's largest absolute value in a float
+register, so the state, Z and the drift live only in the register file.  A
+segment whose stage reads no number of the state that it moves runs the
+stage once: its four rates are equal at every step, so its step adds one
+update summed from them.  Segments that move the same parameters, each at a
+rate of 1 or not, with steps of one size share their plans, also across the
+two paths of a path-independence check.  Both engines sum the products that
+land on one slot in ascending order of the left mask, and a step sums its
+derivatives in the reference's order, so a flow gives what the same sums of
+sparse products give, except possibly for the sign of zero parts.
 """
 from __future__ import annotations
 
 from cmath import isfinite
-from operator import itemgetter
 
 from .brackets import berezin
 from .errors import FlowError, GradeMismatch
@@ -342,27 +344,30 @@ def integrate_flow(tds, path, init, report):
     times, the first copy reading the state and each later one the stage
     inputs that the entries before it set from the state and the previous
     copy's block, then the RK4 update of every number the stage moves, then
-    the drift audit.  Every step is one run of that plan (`_run`) on a flat
-    list of complex numbers, which holds the state, Z, the derivatives and
-    every partial product.  The results are those of the same sums of sparse
-    products, except possibly for the sign of zero parts.  A segment whose
+    the drift audit and its peak entries.  Every segment is one run
+    (`_run`) that repeats that plan once per step on a flat list of complex
+    numbers, which holds the state, Z, the derivatives and every partial
+    product.  The results are those of the same sums of sparse products,
+    except possibly for the sign of zero parts.  A segment whose
     stage reads no number of the state that it moves (a gauge parameter
     whose H' has state-free coefficients, or dq/dt0 = p while p stays) runs
     it once; its step plan then adds the update its four equal rates sum to,
     bit for bit what four runs give.  P0 is `-evaluate(h0)` on the initial
     state.  The family members are measured only by the drift audit: its
     first run, on the initial state, gives the surface residual, and its run
-    at the end of every step the drift.  The drift is read in one pass per
-    step over every register of the members' values, which keeps a running
-    maximum of each register's absolute value; after the last step these
-    give each member's drift and their largest the flow's.  A flow whose
-    step plan, or whose P0 program alone, needs more than PLAN_LIMIT
-    entries, counted before any is shared or dropped, fails with FlowError
-    before any entry is built, and a flow whose initial residual is not a
-    number, or whose state or Z at a waypoint is not finite, fails with
-    FlowError too.
+    at the end of every step the drift.  Each register of the members'
+    values has a peak register, a float that starts at 0.0; the peak entries
+    that end every step plan raise it to the register's absolute value when
+    that is larger, as max(peak, value) does, so a NaN keeps the peak.  The
+    peaks carry across waypoints, as every step plan shares them, and after
+    the last segment give each member's drift and their largest the flow's.
+    A flow whose step plan, or whose P0 program alone, needs more than
+    PLAN_LIMIT entries, counted before any is shared or dropped, fails with
+    FlowError before any entry is built, and a flow whose initial residual
+    is not a number, or whose state or Z at a waypoint is not finite, fails
+    with FlowError too.
     """
-    return _integrate(make_flow(tds, report), path, init)
+    return _integrate(make_flow(tds, report), (path,), init)[0]
 
 
 def _support(program, supports, budget):
@@ -397,9 +402,10 @@ def _static_layouts(supports, n, p0_slot, h0, rows, dz, audited):
     steps run.  What a step plan can hold is counted on the final supports
     against PLAN_LIMIT before any entry is built: the product entries of
     the rows and of the dz programs four times, as a step runs its stage
-    four times, those of the audited programs once, and one entry for each
-    of the three stage inputs and the update of every number of the state,
-    and for the update of every number of Z.
+    four times, those of the audited programs once and one peak entry for
+    each register of their values, and one entry for each of the three
+    stage inputs and the update of every number of the state, and for the
+    update of every number of Z.
     """
     supports[p0_slot] = _support(h0, supports, PLAN_LIMIT)[0]
     # every round but the last adds a mask to some state value
@@ -422,7 +428,8 @@ def _static_layouts(supports, n, p0_slot, h0, rows, dz, audited):
         budget -= 4 * entries
         z |= masks
     for prog in audited:
-        budget -= _support(prog, supports, budget)[1]
+        masks, entries = _support(prog, supports, budget)
+        budget -= entries + len(masks)
     if 4 * sum(map(len, supports[:p0_slot + 1])) + len(z) > budget:
         raise FlowError(_over_the_limit)
     return [tuple(sorted(masks)) for masks in supports], tuple(sorted(z))
@@ -564,37 +571,44 @@ def _live(entries, roots):
     return kept
 
 
-def _run(plan, reg):
+def _run(plan, reg, times=1):
     """Apply a plan's entries (output, left, right, op) in order to the
-    register file reg.  A first write (op 2, -2 or 3) sets reg[output] to
-    reg[left] * reg[right], to its negative or to reg[left]; a later one
-    (op 1, -1 or 0) adds, subtracts or adds that value.  Op 4 sets an RK4
-    stage input, reg[left] + reg[k] * reg[c] for right = (k, c), and op 5
-    advances a number of the state or Z by its four derivatives, right =
-    (k1, k2, k3, k4, two, sixth), to
+    register file reg, times times over.  A first write (op 2, -2 or 3)
+    sets reg[output] to reg[left] * reg[right], to its negative or to
+    reg[left]; a later one (op 1, -1 or 0) adds, subtracts or adds that
+    value.  Op 4 sets an RK4 stage input, reg[left] + reg[k] * reg[c] for
+    right = (k, c), and op 5 advances a number of the state or Z by its four
+    derivatives, right = (k1, k2, k3, k4, two, sixth), to
     reg[left] + (((reg[k1] + reg[k2] * reg[two]) + reg[k3] * reg[two]) + reg[k4])
-    * reg[sixth], the order of the reference's sums."""
-    for out, left, right, op in plan:
-        if op == 2:
-            reg[out] = reg[left] * reg[right]
-        elif op == 1:
-            reg[out] += reg[left] * reg[right]
-        elif op == -2:
-            reg[out] = -(reg[left] * reg[right])
-        elif op == -1:
-            reg[out] -= reg[left] * reg[right]
-        elif op == 4:
-            k, c = right
-            reg[out] = reg[left] + reg[k] * reg[c]
-        elif op == 5:
-            k1, k2, k3, k4, two, sixth = right
-            two = reg[two]
-            reg[out] = reg[left] + (
-                ((reg[k1] + reg[k2] * two) + reg[k3] * two) + reg[k4]) * reg[sixth]
-        elif op:
-            reg[out] = reg[left]
-        else:
-            reg[out] += reg[left]
+    * reg[sixth], the order of the reference's sums.  Op 6 raises the peak
+    reg[output] to abs(reg[left]) when that is larger, as max(peak, value)
+    does, so a NaN keeps the peak."""
+    for _ in range(times):
+        for out, left, right, op in plan:
+            if op == 2:
+                reg[out] = reg[left] * reg[right]
+            elif op == 1:
+                reg[out] += reg[left] * reg[right]
+            elif op == -2:
+                reg[out] = -(reg[left] * reg[right])
+            elif op == -1:
+                reg[out] -= reg[left] * reg[right]
+            elif op == 4:
+                k, c = right
+                reg[out] = reg[left] + reg[k] * reg[c]
+            elif op == 5:
+                k1, k2, k3, k4, two, sixth = right
+                two = reg[two]
+                reg[out] = reg[left] + (
+                    ((reg[k1] + reg[k2] * two) + reg[k3] * two) + reg[k4]) * reg[sixth]
+            elif op == 6:
+                value = abs(reg[left])
+                if value > reg[out]:
+                    reg[out] = value
+            elif op:
+                reg[out] = reg[left]
+            else:
+                reg[out] += reg[left]
 
 
 def _lift(init):
@@ -604,13 +618,19 @@ def _lift(init):
                for g, v in init.items()}
 
 
-def _integrate(flow, path, init):
-    """integrate_flow on a flow that make_flow has already built."""
+def _integrate(flow, paths, init):
+    """integrate_flow along each of paths on a flow that make_flow has
+    already built, as a list of their FlowResults.
+
+    The paths share one lowering, one set of static layouts, on the union
+    of the parameters they move, and one set of plans; each path starts
+    from the initial register values."""
     sys = flow.tds.system
-    if tuple(path.params) != tuple(flow.free_params):
-        raise FlowError(
-            f"path parameters {[str(p) for p in path.params]} do not match the "
-            f"free parameters {[str(p) for p in flow.free_params]}")
+    for path in paths:
+        if tuple(path.params) != tuple(flow.free_params):
+            raise FlowError(
+                f"path parameters {[str(p) for p in path.params]} do not match the "
+                f"free parameters {[str(p) for p in flow.free_params]}")
     n, lifted = _lift(init)
     state_gens = [g for g in flow.state_gens if g != sys.p0]
     for g in state_gens:
@@ -622,15 +642,20 @@ def _integrate(flow, path, init):
     slot_of = {g: i for i, g in enumerate(order)}
     p0_slot = len(state_gens) - 1
 
-    segments = []
-    for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
-        moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
-                  if w1[i] - w0[i] != 0.0]
-        for i, _ in moving:
-            if path.params[i].parity == Parity.ODD:
-                raise FlowError(f"odd free parameter {path.params[i]} cannot be moved")
-        segments.append((w1, moving))
-    moved = sorted({i for _, moving in segments for i, _ in moving})
+    runs = []
+    for path in paths:
+        segments = []
+        for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
+            moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
+                      if w1[i] - w0[i] != 0.0]
+            for i, _ in moving:
+                if path.params[i].parity == Parity.ODD:
+                    raise FlowError(
+                        f"odd free parameter {path.params[i]} cannot be moved")
+            segments.append((w1, moving))
+        runs.append((path, segments))
+    moved = sorted({i for _, segments in runs for _, moving in segments
+                    for i, _ in moving})
     for g, value in lifted.items():
         if not value.pure_grade(g.parity):
             raise GradeMismatch(f"{g} assigned a value of the wrong grade")
@@ -641,11 +666,11 @@ def _integrate(flow, path, init):
     h0 = lower(sys.legres.h0, slot_of, fixed)
     invariants = [(label, lower(expr, slot_of, fixed))
                   for label, expr in flow.invariants]
-    dz = {i: lower(flow.dz[path.params[i]], slot_of, fixed) for i in moved}
+    dz = {i: lower(flow.dz[flow.free_params[i]], slot_of, fixed) for i in moved}
     # a zero right-hand side adds exact zeros: keep only the nonzero ones
     rhs = {}
     for i in moved:
-        row = ((j, lower(flow.rhs[(g, path.params[i])], slot_of, fixed))
+        row = ((j, lower(flow.rhs[(g, flow.free_params[i])], slot_of, fixed))
                for j, g in enumerate(state_gens))
         rhs[i] = [(j, prog) for j, prog in row if prog]
 
@@ -661,7 +686,7 @@ def _integrate(flow, path, init):
     # registers: the env bank (the state first), the rates of the moving
     # parameters, four derivative blocks k1..k4 in the layout of the state
     # then of Z, the stage inputs in the state's, Z itself, the step's
-    # constants, and the planned programs' own
+    # constants, the planned programs' own and the drift peaks
     plan = _Plan([lifted[g].coeff for g in order], layouts)
     reg = plan.reg
     shape = layouts[:p0_slot + 1]
@@ -683,30 +708,31 @@ def _integrate(flow, path, init):
     k_regs = [{m: ks[0][r] for m, r in where.items()}
               for where in plan.env[:p0_slot + 1]]
     z_regs = dict(zip(z_layout, ks[0][width:]))
-    h = 1.0 / path.steps
-    half, full = plan.const(complex(h / 2)), plan.const(complex(h))
-    two, sixth = plan.const(complex(2)), plan.const(complex(h / 6))
-    zero = plan.const(0j)
+    two, zero = plan.const(complex(2)), plan.const(0j)
 
-    # gather reads the registers of every family member's value, member
-    # after member; each member reads its own span of what gather reads
+    # the registers of every family member's value, member after member;
+    # each member reads its own span of them
     audit, held, audited, members = [], {}, [], []
     for label, prog in invariants:
         value = plan.program(prog, audit, held)
         members.append((label, len(audited), len(audited) + len(value)))
         audited += value.values()
     audit = _live(audit, audited)
-    if len(audited) > 1:
-        gather = itemgetter(*audited)
-    else:  # itemgetter of one index gives no sequence, and of none fails
-        start = audited[0] if audited else 0
-        gather = itemgetter(slice(start, start + len(audited)))
+    # the largest absolute value each audited register reaches after a
+    # step: a float register each, as complex numbers do not order, which
+    # the peak entries that end every step plan raise
+    peaks = range(len(reg), len(reg) + len(audited))
+    reg.extend([0.0] * len(audited))
+    peak_entries = [(peak, r, 0, 6) for peak, r in zip(peaks, audited)]
 
-    def step_plan(moving):
-        """The plans of a segment that moves the parameters i of its (i, unit)
-        pairs, unit when the rate is exactly 1: one to run when the segment
-        starts, if any, and one to run at every step, which ends in the drift
-        audit."""
+    def step_plan(steps, moving):
+        """The plans of a segment of the given number of steps that moves the
+        parameters i of its (i, unit) pairs, unit when the rate is exactly 1:
+        one to run when the segment starts, if any, and one to run at every
+        step, which ends in the drift audit and the peak entries."""
+        h = 1.0 / steps
+        half, full = plan.const(complex(h / 2)), plan.const(complex(h))
+        sixth = plan.const(complex(h / 6))
         # the stage: the moving parameters' programs in order, on k1 and Z's
         # block of it, sharing their partial products; a program with a rate
         # of 1 lands on its derivative's registers when it is the first to
@@ -742,7 +768,7 @@ def _integrate(flow, path, init):
             stage += [(update[o], zero, (*[ks[0][o]] * 4, two, sixth), 5)
                       for o in moves]
             step = [(home[o], update[o], 0, 0) for o in moves]
-            return stage, _live(step + audit, roots)
+            return stage, _live(step + audit, roots) + peak_entries
         # the stage four times, the first on the state bank and the others on
         # the stage inputs, each on its own block; after each of the first
         # three, the inputs s + k * c, of which `_live` keeps those that a
@@ -758,10 +784,10 @@ def _integrate(flow, path, init):
         step += [(home[o], home[o], (*(k[o] for k in ks), two, sixth), 5)
                  for o in moves]
         step += audit
-        return [], _live(step, roots)
+        return [], _live(step, roots) + peak_entries
 
     _run(audit, reg)
-    residual = max(map(abs, gather(reg)), default=0.0)
+    residual = max((abs(reg[r]) for r in audited), default=0.0)
     if not residual <= _SURFACE_TOL:
         raise FlowError(
             f"initial state violates the constraint surface by {residual:.3e}")
@@ -774,30 +800,33 @@ def _integrate(flow, path, init):
                 {g: GrassmannValue(n, {m: reg[r] for m, r in where.items()})
                  for g, where in zip(state_gens, plan.env)})
 
-    # the largest absolute value each audited register reaches after a step
-    peaks = [0.0] * len(audited)
-    samples = [sample(path.waypoints[0])]
+    # the registers each path starts from: those that step plans add later
+    # are constants, or set before any run reads them
+    initial = list(reg)
     # segments that move the same parameters, each at a rate of 1 or not,
-    # share their plans, which read the rates from their registers
-    plans = {}
-    for w1, moving in segments:
-        for i, vf in moving:
-            reg[rate[i]] = vf
-        key = tuple((i, vf == 1) for i, vf in moving)
-        if key not in plans:
-            plans[key] = step_plan(key)
-        once, step = plans[key]
-        if once:
-            _run(once, reg)
-        for _ in range(path.steps):
-            _run(step, reg)
-            # max(peak, nan) keeps the peak
-            peaks = list(map(max, peaks, map(abs, gather(reg))))
-        samples.append(sample(w1))
-    drift_by = {label: max(peaks[a:b], default=0.0) for label, a, b in members}
-    drift = max(drift_by.values(), default=0.0)
-    z = GrassmannValue(n, dict(zip(z_layout, map(reg.__getitem__, home[width:]))))
-    return FlowResult(samples, z, drift, drift_by, residual)
+    # with steps of one size share their plans, which read the rates from
+    # their registers
+    plans, results = {}, []
+    for path, segments in runs:
+        reg[:len(initial)] = initial
+        samples = [sample(path.waypoints[0])]
+        for w1, moving in segments:
+            for i, vf in moving:
+                reg[rate[i]] = vf
+            key = path.steps, tuple((i, vf == 1) for i, vf in moving)
+            if key not in plans:
+                plans[key] = step_plan(*key)
+            once, step = plans[key]
+            if once:
+                _run(once, reg)
+            _run(step, reg, path.steps)
+            samples.append(sample(w1))
+        drift_by = {label: max(map(reg.__getitem__, peaks[a:b]), default=0.0)
+                    for label, a, b in members}
+        drift = max(drift_by.values(), default=0.0)
+        z = GrassmannValue(n, dict(zip(z_layout, map(reg.__getitem__, home[width:]))))
+        results.append(FlowResult(samples, z, drift, drift_by, residual))
+    return results
 
 
 class PathIndependenceReport:
@@ -816,14 +845,15 @@ def path_independence_check(tds, path_a, path_b, init, report, tol=1e-8):
     Strictly integrable systems must agree in every state component; weakly
     integrable ones only in the components whose generators commute weakly
     with the whole family (the flow-invariant observables) and in the
-    family members themselves.
+    family members themselves.  Both paths run on one lowering and one set
+    of plans.
     """
     if path_a.waypoints[0] != path_b.waypoints[0] or \
             path_a.waypoints[-1] != path_b.waypoints[-1]:
         raise FlowError("paths must share their endpoints")
     flow = make_flow(tds, report)
-    end_a = _integrate(flow, path_a, init).samples[-1][1]
-    end_b = _integrate(flow, path_b, init).samples[-1][1]
+    end_a, end_b = (result.samples[-1][1]
+                    for result in _integrate(flow, (path_a, path_b), init))
     constants = {g: v for g, v in _lift(init)[1].items() if g not in flow.state_gens}
 
     strict = report.strictly_integrable

@@ -782,10 +782,18 @@ def test_flow_config_name_errors_carry_their_position(tmp_path, model, text, lin
     ("sho.smf", "params t0 1q\n0, 0\n1, 0\nsteps 10\n", "bad parameter name '1q'", 1, 11),
     ("sho.smf", "  params\n0\n1\nsteps 10\n", "first flow parameter must be t0", 1, 3),
     ("sho.smf", "# only a comment\n", "flow config must start with a params line", 1, 1),
+    # an odd free parameter, whose value has no body, at a nonzero first
+    # waypoint and moved by a later one: each failed in the flow, with no
+    # position
+    ("odd_parameter.smf", "params t0 chi\n  0, 0.5\n1, 0.5\nsteps 10\nq = 1\n",
+     "chi assigned a value of the wrong grade", 2, 3),
+    ("odd_parameter.smf", "params t0 chi\n0, 0\n1, 0\n 1, 2\nsteps 10\nq = 1\n",
+     "odd free parameter chi cannot be moved", 4, 2),
 ], ids=["nan-indented", "waypoint-indented", "waypoint-after-steps", "steps-indented",
         "steps-0", "t0-not-first", "first-waypoint-indented", "params-after-comment",
         "steps-missing-after-comment", "grade-read", "grade-unread", "empty-value",
-        "generator-name", "parameter-name", "no-parameter", "empty"])
+        "generator-name", "parameter-name", "no-parameter", "empty", "odd-parameter-start",
+        "odd-parameter-moved"])
 def test_flow_config_errors_carry_their_position(tmp_path, model, text, message, line,
                                                  column):
     _refuses(tmp_path, model, text, message, line, column)

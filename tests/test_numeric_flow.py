@@ -274,6 +274,33 @@ def test_path_independence_builds_one_flow(monkeypatch, name):
     assert out.agree
 
 
+@pytest.mark.parametrize("name,moves", [
+    (name, moves) for name in sorted(PATH_PAIRS) for moves in ("both", "t0 alone")])
+def test_path_independence_plans_once_for_both_paths(monkeypatch, name, moves):
+    # one lowering and one set of layouts, on the union of what the paths
+    # move, and each path from the initial registers, equal to the reference
+    tds, report, init, path_a, path_b = _path_pair(*PATH_PAIRS[name])
+    if moves == "t0 alone":
+        path_a = PathSpec(path_a.params, ((0, 0), (1, 0)), 30)
+        path_b = PathSpec(path_b.params, ((0, 0), (0, 1), (1, 1), (1, 0)), 20)
+    layouts = []
+    static = numeric_flow._static_layouts
+
+    def recording(*args):
+        layouts.append(static(*args))
+        return layouts[-1]
+
+    monkeypatch.setattr(numeric_flow, "_static_layouts", recording)
+    flow = numeric_flow.make_flow(tds, report)
+    got = numeric_flow._integrate(flow, (path_a, path_b), init)
+    assert len(layouts) == 1
+    for result, path in zip(got, (path_a, path_b)):
+        _assert_same_flow(result, reference_integrate(tds, path, init, report))
+    layouts.clear()
+    assert path_independence_check(tds, path_a, path_b, init, report=report).agree
+    assert len(layouts) == 1
+
+
 def test_lambda_cap():
     with pytest.raises(ValueError):
         GrassmannValue(13)
@@ -348,8 +375,8 @@ def test_lambda12_literal_builds_only_the_signs_it_meets(monkeypatch):
 
 def _parts(step):
     """A step plan split where its kind of entry changes: the stage copies
-    and the audit (ops -2..3), the stage inputs (op 4) and the updates
-    (op 5)."""
+    and the audit (ops -2..3), the stage inputs (op 4), the updates (op 5)
+    and the peak entries (op 6)."""
     return [list(part) for _, part in groupby(step, key=lambda e: max(e[3], 3))]
 
 
@@ -366,9 +393,9 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
         masks.update((r, m) for m, r in out.items())
         return out
 
-    def recording_run(plan, reg):
+    def recording_run(plan, reg, times=1):
         plans.setdefault(id(plan), plan)
-        return run(plan, reg)
+        return run(plan, reg, times)
 
     def recording_static(*args):
         layouts.append(static(*args))
@@ -386,20 +413,28 @@ def test_flow_plan_holds_the_disjoint_pairs_of_its_supports(monkeypatch):
     assert [len(v) for v in values] == [7, 4, 4, 4, 4, 4, 4, 7, 4, 4, 4, 4, 4, 4, 3, 1, 1]
     assert len(z_layout) == 4
     # one plan for the drift audit, which first measures the initial state,
-    # and one for the RK4 step, which ends in that audit; with m = 1 and
+    # and one for the RK4 step, which ends in that audit and one peak entry
+    # for each of the audit's 31 registers; with m = 1 and
     # g = 0.5 folded into the coefficients, no term multiplies by m or g
     # last, and the Yukawa terms of the audit scale x by their coefficient
     # -0.5 once, where they started from x with a carried sign
     audit, step = plans.values()
-    assert (len(step), len(audit)) == (1147, 154)
+    assert (len(step), len(audit)) == (1178, 154)
     # the stage four times, whose derivatives land on k or are copied from
     # p_x's registers (dx/dt0 = p_x), the 37 stage inputs that a later copy
     # reads after each of the first three, the update of the 66 numbers the
-    # stage moves (every number of the state and Z but P0's 3), the audit
+    # stage moves (every number of the state and Z but P0's 3), the audit,
+    # and the peak entries
     parts = _parts(step)
-    assert [len(part) for part in parts] == [204, 37, 204, 37, 204, 37, 204, 66, 154]
+    assert [len(part) for part in parts] == [
+        204, 37, 204, 37, 204, 37, 204, 66, 154, 31]
     copies, inputs, updates = parts[0:7:2], parts[1:7:2], parts[7]
     assert parts[8] == audit
+    # a peak entry each for 31 registers that the audit writes, each with a
+    # peak register of its own
+    peaks = {out: left for out, left, _, op in parts[9] if op == 6}
+    assert len(peaks) == len(set(peaks.values())) == len(parts[9]) == 31
+    assert set(peaks.values()) <= {out for out, *_ in audit}
     shape = [[(op, masks.get(left, 0), masks.get(right, 0), masks[out])
               for out, left, right, op in copy] for copy in copies]
     assert shape[1:] == shape[:1] * 3
@@ -475,8 +510,8 @@ def _written_and_read(entry):
     """The register an entry writes and those it reads, its own output
     included when it adds to it."""
     out, left, right, op = entry
-    reads = (left,) if op in (0, 3) else (left, *right) if op > 3 else (left, right)
-    return out, reads + (out,) * (op in (-1, 0, 1))
+    reads = (left,) if op in (0, 3, 6) else (left, *right) if op > 3 else (left, right)
+    return out, reads + (out,) * (op in (-1, 0, 1, 6))
 
 
 @pytest.mark.parametrize("model,cfg",
@@ -487,7 +522,8 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
     # members, and those another run reads before it writes them: the
     # state and Z, which a step reads, advances and carries to the next
     # step, and the update that the first run of a segment whose stage
-    # reads nothing it moves leaves for its steps
+    # reads nothing it moves leaves for its steps, and the peak registers,
+    # which every step plan raises
     plans, values, audited = {}, set(), set()
     program, run = numeric_flow._Plan.program, numeric_flow._run
 
@@ -496,12 +532,12 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
         values.update(out.values())
         return out
 
-    def recording_run(plan, reg):
+    def recording_run(plan, reg, times=1):
         if not plans:
             # the audit's programs are planned before its first run
             audited.update(values)
         plans.setdefault(id(plan), plan)
-        return run(plan, reg)
+        return run(plan, reg, times)
 
     monkeypatch.setattr(numeric_flow._Plan, "program", recording_program)
     monkeypatch.setattr(numeric_flow, "_run", recording_run)
@@ -519,9 +555,9 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
     for key, plan in plans.items():
         written = {out for out, *_ in plan}
         # a register that a run reads before it writes it is only ever
-        # advanced by it (the state and Z), never set
+        # advanced by it (the state and Z) or raised (a peak), never set
         carried = first_read[key] & written
-        assert all(op in (0, 5) for out, *_, op in plan if out in carried)
+        assert all(op in (0, 5, 6) for out, *_, op in plan if out in carried)
         roots = (audited | handed) & written
         # every write is read before the next write that sets its register,
         # or is the last write of a register the flow reads
@@ -538,10 +574,12 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
         # each is made once in each copy of the stage
         made = {}
         for out, left, right, op in plan:
-            if op > 3:
+            if op in (0, 3, 6):
+                right = None
+            elif op > 3:
                 right = tuple(made.get(r, r) for r in right)
             else:
-                right = None if op in (0, 3) else made.get(right, right)
+                right = made.get(right, right)
             step = (op, made.get(left, left), right)
             made[out] = made.get(out, ()) + (step,)
         partial = [how for r, how in made.items()
@@ -550,67 +588,113 @@ def test_a_plan_writes_only_what_it_reads_and_each_partial_product_once(
 
 
 def _plan_runs(monkeypatch, model, cfg):
-    """The size and the runs of each plan of a bundled flow, in the order of
-    its first run."""
-    plans, counts = {}, {}
+    """The size of the plan and the steps of each run of a bundled flow, in
+    the order of the runs."""
+    runs = []
     run = numeric_flow._run
 
-    def counting(plan, reg):
-        plans.setdefault(id(plan), plan)
-        counts[id(plan)] = counts.get(id(plan), 0) + 1
-        return run(plan, reg)
+    def recording(plan, reg, times=1):
+        runs.append((len(plan), times))
+        return run(plan, reg, times)
 
-    monkeypatch.setattr(numeric_flow, "_run", counting)
+    monkeypatch.setattr(numeric_flow, "_run", recording)
     cfg_text = data_text(cfg) if (DATA / cfg).exists() else fixture_text(cfg)
     run_pipeline(parse_model(fixture_text(model)), stage="flow", path_text=cfg_text)
-    return [(len(plans[i]), count) for i, count in counts.items()]
+    return runs
 
 
 @pytest.mark.parametrize("model,cfg,runs", [
     # the drift audit, whose one product nothing reads; then each segment's
     # stage, which reads no number that it moves (dq1/dt0 = p_q1 while p_q1
     # stays, dq1/dq2 = 1), runs once with the update its four equal rates
-    # sum to, and each of the 5,000 steps adds that update to q1
+    # sum to, and one run of the step plan adds that update to q1 at each of
+    # the 5,000 steps
     ("gauge_toy.smf", "gauge_toy_flow.cfg",
      [(0, 1), (2, 1), (1, 5_000), (2, 1), (1, 5_000)]),
     # t0 and q2 move together over 100 steps, then q2 alone; the first
     # stage copies dq1/dt0 = p_q1 straight from p_q1's registers and adds
     # dq1/dq2 = 1 from the coefficient's register, and its steps add the
-    # updates of q1 and Z's two numbers before the audit
+    # updates of q1 and Z's two numbers before the audit and the peak of
+    # its one register
     ("free_singular.smf", "free_singular_diagonal_flow.cfg",
-     [(3, 1), (7, 1), (6, 100), (2, 1), (4, 100)]),
+     [(3, 1), (7, 1), (7, 100), (2, 1), (5, 100)]),
 ])
 def test_a_stage_that_reads_no_state_runs_once_a_segment(monkeypatch, model, cfg, runs):
     assert _plan_runs(monkeypatch, model, cfg) == runs
 
 
-def test_a_flow_runs_one_plan_a_step(monkeypatch):
-    # the audit of the initial state, then one run for each of the 2,000
-    # steps: 2,001 runs of the table-driven loop in all
-    runs = _plan_runs(monkeypatch, "sho.smf", "sho_flow.cfg")
-    assert runs == [(5, 1), (46, 2_000)]
-    assert sum(count for _, count in runs) == 2_001
+def test_a_flow_runs_one_plan_a_segment(monkeypatch):
+    # the audit of the initial state, then one run of the step plan that
+    # covers all 2,000 steps of the one segment; the step plan ends in the
+    # peak entry of the audit's one register
+    assert _plan_runs(monkeypatch, "sho.smf", "sho_flow.cfg") == [(5, 1), (47, 2_000)]
 
 
 def test_segments_that_move_the_same_parameters_share_their_plans(monkeypatch):
     # t0 moves at rates 0.25, 0.5 and 0.25 and then at 1: two step plans, so
-    # the register file does not grow with the number of segments
+    # the register file does not grow with the number of segments, each
+    # segment one run of 10 steps
     sho, sys, tds, report = _sho_setup()
     g = sho.gens
     init = {g["q"]: GrassmannValue.body_value(0, 1.0),
             g["pq"]: GrassmannValue.body_value(0, 0.0)}
-    plans, counts = {}, {}
+    plans, runs = {}, []
     run = numeric_flow._run
 
-    def counting(plan, reg):
-        plans.setdefault(id(plan), plan)
-        counts[id(plan)] = counts.get(id(plan), 0) + 1
-        return run(plan, reg)
+    def recording(plan, reg, times=1):
+        runs.append((plans.setdefault(id(plan), len(plans)), times))
+        return run(plan, reg, times)
 
-    monkeypatch.setattr(numeric_flow, "_run", counting)
+    monkeypatch.setattr(numeric_flow, "_run", recording)
     path = PathSpec((sys.t0,), ((0.0,), (0.25,), (0.75,), (1.0,), (2.0,)), 10)
     integrate_flow(tds, path, init, report=report)
-    assert list(counts.values()) == [1, 30, 10]
+    assert runs == [(0, 1), (1, 10), (1, 10), (1, 10), (2, 10)]
+
+
+def test_a_peak_entry_keeps_the_peak_through_a_nan():
+    # op 6 raises the float peak in register 1 to abs(reg[0]) when that is
+    # larger, as max(peak, value) does: a NaN, a smaller value and an equal
+    # one keep it
+    plan = [(1, 0, 0, 6)]
+    reg = [complex("nan"), 0.5]
+    numeric_flow._run(plan, reg)
+    assert reg[1] == 0.5
+    for value, peak in [(0.3j, 0.5), (-0.5, 0.5), (3 + 4j, 5.0), (complex("nan"), 5.0),
+                        (complex("inf"), math.inf), (complex("nan"), math.inf)]:
+        reg[0] = value
+        numeric_flow._run(plan, reg)
+        assert reg[1] == peak == max(peak, abs(value))
+        assert type(reg[1]) is float
+
+
+def test_a_run_repeats_its_plan():
+    # reg[0] doubles and then adds reg[1] on each of five passes, as five
+    # runs of one pass leave it
+    plan = [(0, 0, 2, 2), (0, 1, 0, 0)]
+    reg, want = [1 + 1j, 0.25, 2 + 0j], [1 + 1j, 0.25, 2 + 0j]
+    numeric_flow._run(plan, reg, 5)
+    for _ in range(5):
+        numeric_flow._run(plan, want)
+    assert reg == want and reg[0] == (1 + 1j) * 32 + 0.25 * 31
+
+
+def test_a_flow_whose_family_holds_no_register_has_no_peaks(monkeypatch):
+    # gauge_toy starts at p_q1 = p_q2 = 0, which no step moves, so the
+    # values of its family members, H'0, p_q2 and p_q1, hold no mask and no
+    # register: its step plans hold no peak entry and its drift is 0
+    plans = []
+    run = numeric_flow._run
+
+    def recording(plan, reg, times=1):
+        plans.append(plan)
+        return run(plan, reg, times)
+
+    monkeypatch.setattr(numeric_flow, "_run", recording)
+    result = run_pipeline(parse_model(fixture_text("gauge_toy.smf")), stage="flow",
+                          path_text=fixture_text("gauge_toy_flow.cfg"))
+    assert plans and not any(op == 6 for plan in plans for *_, op in plan)
+    flow = result.flow
+    assert flow.drift == 0.0 and set(flow.drift_by_invariant.values()) == {0.0}
 
 
 @pytest.mark.parametrize("name", sorted(PATH_PAIRS))
@@ -838,6 +922,24 @@ def test_flow_plan_above_the_limit_fails_before_any_entry(monkeypatch, dense):
     with pytest.raises(FlowError, match=f"PLAN_LIMIT = {numeric_flow.PLAN_LIMIT:,}"):
         integrate_flow(result.tds, path, init, report=result.closure)
     assert signed == []
+
+
+def test_the_plan_limit_counts_a_peak_entry_per_audited_register(monkeypatch):
+    # sho's step plan, counted before any entry is shared or dropped: the
+    # one product of each of dq/dt0 = p_q and dp_q/dt0 = -q and the four of
+    # Z's two terms, four times (24), the audit's 5 products, one peak entry
+    # for its one register, and three stage inputs and one update for each
+    # of the state's 3 numbers and one update for Z's (13): 43 entries
+    sho, sys, tds, report = _sho_setup()
+    g = sho.gens
+    init = {g["q"]: GrassmannValue.body_value(0, 1.0),
+            g["pq"]: GrassmannValue.body_value(0, 0.0)}
+    path = PathSpec((sys.t0,), ((0.0,), (1.0,)), 1)
+    monkeypatch.setattr(numeric_flow, "PLAN_LIMIT", 43)
+    integrate_flow(tds, path, init, report=report)
+    monkeypatch.setattr(numeric_flow, "PLAN_LIMIT", 42)
+    with pytest.raises(FlowError, match="the flow needs more than PLAN_LIMIT"):
+        integrate_flow(tds, path, init, report=report)
 
 
 def _random_graded(rng, n, parity):
