@@ -9,6 +9,7 @@ separate reference implementation.
 from __future__ import annotations
 
 from .superalgebra import (
+    ZERO,
     SuperPoly,
     accumulate,
     gradient,
@@ -18,9 +19,10 @@ from .superalgebra import (
 
 class PhaseBasis:
     """Ordered conjugate pairs (coordinate, momentum); the bracket sums over
-    them.  momentum maps each coordinate to its conjugate momentum."""
+    them.  momentum maps each coordinate to its conjugate momentum, and
+    coordinate each momentum to its conjugate coordinate."""
 
-    __slots__ = ("pairs", "momentum")
+    __slots__ = ("pairs", "momentum", "coordinate")
 
     def __init__(self, pairs):
         seen = set()
@@ -33,6 +35,7 @@ class PhaseBasis:
                 seen.add(g)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "momentum", dict(pairs))
+        object.__setattr__(self, "coordinate", {p: q for q, p in pairs})
 
     def __setattr__(self, *_):
         raise AttributeError("a phase basis is read-only")
@@ -62,9 +65,9 @@ def berezin(f, g, basis):
     nonzero; the sum is exact, so the order of the pairs does not matter.
 
     The result is exactly graded antisymmetric (see reversed_bracket).
-    dirac.constraint_matrix, DiracAnalysis.bracket_table and
-    hamilton_jacobi.closure_loop rely on that and compute one order of
-    each pair.
+    dirac.constraint_matrix and hamilton_jacobi.closure_loop rely on that
+    and compute one order of each pair.  A bracket with a basis generator
+    is `generator_bracket`.
     """
     sign = reversed_bracket(1, parity_of(f), parity_of(g))
     f_right, f_left = gradient(f, False), gradient(f, True)
@@ -77,6 +80,22 @@ def berezin(f, g, basis):
             if b is not None:
                 accumulate(acc, a * b, factor)
     return SuperPoly._from_map(acc)
+
+
+def generator_bracket(x, f, basis):
+    """{x, f} for a generator x of the basis and a homogeneous f: the one
+    pair of the bracket sum that x enters.
+
+    For a coordinate, {q, f} is f's kept left gradient at q's momentum;
+    for a momentum, {f, p} is f's kept right gradient at p's coordinate,
+    reversed into {p, f}.  It equals berezin(gen_poly(x), f, basis) and
+    builds no gradient of x.
+    """
+    p = basis.momentum.get(x)
+    if p is not None:
+        return gradient(f, True).get(p, ZERO)
+    return reversed_bracket(gradient(f, False).get(basis.coordinate[x], ZERO),
+                            x.parity, parity_of(f))
 
 
 def reversed_bracket(value, pf, pg):

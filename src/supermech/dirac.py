@@ -7,7 +7,7 @@ and provides Dirac brackets.
 """
 from __future__ import annotations
 
-from .brackets import berezin, reversed_bracket
+from .brackets import berezin, generator_bracket, reversed_bracket
 from .errors import (
     Inconsistent,
     NonNumericBody,
@@ -26,6 +26,7 @@ from .smatrix import (
 from .superalgebra import (
     Generator,
     Kind,
+    ONE,
     Parity,
     SuperPoly,
     ZERO,
@@ -106,20 +107,62 @@ class Surface:
     Each constraint has an `expr` and a `solved` form or None: the active
     records of a Dirac analysis, or a Hamilton-Jacobi family.  The surface
     holds their solved-form bindings, closed once so that no bound value
-    contains a bound generator, and the span over the residuals they leave
-    under those bindings.  Build a new one whenever the constraints change.
+    contains a bound generator, the nonzero residuals they leave under those
+    bindings, in constraint order, and the span over those residuals.  A
+    surface is the extension of the empty one by its constraints; when
+    constraints are only appended, `extend` grows it, and otherwise build a
+    new one.
     """
 
+    __slots__ = ("constraints", "bindings", "residuals", "span")
+
     def __init__(self, constraints):
-        self.bindings = _close({c.solved[0]: c.solved[1]
-                                for c in constraints if c.solved})
+        self._grow((), {}, [], constraints)
+
+    def extend(self, constraints):
+        """The surface of this one's constraints followed by constraints.
+
+        The closed bindings are kept when constraints bring no solved form;
+        otherwise the old closed ones and the new raw ones are closed
+        together, which changes only the values that hold a newly bound
+        generator.  Every old residual that holds none is kept, the others
+        are taken to the new fixpoint, and the new residuals follow.  The
+        closed bindings of an acyclic set are unique and substitution is a
+        ring homomorphism, so this is the surface a fresh build on all the
+        constraints gives, residuals and their order included.  A new solved
+        form for a generator already bound replaces it in a fresh build, so
+        then the surface is built afresh.
+        """
+        surface = Surface.__new__(Surface)
+        if any(c.solved and c.solved[0] in self.bindings for c in constraints):
+            surface._grow((), {}, [], self.constraints + tuple(constraints))
+        else:
+            surface._grow(self.constraints, self.bindings, self.residuals,
+                          constraints)
+        return surface
+
+    def _grow(self, old, bindings, residuals, constraints):
+        """Set this surface to that of old, whose closed bindings and residuals
+        are given, followed by constraints."""
+        self.constraints = (*old, *constraints)
+        solved = {c.solved[0]: c.solved[1] for c in constraints if c.solved}
+        if solved:
+            self.bindings = _close({**bindings, **solved})
+            residuals = [r for r in map(self._to_fixpoint, residuals)
+                         if not r.is_zero]
+        else:
+            self.bindings = bindings
+            residuals = list(residuals)
         # the residuals still vanish on the surface, and they are what
         # unsolvable constraints (secondaries, recombinations) reduce to
-        self.span = SpanReducer()
         for c in constraints:
             residual = self._to_fixpoint(c.expr)
             if not residual.is_zero:
-                self.span.add(residual)
+                residuals.append(residual)
+        self.residuals = residuals
+        self.span = SpanReducer()
+        for residual in residuals:
+            self.span.add(residual)
 
     def _to_fixpoint(self, expr):
         # substitution is a ring homomorphism, so one pass of the closed
@@ -211,22 +254,29 @@ class DiracAnalysis:
     def surface(self):
         """The constraint surface of the active records.
 
-        Built on first use and rebuilt whenever a record is added, edited
-        or superseded, so it always matches records.
+        Built on first use and kept while the active records stay as they
+        are.  When records were only added, the surface of the first active
+        ones, on which it was built, is extended by the others; when one of
+        those was edited or superseded, as a recombination supersedes one,
+        it is built afresh.  So it always matches records.
         """
-        key = tuple((rec.name, rec.expr, rec.solved, rec.superseded)
-                    for rec in self.records)
-        if self._surface is None or key != self._surface_key:
-            self._surface = Surface(self.active())
-            self._surface_key = key
+        active = self.active()
+        key = tuple((rec.expr, rec.solved) for rec in active)
+        built = self._surface_key
+        if self._surface is None or key[:len(built)] != built:
+            self._surface = Surface(active)
+        elif len(key) > len(built):
+            self._surface = self._surface.extend(active[len(built):])
+        self._surface_key = key
         return self._surface
 
     def _derived_state(self):
         """[surface, classes, delta, second-class rows, Delta^-1, table].
 
-        delta is built again only when the surface is rebuilt; the rest is
-        derived again whenever the active records' classes change too (the
-        table on first read), so all of it always matches the records.
+        delta is built again only when the surface is built or extended;
+        the rest is derived again whenever the active records' classes
+        change too (the table on first read), so all of it always matches
+        the records.
         """
         surface = self.surface
         state = self._derived
@@ -256,12 +306,14 @@ class DiracAnalysis:
     def bracket_table(self):
         """Nonvanishing {a, b}_D over pairs of basis generators, a before b.
 
-        Generators run over coordinates then momenta.  {x, Phi_s} is computed
-        once per generator, not once per pair, and gives {Phi_t, x} by graded
-        antisymmetry.  {a, b} vanishes unless b is the momentum of a, and the
-        correction unless both {a, Phi_s} and {b, Phi_t} hold a nonzero
-        entry, so only those pairs are visited.  The table is computed on
-        first read and kept with the rest of the derived state.
+        Generators run over coordinates then momenta.  {x, Phi_s} is
+        `generator_bracket`, a kept gradient of Phi_s, taken once per
+        generator, not once per pair, and gives {Phi_t, x} by graded
+        antisymmetry.  {a, b} vanishes unless b is the momentum of a, when
+        it is 1 for either parity, and the correction unless both
+        {a, Phi_s} and {b, Phi_t} hold a nonzero entry, so only those pairs
+        are visited.  The table is computed on first read and kept with the
+        rest of the derived state.
         """
         state = self._derived_state()
         if state[5] is not None:
@@ -270,8 +322,8 @@ class DiracAnalysis:
         basis = self.basis
         second = self.second_class_records()
         gens = list(basis.coordinates) + list(basis.momenta)
-        polys = [gen_poly(x) for x in gens]
-        left = [[berezin(x, rec.expr, basis) for rec in second] for x in polys]
+        left = [[generator_bracket(x, rec.expr, basis) for rec in second]
+                for x in gens]
         right = [[reversed_bracket(v, x.parity, rec.parity)
                   for v, rec in zip(row, second)] for row, x in zip(left, gens)]
         coupled = [any(not v.is_zero for v in row) for row in left]
@@ -281,7 +333,7 @@ class DiracAnalysis:
             conjugate = momentum.get(a)
             for j in range(i + 1, len(gens)):
                 if gens[j] is conjugate:
-                    raw = berezin(polys[i], polys[j], basis)
+                    raw = ONE
                 elif coupled[i] and coupled[j]:
                     raw = ZERO
                 else:

@@ -8,7 +8,7 @@ algorithm.
 """
 from __future__ import annotations
 
-from .brackets import berezin, reversed_bracket
+from .brackets import berezin, generator_bracket, reversed_bracket
 from .errors import ClosureDiverged, Inconsistent
 from .dirac import Surface, try_solve
 from .smatrix import solve_linear_rows
@@ -17,9 +17,7 @@ from .superalgebra import (
     Kind,
     Parity,
     SuperPoly,
-    ZERO,
     gen_poly,
-    gradient,
     monic,
     parity_of,
 )
@@ -94,21 +92,21 @@ class TotalDifferentialSystem:
 def total_differentials(sys):
     """dq^i = {q^i, H'_a} dt^a, dp_i = {p_i, H'_a} dt^a, dZ = (p_i dq^i - H_a) dt^a.
 
-    {q^i, H'_a} is the kept left gradient of H'_a at p_i; its kept right
-    gradient at q^i is {H'_a, p_i}, reversed into {p_i, H'_a}.  dZ sums
-    over the expressible coordinates."""
+    Each coefficient is `brackets.generator_bracket`: {q^i, H'_a} is the
+    kept left gradient of H'_a at p_i, and its kept right gradient at q^i
+    is {H'_a, p_i}, reversed into {p_i, H'_a}.  dZ sums over the
+    expressible coordinates."""
     dq = {}
     dp = {}
     dz = {}
     legres = sys.legres
     momentum = legres.model.momentum
+    basis = sys.basis
     for param in sys.parameters:
         h = sys.hamiltonians[param]
-        left, right = gradient(h, True), gradient(h, False)
-        for q, p in sys.basis.pairs:
-            dq[(q, param)] = left.get(p, ZERO)
-            dp[(p, param)] = reversed_bracket(right.get(q, ZERO), param.parity,
-                                              p.parity)
+        for q, p in basis.pairs:
+            dq[(q, param)] = generator_bracket(q, h, basis)
+            dp[(p, param)] = generator_bracket(p, h, basis)
         acc = -(legres.h0 if param is sys.t0 else legres.primary_h[param])
         for q in legres.expressible_coords:
             acc = acc + gen_poly(momentum(q)) * dq[(q, param)]
@@ -162,7 +160,7 @@ def closure_loop(sys, max_rounds=32):
     pivot_history = set()
     params = sys.parameters
     t0 = sys.t0
-    # rebuilt whenever a member joins the family
+    # extended by every member that joins the family
     surface = Surface(family)
     # {H'_b, H'_a} by (label_b, label_a): a bracket never changes between
     # rounds, so each pair is computed once; graded antisymmetry gives the other
@@ -219,7 +217,7 @@ def closure_loop(sys, max_rounds=32):
                                 try_solve(candidate, sys.basis))
                 family.append(member)
                 added.append(member)
-                surface = Surface(family)
+                surface = surface.extend([member])
                 outcomes[source] = ClosureOutcome(
                     "new_hamiltonian", detail=f"adds {label}")
             continue

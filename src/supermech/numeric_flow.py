@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from cmath import isfinite
 
-from .brackets import berezin
+from .brackets import generator_bracket
 from .errors import FlowError, GradeMismatch
-from .superalgebra import Parity, as_poly, gen_poly
+from .superalgebra import Parity, as_poly
 
 LAMBDA_CAP = 12
 
@@ -582,17 +582,24 @@ def _run(plan, reg, times=1):
     reg[left] + (((reg[k1] + reg[k2] * reg[two]) + reg[k3] * reg[two]) + reg[k4])
     * reg[sixth], the order of the reference's sums.  Op 6 raises the peak
     reg[output] to abs(reg[left]) when that is larger, as max(peak, value)
-    does, so a NaN keeps the peak."""
+    does, so a NaN keeps the peak.
+
+    An entry is dispatched by family: the products and the add (ops below
+    3), which most entries are, take one test to reach their family, and
+    the RK4 and audit entries (ops 3 to 6) another."""
     for _ in range(times):
         for out, left, right, op in plan:
-            if op == 2:
-                reg[out] = reg[left] * reg[right]
-            elif op == 1:
-                reg[out] += reg[left] * reg[right]
-            elif op == -2:
-                reg[out] = -(reg[left] * reg[right])
-            elif op == -1:
-                reg[out] -= reg[left] * reg[right]
+            if op < 3:
+                if op == 2:
+                    reg[out] = reg[left] * reg[right]
+                elif op == 1:
+                    reg[out] += reg[left] * reg[right]
+                elif op == -2:
+                    reg[out] = -(reg[left] * reg[right])
+                elif op == -1:
+                    reg[out] -= reg[left] * reg[right]
+                else:
+                    reg[out] += reg[left]
             elif op == 4:
                 k, c = right
                 reg[out] = reg[left] + reg[k] * reg[c]
@@ -605,10 +612,8 @@ def _run(plan, reg, times=1):
                 value = abs(reg[left])
                 if value > reg[out]:
                     reg[out] = value
-            elif op:
-                reg[out] = reg[left]
             else:
-                reg[out] += reg[left]
+                reg[out] = reg[left]
 
 
 def _lift(init):
@@ -889,7 +894,7 @@ def _weak_observables(sys, report):
             continue
         ok = True
         for m in report.family:
-            br = berezin(gen_poly(g), m.expr, sys.basis)
+            br = generator_bracket(g, m.expr, sys.basis)
             if not report.surface.reduce(br).is_zero:
                 ok = False
                 break

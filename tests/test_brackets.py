@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    DATA,
+    FIXTURES,
     build_qed,
     gamma_matrices,
     random_homogeneous,
@@ -13,7 +15,9 @@ from helpers import (
     small_basis,
 )
 from supermech import superalgebra
-from supermech.brackets import PhaseBasis, berezin
+from supermech.brackets import PhaseBasis, berezin, generator_bracket
+from supermech.frontend.parser import parse_model
+from supermech.frontend.pipeline import run_pipeline
 from supermech.superalgebra import (
     ZERO,
     Coefficient,
@@ -197,3 +201,37 @@ def test_extended_basis_consistency():
         lhs = berezin(f, gen_poly(p0) + h0, extended)
         rhs = berezin(f, h0, basis)
         assert lhs == rhs
+
+
+def test_generator_bracket_is_the_bracket_with_the_generator():
+    # {x, f} read from f's kept gradients equals the full bracket sum, for
+    # every basis generator x against every Dirac record and every member
+    # of the closed Hamilton-Jacobi family of each fixture and tests/data
+    # model, on random polynomials of the small basis, and on a generator
+    # against itself and its conjugate
+    paths = sorted(FIXTURES.glob("*.smf")) + sorted(DATA.glob("*.smf"))
+    checked = 0
+    for path in paths:
+        result = run_pipeline(parse_model(path.read_text(encoding="utf-8")),
+                              stage="all")
+        for basis, exprs in [
+                (result.analysis.basis, [rec.expr for rec in result.analysis.records]),
+                (result.hj_system.basis, [m.expr for m in result.closure.family])]:
+            for x in [g for pair in basis.pairs for g in pair]:
+                for f in exprs:
+                    assert generator_bracket(x, f, basis) == \
+                        berezin(gen_poly(x), f, basis), (path.name, x, f)
+                    checked += 1
+    assert checked > 1000
+    rng = random.Random(29)
+    basis = small_basis()
+    gens = [g for pair in basis.pairs for g in pair]
+    for _ in range(200):
+        f = random_homogeneous(rng, gens)
+        for x in gens:
+            assert generator_bracket(x, f, basis) == berezin(gen_poly(x), f, basis)
+    for q, p in basis.pairs:
+        for x in (q, p):
+            for f in (gen_poly(q), gen_poly(p)):
+                assert generator_bracket(x, f, basis) == berezin(gen_poly(x), f, basis)
+        assert generator_bracket(q, gen_poly(p), basis) == const_poly(1)

@@ -551,6 +551,90 @@ def test_surface_closes_chained_solved_forms():
         assert surface.reduce(p) == reference_weak_reduce(p, records)
 
 
+def _extension_sets():
+    """(basis, constraints) sets to grow surfaces on: the active Dirac records
+    and the closed Hamilton-Jacobi family of every fixture and tests/data
+    model, and the chained solved forms with two unsolved records that hold
+    generators the chain binds, and with a record that binds p1 again."""
+    sets = []
+    for path in sorted(FIXTURES.glob("*.smf")) + sorted(DATA.glob("*.smf")):
+        result = run_pipeline(parse_model(path.read_text(encoding="utf-8")),
+                              stage="all")
+        sets.append((result.analysis.basis, result.analysis.active()))
+        sets.append((result.hj_system.basis, result.closure.family))
+    basis, records = _chained_records()
+    (q1, p1), (q2, p2), (th, pth) = basis.pairs
+    unsolved = [gen_poly(q1) * gen_poly(p1) - gen_poly(q2) ** 2,
+                gen_poly(th) * gen_poly(pth) * gen_poly(q2) + gen_poly(q1) * gen_poly(p2)]
+    rebind = gen_poly(p1) - gen_poly(q1) * gen_poly(q2)
+    records += [ConstraintRecord(f"R{k}", e, 1) for k, e in enumerate(unsolved)]
+    records.append(ConstraintRecord("C3", rebind, 1, solved=try_solve(rebind, basis)))
+    assert [rec.solved is None for rec in records] == [False] * 3 + [True] * 2 + [False]
+    sets.append((basis, records))
+    return sets
+
+
+def test_an_extended_surface_is_a_fresh_one():
+    # for seeded record sets A inside B, the surface of A extended by the
+    # rest of B is a fresh build on A followed by the rest: the same
+    # bindings, residuals in the same order, and the same reductions of
+    # random polynomials and of products of them with B's constraints.
+    # Unless two constraints solve for one generator, where the later one
+    # wins, it has the bindings of a fresh build on B in B's order too and
+    # reduces as that build does: the span's reduced echelon form does not
+    # depend on the order of its rows
+    rng = random.Random(53)
+    grown_count = rebound = 0
+    for basis, constraints in _extension_sets():
+        if not constraints:
+            continue
+        gens = [g for pair in basis.pairs for g in pair]
+        for _ in range(6):
+            chosen = sorted(rng.sample(range(len(constraints)),
+                                       rng.randint(1, len(constraints))))
+            inner = set(rng.sample(chosen, rng.randint(0, len(chosen))))
+            whole = [constraints[k] for k in chosen]
+            first = [constraints[k] for k in chosen if k in inner]
+            rest = [constraints[k] for k in chosen if k not in inner]
+            grown = Surface(first).extend(rest)
+            fresh = Surface(first + rest)
+            assert grown.bindings == fresh.bindings
+            assert grown.residuals == fresh.residuals
+            solved = [c.solved[0] for c in whole if c.solved]
+            in_order = Surface(whole) if len(set(solved)) == len(solved) else None
+            if in_order is None:
+                rebound += 1
+            else:
+                assert grown.bindings == in_order.bindings
+            probes = [random_homogeneous(rng, gens, max_terms=3, max_degree=3)
+                      for _ in range(6)]
+            probes += [c.expr * random_homogeneous(rng, gens, max_terms=2, max_degree=2)
+                       for c in rng.sample(whole, min(3, len(whole)))]
+            for p in probes:
+                reduced = grown.reduce(p)
+                assert reduced == fresh.reduce(p)
+                assert in_order is None or reduced == in_order.reduce(p)
+            grown_count += bool(first and rest)
+    assert grown_count > 50 and rebound
+
+
+def test_surface_extends_in_steps_as_one_build():
+    # extending one constraint at a time gives the surface of one build,
+    # residuals included: the two unsolved records come first, so each
+    # solved form of the chain that follows takes their residuals to a new
+    # fixpoint
+    basis, records = _extension_sets()[-1]
+    records = records[3:5] + records[:3]
+    grown = Surface([])
+    for rec in records:
+        grown = grown.extend([rec])
+    fresh = Surface(records)
+    assert grown.bindings == fresh.bindings
+    assert grown.residuals == fresh.residuals
+    assert len(fresh.residuals) == 2
+    assert all(not set(fresh.bindings) & set(r.generators()) for r in fresh.residuals)
+
+
 def test_surface_resolves_nilpotent_cycle():
     # p1 -> th*pth*p2 and p2 -> p1 form a cycle, but (th*pth)^2 = 0 ends
     # it: p1 = th*pth*p1 forces p1 = 0.  The per-call reference gives up on
@@ -629,15 +713,17 @@ def test_surface_substitutes_at_most_once_per_reduction(monkeypatch, capsys):
     path = FIXTURES / "dirac_maxwell_reduced.smf"
     assert main(["analyze", str(path), "--stage", "all"]) == 0
     capsys.readouterr()
-    # 670 reductions, of which 27 hold a bound generator; the other 85
+    # 670 reductions, of which 27 hold a bound generator; the other 66
     # calls come from try_solve, the consistency rows and closing the
-    # bindings of each surface.  Each delta entry below the diagonal is
-    # derived from its mirror, not reduced, and the bracket table reduces
-    # only the pairs that can be nonzero
+    # bindings of each surface.  A surface that is extended closes only the
+    # values that hold a newly bound generator and takes only the residuals
+    # that hold one to the new fixpoint.  Each delta entry below the
+    # diagonal is derived from its mirror, not reduced, and the bracket
+    # table reduces only the pairs that can be nonzero
     assert len(per_reduce) == 670
     assert max(per_reduce) == 1
     assert sum(per_reduce) == 27
-    assert len(calls) == 112
+    assert len(calls) == 93
 
 
 def test_surface_returns_a_zero_at_once(monkeypatch, capsys):
@@ -669,42 +755,49 @@ def test_surface_returns_a_zero_at_once(monkeypatch, capsys):
 
 
 def _surface_builds(monkeypatch, capsys, path):
-    """Constraint count of every surface built in a full CLI run of path."""
+    """The constraint count of every surface built afresh in a full CLI run
+    of path, and (old count, added count) of every extension."""
     from supermech.frontend.cli import main
 
-    builds = []
-    original = Surface.__init__
+    builds, extensions = [], []
+    init, extend = Surface.__init__, Surface.extend
 
     def counting_init(self, constraints):
         builds.append(len(constraints))
-        original(self, constraints)
+        init(self, constraints)
+
+    def counting_extend(self, constraints):
+        extensions.append((len(self.constraints), len(constraints)))
+        return extend(self, constraints)
 
     monkeypatch.setattr(Surface, "__init__", counting_init)
+    monkeypatch.setattr(Surface, "extend", counting_extend)
     assert main(["analyze", str(path), "--stage", "all"]) == 0
     capsys.readouterr()
-    return builds
+    return builds, extensions
 
 
 def test_surface_builds_in_full_run_of_reduced_model(monkeypatch, capsys):
-    # surfaces are built only when the active constraints change; the count
-    # is exact.  Active constraints per build.  dirac: the 9 primaries, plus
-    # the secondary, the final records after one recombination, which
-    # supersedes one record and reduces on the surface of the records it
-    # classifies; closure: the initial family and its added member.  The
-    # closure's final surface serves its integrability matrix and the
-    # cross-check, which also reuses the Dirac surface
+    # surfaces are built only when the active constraints change, and
+    # extended when constraints are only appended; the counts are exact.
+    # Fresh builds: dirac's 9 primaries, and its final records after one
+    # recombination, which supersedes one record and reduces on the surface
+    # of the records it classifies; the closure's initial family.
+    # Extensions: dirac's primaries by the secondary, and the family by its
+    # added member.  The closure's final surface serves its integrability
+    # matrix and the cross-check, which also reuses the Dirac surface
     builds = _surface_builds(monkeypatch, capsys,
                              FIXTURES / "dirac_maxwell_reduced.smf")
-    assert builds == [9, 10, 10, 10, 11]
+    assert builds == ([9, 10, 10], [(9, 1), (10, 1)])
 
 
 def test_surface_builds_in_full_run_of_two_gauss(monkeypatch, capsys):
-    # dirac: the 10 primaries, with each of the two secondaries, the final
-    # records after two recombinations on one surface, which supersede two
-    # records; closure: the initial family, with each of its two added
-    # members
+    # fresh builds: dirac's 10 primaries, its final records after two
+    # recombinations on one surface, which supersede two records, and the
+    # closure's initial family; extensions: the records by each of the two
+    # secondaries, and the family by each of its two added members
     builds = _surface_builds(monkeypatch, capsys, DATA / "two_gauss.smf")
-    assert builds == [10, 11, 12, 12, 11, 12, 13]
+    assert builds == ([10, 12, 11], [(10, 1), (11, 1), (11, 1), (12, 1)])
 
 
 def test_dirac_analysis_surface_follows_its_records():

@@ -429,7 +429,8 @@ def test_qed_gradient_counts(monkeypatch):
     # a deterministic count for the headline model: every derivative, in
     # the brackets and in the Legendre and Dirac solvers alike, reads a
     # kept gradient, built at most once per polynomial and side; the Dirac
-    # and Hamilton-Jacobi stages share each Phi_alpha, so its gradients too
+    # and Hamilton-Jacobi stages share each Phi_alpha, so its gradients too.
+    # A bracket with a basis generator builds no gradient of the generator
     builds = []
     build = superalgebra._build_gradient
 
@@ -445,13 +446,13 @@ def test_qed_gradient_counts(monkeypatch):
     result = run_pipeline(parse_model(fixture_text("dirac_maxwell_reduced.smf")),
                           stage="all")
     render_text(result)
-    assert len(builds) == 93
+    assert len(builds) == 45
     assert len({(id(p), left) for p, left in builds}) == len(builds)
 
 
 def _berezin_calls(monkeypatch, name, render):
     """berezin calls in a full run of the fixture name, rendered by render."""
-    from supermech import brackets, dirac, hamilton_jacobi, numeric_flow
+    from supermech import brackets, dirac, hamilton_jacobi
 
     calls = [0]
     berezin = brackets.berezin
@@ -460,7 +461,7 @@ def _berezin_calls(monkeypatch, name, render):
         calls[0] += 1
         return berezin(f, g, basis)
 
-    for module in (brackets, dirac, hamilton_jacobi, numeric_flow):
+    for module in (brackets, dirac, hamilton_jacobi):
         monkeypatch.setattr(module, "berezin", counting_berezin)
     render(run_pipeline(parse_model(fixture_text(name)), stage="all"))
     return calls[0]
@@ -468,10 +469,11 @@ def _berezin_calls(monkeypatch, name, render):
 
 def test_qed_berezin_count(monkeypatch):
     # a deterministic count for the headline model: each unordered pair of
-    # delta, of the closure family and of the bracket table's columns is
-    # bracketed once, and its other order follows by graded antisymmetry;
-    # of the table's generator pairs only the conjugate ones are bracketed
-    assert _berezin_calls(monkeypatch, "dirac_maxwell_reduced.smf", render_text) == 399
+    # delta and of the closure family is bracketed once, and its other
+    # order follows by graded antisymmetry; the bracket table's columns
+    # {x, Phi_s} and its conjugate pairs are generator brackets, read from
+    # kept gradients with no call to berezin
+    assert _berezin_calls(monkeypatch, "dirac_maxwell_reduced.smf", render_text) == 195
 
 
 def test_delta_built_once_when_nothing_recombines(monkeypatch):

@@ -667,6 +667,63 @@ def test_a_peak_entry_keeps_the_peak_through_a_nan():
         assert type(reg[1]) is float
 
 
+def _op_registers():
+    # distinct values, so that no two ops leave the same output register;
+    # registers 6-9 are k1..k4 of an RK4 update, on which the reference's
+    # association and a plain left-to-right sum differ in the last bit
+    return [0.75 - 0.5j, 1.5 + 2j, -0.25 + 3j, 0.5 + 0j, 2 + 0j, 1 / 6 + 0j,
+            1e16 + 0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 1j, 0.5]
+
+
+@pytest.mark.parametrize("entry, expected", [
+    ((0, 1, 2, 2), lambda r: r[1] * r[2]),
+    ((0, 1, 2, 1), lambda r: r[0] + r[1] * r[2]),
+    ((0, 1, 2, -2), lambda r: -(r[1] * r[2])),
+    ((0, 1, 2, -1), lambda r: r[0] - r[1] * r[2]),
+    ((0, 1, 0, 0), lambda r: r[0] + r[1]),
+    ((0, 2, 0, 3), lambda r: r[2]),
+    ((0, 1, (2, 3), 4), lambda r: r[1] + r[2] * r[3]),
+    ((0, 1, (6, 7, 8, 9, 4, 5), 5),
+     lambda r: r[1] + (((r[6] + r[7] * r[4]) + r[8] * r[4]) + r[9]) * r[5]),
+    ((10, 2, 0, 6), lambda r: max(r[10], abs(r[2]))),
+])
+def test_each_op_of_a_run_computes_its_expression(entry, expected):
+    # one one-entry plan per op code: the entry leaves its output register
+    # at the expression `_run`'s docstring gives, computed here by hand, and
+    # touches no other register
+    reg = _op_registers()
+    want = list(reg)
+    want[entry[0]] = expected(reg)
+    numeric_flow._run([entry], reg)
+    assert reg == want
+
+
+def test_an_update_sums_its_rates_in_the_reference_order():
+    # the registers of the op-5 case above tell the reference's association
+    # from a plain sum, so that case pins the order
+    r = _op_registers()
+    ordered = r[1] + (((r[6] + r[7] * r[4]) + r[8] * r[4]) + r[9]) * r[5]
+    plain = r[1] + (r[6] + (r[7] * r[4] + r[8] * r[4] + r[9])) * r[5]
+    assert ordered != plain
+
+
+def test_a_first_write_sets_and_later_writes_add():
+    # one register written by a first product, then a product added, a
+    # product subtracted and a register added; another first written by a
+    # negated product then set again by a copy: each first write discards
+    # the register's old value
+    reg = _op_registers()
+    r = list(reg)
+    plan = [(0, 1, 2, 2), (0, 2, 3, 1), (0, 1, 1, -1), (0, 9, 0, 0),
+            (4, 1, 9, -2), (4, 4, 3, 1), (3, 2, 0, 3), (3, 1, 0, 0)]
+    numeric_flow._run(plan, reg)
+    want = list(r)
+    want[0] = ((r[1] * r[2] + r[2] * r[3]) - r[1] * r[1]) + r[9]
+    want[4] = -(r[1] * r[9]) + -(r[1] * r[9]) * r[3]
+    want[3] = r[2] + r[1]
+    assert reg == want
+
+
 def test_a_run_repeats_its_plan():
     # reg[0] doubles and then adds reg[1] on each of five passes, as five
     # runs of one pass leave it
