@@ -6,18 +6,18 @@ state lines `generator = <value>` where the value is a sum of terms
 `scalar*g<k>*...` over the odd basis slots g1..gn (scalars accept a
 trailing `j` for the imaginary part).  Every waypoint, number and value must
 be finite, `steps` is given once, each parameter named once and each
-generator assigned at most once, a value of its generator's grade; an odd
-parameter's coordinate is 0 at every waypoint.  Each error points at the
-line's first character, or at the parameter, name or value token it names.
+generator assigned at most once, a value of its generator's grade.  Each
+waypoint must pass `numeric_flow.check_waypoint`, the rules a PathSpec
+holds.  Each error points at the line's first character, or at the
+parameter, name or value token it names.
 """
 from __future__ import annotations
 
 import re
 from cmath import isfinite
 
-from ..errors import IndexOutOfRange, ModelSyntaxError, UnknownSymbol
-from ..numeric_flow import LAMBDA_CAP, GrassmannValue, PathSpec
-from ..superalgebra import Parity
+from ..errors import FlowError, IndexOutOfRange, ModelSyntaxError, UnknownSymbol
+from ..numeric_flow import LAMBDA_CAP, GrassmannValue, PathSpec, check_waypoint
 
 _VALUE_TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?j?)"
@@ -190,17 +190,10 @@ def parse_path_config(text, elaborated, hj_system):
                 raise ModelSyntaxError(f"bad waypoint line {line!r}", no, start) from None
             if not all(map(isfinite, point)):
                 raise ModelSyntaxError(f"waypoint {line!r} is not finite", no, start)
-            if len(point) != len(params):
-                raise ModelSyntaxError("waypoint arity does not match parameters",
-                                       no, start)
-            if waypoints and waypoints[-1] == point:
-                raise ModelSyntaxError("consecutive waypoints must differ", no, start)
-            # an odd parameter's value has no body: it starts at 0 and stays
-            for p, x in zip(params, point):
-                if x and p.parity == Parity.ODD:
-                    raise ModelSyntaxError(
-                        f"odd free parameter {p} cannot be moved" if waypoints
-                        else f"{p} assigned a value of the wrong grade", no, start)
+            try:
+                check_waypoint(params, waypoints[-1] if waypoints else None, point)
+            except FlowError as exc:
+                raise ModelSyntaxError(str(exc), no, start) from None
             waypoints.append(point)
     if steps is None:
         raise ModelSyntaxError("flow config misses a steps line", no0, start0)

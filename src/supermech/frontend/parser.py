@@ -185,8 +185,8 @@ class _Parser:
     def current(self):
         return self.tokens[self.pos]
 
-    def error(self, message):
-        tok = self.current
+    def error(self, message, tok=None):
+        tok = tok or self.current
         if tok.kind == "eof" and self.pos > 0:
             prev = self.tokens[self.pos - 1]
             return ModelSyntaxError(f"{message}, found end of input after "
@@ -233,10 +233,10 @@ class _Parser:
                 self.pos += 1
                 pname = self.expect("name", what="parameter name").text
                 self.expect("sym", ":")
-                parity = self.expect("name", what="even or odd").text
-                if parity not in ("even", "odd"):
-                    raise self.error("parameter parity must be even or odd")
-                params.append(ParamDecl(pname, parity))
+                parity = self.expect("name", what="even or odd")
+                if parity.text not in ("even", "odd"):
+                    raise self.error("parameter parity must be even or odd", parity)
+                params.append(ParamDecl(pname, parity.text))
             elif tok.text == "tensor":
                 self.pos += 1
                 tensors.append(self.parse_tensor())
@@ -278,23 +278,24 @@ class _Parser:
         self.expect("sym", "]")
         self.expect("sym", "=")
         self.expect("sym", "[")
-        entries = []
+        entries, misfit = [], None
         while True:
-            self.expect("sym", "[")
-            row = []
-            while True:
+            start = self.expect("sym", "[")
+            row = [self.parse_expr()]
+            while self.accept("sym", ","):
                 row.append(self.parse_expr())
-                if not self.accept("sym", ","):
-                    break
             self.expect("sym", "]")
+            if misfit is None and (len(entries) == rows or len(row) != cols):
+                misfit = start  # the first row that does not fit
             entries.append(tuple(row))
             if not self.accept("sym", ","):
                 break
-        self.expect("sym", "]")
-        decl = TensorDecl(name, rows, cols, tuple(entries))
-        if len(decl.entries) != rows or any(len(r) != cols for r in decl.entries):
-            raise self.error(f"tensor {name} shape does not match [{rows},{cols}]")
-        return decl
+        end = self.expect("sym", "]")
+        if misfit or len(entries) < rows:
+            at = misfit or end  # too few rows: the ']' that ends them
+            raise ModelSyntaxError(
+                f"tensor {name} shape does not match [{rows},{cols}]", at.line, at.col)
+        return TensorDecl(name, rows, cols, tuple(entries))
 
     # ---------------------------------------------------------- expressions
 
@@ -368,9 +369,10 @@ class _Parser:
             name = self.expect("name", what="coordinate name").text
             inner = self.parse_indices()
             self.expect("sym", ")")
+            outer_at = self.current
             outer = self.parse_indices()
             if inner and outer:
-                raise self.error("dot() indexed both inside and outside")
+                raise self.error("dot() indexed both inside and outside", outer_at)
             return Dot(name, inner or outer)
         self.pos += 1
         return Ref(tok.text, self.parse_indices())

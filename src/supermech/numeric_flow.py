@@ -201,22 +201,33 @@ def evaluate(p, assignment):
     return GrassmannValue(n, total)
 
 
+def check_waypoint(params, before, point):
+    """Raise FlowError unless point, after the waypoint before (None at the
+    start), gives each of params one number, differs from before and leaves
+    each odd parameter at 0: an odd value has no body to start at or move."""
+    if len(point) != len(params):
+        raise FlowError("waypoint arity does not match parameters")
+    if point == before:
+        raise FlowError("consecutive waypoints must differ")
+    for p, x in zip(params, point):
+        if x and p.parity == Parity.ODD:
+            raise FlowError(f"{p} assigned a value of the wrong grade" if before is None
+                            else f"odd free parameter {p} cannot be moved")
+
+
 class PathSpec:
-    """Waypoints in the free-parameter space, integrated with fixed steps."""
+    """Waypoints in the free-parameter space, integrated with fixed steps: an
+    int steps >= 1, not a bool, and waypoints that pass check_waypoint."""
 
     __slots__ = ("params", "waypoints", "steps")
 
     def __init__(self, params, waypoints, steps):
-        if not isinstance(steps, int) or steps < 1:
+        if type(steps) is not int or steps < 1:
             raise FlowError(f"steps must be >= 1 and an int, got {steps!r}")
         if len(waypoints) < 2:
             raise FlowError("need at least two waypoints")
-        for w in waypoints:
-            if len(w) != len(params):
-                raise FlowError("waypoint arity does not match parameters")
-        for a, b in zip(waypoints, waypoints[1:]):
-            if a == b:
-                raise FlowError("consecutive waypoints must differ")
+        for before, point in zip((None, *waypoints), waypoints):
+            check_waypoint(params, before, point)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "waypoints", waypoints)  # tuple of float tuples
         object.__setattr__(self, "steps", steps)
@@ -267,13 +278,21 @@ def make_flow(tds, report):
 
 
 class FlowResult:
-    __slots__ = ("samples", "z", "drift", "drift_by_invariant", "onsurface_residual")
+    """Samples at each waypoint, Z at the endpoint, and the family members'
+    largest absolute values: each member's over the steps (drift_by_invariant,
+    their maximum drift) and at the endpoint (end_by_invariant), and all
+    members' at the start (onsurface_residual)."""
 
-    def __init__(self, samples, z, drift, drift_by_invariant, onsurface_residual=0.0):
+    __slots__ = ("samples", "z", "drift", "drift_by_invariant", "end_by_invariant",
+                 "onsurface_residual")
+
+    def __init__(self, samples, z, drift, drift_by_invariant, end_by_invariant,
+                 onsurface_residual=0.0):
         self.samples = samples  # (parameter point, {generator: GrassmannValue})
         self.z: GrassmannValue = z
         self.drift: float = drift
-        self.drift_by_invariant = drift_by_invariant
+        self.drift_by_invariant = drift_by_invariant  # label -> float
+        self.end_by_invariant = end_by_invariant  # label -> float
         self.onsurface_residual: float = onsurface_residual
 
 
@@ -360,7 +379,10 @@ def integrate_flow(tds, path, init, report):
     that end every step plan raise it to the register's absolute value when
     that is larger, as max(peak, value) does, so a NaN keeps the peak.  The
     peaks carry across waypoints, as every step plan shares them, and after
-    the last segment give each member's drift and their largest the flow's.
+    the last segment give each member's drift and their largest the flow's;
+    the members' registers, which the last step's audit set, give each
+    member's largest absolute value at the endpoint.  check_waypoint has
+    passed path's waypoints, so no segment moves an odd parameter.
     A flow whose step plan, or whose P0 program alone, needs more than
     PLAN_LIMIT entries, counted before any is shared or dropped, fails with
     FlowError before any entry is built, and a flow whose initial residual
@@ -616,13 +638,6 @@ def _run(plan, reg, times=1):
                 reg[out] = reg[left]
 
 
-def _lift(init):
-    """n, the largest n of init's values, and init with each value in Lambda_n."""
-    n = max((v.n for v in init.values()), default=0)
-    return n, {g: v if v.n == n else GrassmannValue(n, v.coeff)
-               for g, v in init.items()}
-
-
 def _integrate(flow, paths, init):
     """integrate_flow along each of paths on a flow that make_flow has
     already built, as a list of their FlowResults.
@@ -636,7 +651,8 @@ def _integrate(flow, paths, init):
             raise FlowError(
                 f"path parameters {[str(p) for p in path.params]} do not match the "
                 f"free parameters {[str(p) for p in flow.free_params]}")
-    n, lifted = _lift(init)
+    n = max((v.n for v in init.values()), default=0)  # every value is lifted to it
+    lifted = {g: v if v.n == n else GrassmannValue(n, v.coeff) for g, v in init.items()}
     state_gens = [g for g in flow.state_gens if g != sys.p0]
     for g in state_gens:
         if g not in lifted:
@@ -653,10 +669,6 @@ def _integrate(flow, paths, init):
         for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
             moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
                       if w1[i] - w0[i] != 0.0]
-            for i, _ in moving:
-                if path.params[i].parity == Parity.ODD:
-                    raise FlowError(
-                        f"odd free parameter {path.params[i]} cannot be moved")
             segments.append((w1, moving))
         runs.append((path, segments))
     moved = sorted({i for _, segments in runs for _, moving in segments
@@ -829,8 +841,11 @@ def _integrate(flow, paths, init):
         drift_by = {label: max(map(reg.__getitem__, peaks[a:b]), default=0.0)
                     for label, a, b in members}
         drift = max(drift_by.values(), default=0.0)
+        # the last step's audit left the members' endpoint values there
+        end_by = {label: max((abs(reg[r]) for r in audited[a:b]), default=0.0)
+                  for label, a, b in members}
         z = GrassmannValue(n, dict(zip(z_layout, map(reg.__getitem__, home[width:]))))
-        results.append(FlowResult(samples, z, drift, drift_by, residual))
+        results.append(FlowResult(samples, z, drift, drift_by, end_by, residual))
     return results
 
 
@@ -850,40 +865,29 @@ def path_independence_check(tds, path_a, path_b, init, report, tol=1e-8):
     Strictly integrable systems must agree in every state component; weakly
     integrable ones only in the components whose generators commute weakly
     with the whole family (the flow-invariant observables) and in the
-    family members themselves.  Both paths run on one lowering and one set
-    of plans.
+    family members themselves, each by the largest absolute value that its
+    path's drift audit read at the endpoint.  Both paths run on one lowering
+    and one set of plans.
     """
     if path_a.waypoints[0] != path_b.waypoints[0] or \
             path_a.waypoints[-1] != path_b.waypoints[-1]:
         raise FlowError("paths must share their endpoints")
-    flow = make_flow(tds, report)
-    end_a, end_b = (result.samples[-1][1]
-                    for result in _integrate(flow, (path_a, path_b), init))
-    constants = {g: v for g, v in _lift(init)[1].items() if g not in flow.state_gens}
+    result_a, result_b = _integrate(make_flow(tds, report), (path_a, path_b), init)
+    end_a, end_b = result_a.samples[-1][1], result_b.samples[-1][1]
 
     strict = report.strictly_integrable
     sys = tds.system
     observables = () if strict else _weak_observables(sys, report)
     comparisons = []
-    agree = True
     for g in end_a:
-        if g == sys.p0:
-            continue
-        diff = (end_a[g] - end_b[g]).max_abs
-        if strict or g in observables:
-            comparisons.append((str(g), diff, True, "first-class observable"
-                                if not strict else "state"))
-            if diff > tol:
-                agree = False
-        else:
-            comparisons.append((str(g), diff, False, "not first-class"))
-    for label, expr in flow.invariants:
-        va = evaluate(expr, {**constants, **end_a}).max_abs
-        vb = evaluate(expr, {**constants, **end_b}).max_abs
-        diff = abs(va - vb)
-        comparisons.append((label, diff, True, "family member"))
-        if diff > tol:
-            agree = False
+        if g != sys.p0:
+            compared = strict or g in observables
+            note = ("state" if strict else "first-class observable" if compared
+                    else "not first-class")
+            comparisons.append((str(g), (end_a[g] - end_b[g]).max_abs, compared, note))
+    comparisons += [(label, abs(va - result_b.end_by_invariant[label]), True,
+                     "family member") for label, va in result_a.end_by_invariant.items()]
+    agree = not any(diff > tol for _, diff, compared, _ in comparisons if compared)
     return PathIndependenceReport(strict, comparisons, agree, tol)
 
 

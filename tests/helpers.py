@@ -627,9 +627,6 @@ def reference_integrate(tds, path, init, report, fold=True):
     for w0, w1 in zip(path.waypoints, path.waypoints[1:]):
         moving = [(i, complex(w1[i] - w0[i])) for i in range(len(path.params))
                   if w1[i] - w0[i] != 0.0]
-        for i, _ in moving:
-            if path.params[i].parity == Parity.ODD:
-                raise FlowError(f"odd free parameter {path.params[i]} cannot be moved")
         segments.append((w1, moving))
     moved = {i for _, moving in segments for i, _ in moving}
     for g, value in lifted.items():
@@ -714,7 +711,8 @@ def reference_integrate(tds, path, init, report, fold=True):
                     if value > drift:
                         drift = value
         samples.append(sample(w1))
-    return FlowResult(samples, GrassmannValue(n, z), drift, drift_by, residual)
+    end_by = {label: largest(run_program(prog, env)) for label, prog in invariants}
+    return FlowResult(samples, GrassmannValue(n, z), drift, drift_by, end_by, residual)
 
 # ------------------------------------------------------------- test models
 

@@ -38,6 +38,15 @@ def test_even_pair():
     assert berezin(gen_poly(p), gen_poly(q), basis) == const_poly(-1)
 
 
+def test_phase_basis_refuses_a_bad_pair():
+    basis = small_basis()
+    (q1, p1), (_, p2), (_, pth) = basis.pairs
+    for pairs, message in [(((q1, pth),), r"pair \(q1, pth\) mixes parities"),
+                           (((q1, p1), (q1, p2)), "generator q1 appears in two pairs")]:
+        with pytest.raises(ValueError, match=message):
+            PhaseBasis(pairs)
+
+
 def test_odd_pair_symmetric():
     basis = small_basis()
     th, pth = basis.pairs[2]

@@ -93,6 +93,66 @@ def test_parse_refuses_a_second_lagrangian(tmp_path):
     assert json.loads(err_text)["error"] == {"kind": "model", "message": str(err.value)}
 
 
+@pytest.mark.parametrize("text, message", [
+    # each names and points at the token it refuses
+    ("model m\nparam m: big\nlagrangian: 1\n",
+     "parameter parity must be even or odd, found 'big' (line 2, column 10)"),
+    # a row of the wrong length, one row too many, and rows missing, which
+    # the ']' that ends the value shows
+    ("model m\neven x\ntensor g[2,2] = [[1,2],[3]]\nlagrangian: x\n",
+     "tensor g shape does not match [2,2] (line 3, column 24)"),
+    ("model m\neven x\ntensor g[1,2] = [[1,2],[3,4]]\nlagrangian: x\n",
+     "tensor g shape does not match [1,2] (line 3, column 24)"),
+    ("model m\neven x\ntensor g[2,2] = [[1,2]]\nlagrangian: x\n",
+     "tensor g shape does not match [2,2] (line 3, column 23)"),
+    ("model m\neven x[2]\nlagrangian: dot(x[1])[1]",
+     "dot() indexed both inside and outside, found '[' (line 3, column 22)"),
+], ids=["parity", "tensor-row", "tensor-extra-row", "tensor-rows-missing", "dot-indexed-twice"])
+def test_parse_errors_point_at_the_token_they_refuse(text, message):
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert str(err.value) == message
+
+
+# a model that elaborates, for the rows below to break one line of
+_WELL = "model m\neven x\nlagrangian: 1/2*dot(x)*dot(x)\n"
+
+
+@pytest.mark.parametrize("text, code, message", [
+    (_WELL.replace("x", "t0"), 2, "'t0' is reserved"),
+    (_WELL.replace("x", "v_x"), 2, "'v_x' collides with derived generator names"),
+    (_WELL.replace("even x", "even x\nodd x"), 2, "'x' declared twice"),
+    ("model m\neven x\nparam m: even\nlagrangian: m[1]*x\n", 2,
+     "parameter m takes no index"),
+    ("model m\neven x\ntensor g[1,1] = [[1]]\nlagrangian: g[1]*x\n", 2,
+     "tensor g needs two indices"),
+    ("model m\neven x\ntensor g[1,1] = [[1]]\nlagrangian: g[2,1]*x\n", 2,
+     "tensor index [2,1] outside g"),
+    ("model m\neven x[2]\nlagrangian: sum(a in 1..2, a*dot(x[a])*dot(x[a]))\n", 2,
+     "index variable 'a' used as a value"),
+    (_WELL.replace("dot(x)*dot(x)", "dot(y)*dot(y)"), 2, "dot() of unknown coordinate 'y'"),
+    ("model m\neven x[2]\nlagrangian: dot(x[b])*dot(x[1])\n", 2,
+     "unbound index variable 'b'"),
+    (_WELL.replace("\n", " $\n"), 2, "unexpected character '$' (line 1, column 9)"),
+    (_WELL.replace("even", "5"), 2,
+     "expected a declaration keyword, found '5' (line 2, column 1)"),
+    (_WELL.replace(" x\n", "\n"), 2,
+     "expected at least one name, found 'lagrangian' (line 3, column 1)"),
+    (_WELL.replace("even", "foo"), 2, "unknown declaration, found 'foo' (line 2, column 1)"),
+    ("model m\neven x\n", 2, "model has no lagrangian (line 1, column 1)"),
+    # H = -x: consistency of the primary p_x leaves the constant 1
+    ("model m\neven x\nlagrangian: x\n", 3, "consistency of Phi1 yields 1"),
+], ids=["reserved", "derived-name", "declared-twice", "param-index", "tensor-arity",
+        "tensor-index", "index-as-value", "dot-unknown", "unbound-index",
+        "character", "keyword", "no-name", "declaration", "no-lagrangian",
+        "inconsistent"])
+def test_cli_refuses_a_bad_model(tmp_path, text, code, message):
+    model = tmp_path / "bad.smf"
+    model.write_text(text, encoding="utf-8")
+    kind = "model" if code == 2 else "inconsistent"
+    assert _cli_main("analyze", str(model)) == (code, "", f"error ({kind}): {message}\n")
+
+
 def test_index_out_of_range():
     doc = parse_model("model m\nodd psi[4]\nlagrangian: psi[5]*psi[1]\n")
     with pytest.raises(IndexOutOfRange):

@@ -25,6 +25,7 @@ from helpers import (
 )
 from supermech.brackets import berezin
 from supermech.dirac import ConstraintRecord, run_dirac
+from supermech.errors import Inconsistent
 from supermech.frontend import cli, pipeline
 from supermech.frontend.parser import parse_model
 from supermech.frontend.pipeline import run_pipeline
@@ -556,3 +557,12 @@ def test_cli_mismatch_exits_3(monkeypatch):
     cc = json.loads(out.getvalue())["hj"]["cross_check"]
     assert cc["verdict"] == "mismatch"
     assert cc["mismatched"] == ["dt relation for psibar has no determined multiplier"]
+
+
+def test_closure_loop_refuses_a_differential_that_is_a_constant():
+    # L = x: H'1 = p_x - x, whose differential along t0 reduces to 1; the
+    # pipeline's Dirac stage refuses the model first (exit 3)
+    result = run_pipeline(parse_model("model m\neven x\nlagrangian: x\n"),
+                          stage="legendre")
+    with pytest.raises(Inconsistent, match="dH'1 reduces to the constant 1"):
+        closure_loop(build_hj_system(result.legres))

@@ -482,6 +482,7 @@ def _assert_same_flow(got, want):
     assert (got.z.n, got.z.coeff) == (want.z.n, want.z.coeff)
     assert got.drift == want.drift
     assert got.drift_by_invariant == want.drift_by_invariant
+    assert got.end_by_invariant == want.end_by_invariant
     assert got.onsurface_residual == want.onsurface_residual
 
 
@@ -1170,6 +1171,46 @@ def test_flow_checks_grades_and_assignments_on_init():
                 integrate(tds_, path_, init_, report=report_)
 
 
+def test_library_refusals():
+    sho, sys, tds, report = _sho_setup()
+    q, pq = sho.gens["q"], sho.gens["pq"]
+    one = GrassmannValue.body_value(1, 1.0)
+    init = {q: one, pq: GrassmannValue(1)}
+    path = PathSpec((sys.t0,), ((0.0,), (1.0,)), 4)
+    for call, error, message in [
+            (lambda: evaluate(gen_poly(q) * gen_poly(pq), {q: one}),
+             GradeMismatch, "no value assigned to p_q"),
+            (lambda: evaluate(gen_poly(q) * gen_poly(pq),
+                              {q: one, pq: GrassmannValue.body_value(2, 1.0)}),
+             GradeMismatch, "assignments mix different Lambda_n"),
+            (lambda: GrassmannValue.generator(2, 0),
+             FlowError, r"generator index 0 outside 1\.\.2"),
+            (lambda: path_independence_check(
+                tds, path, PathSpec((sys.t0,), ((0.0,), (2.0,)), 4), init, report=report),
+             FlowError, "paths must share their endpoints")]:
+        with pytest.raises(error, match=message):
+            call()
+
+
+def test_path_pair_that_disagrees():
+    # four RK4 steps over one period against a thousand per half period: the
+    # coarse path ends elsewhere, at another energy
+    sho, sys, tds, report = _sho_setup()
+    init = {sho.gens["q"]: GrassmannValue.body_value(0, 1.0),
+            sho.gens["pq"]: GrassmannValue.body_value(0, 0.0)}
+    paths = (PathSpec((sys.t0,), ((0.0,), (2 * math.pi,)), 4),
+             PathSpec((sys.t0,), ((0.0,), (math.pi,), (2 * math.pi,)), 1000))
+    out = path_independence_check(tds, *paths, init, report=report)
+    assert out.strict and not out.agree
+    diff = {name: d for name, d, compared, _ in out.comparisons if compared}
+    assert diff.keys() == {"q", "p_q", "H'0"} and min(diff.values()) > 1e-3
+    # a family member is compared as evaluate measures it at each endpoint
+    expr = dict(numeric_flow.make_flow(tds, report).invariants)["H'0"]
+    va, vb = (evaluate(expr, integrate_flow(tds, path, init, report).samples[-1][1]).max_abs
+              for path in paths)
+    assert math.isclose(diff["H'0"], abs(va - vb), rel_tol=1e-12)
+
+
 def test_path_independence_lifts_constants_to_the_flow():
     # a soulless m given in Lambda_0, the odd values in Lambda_2: the flow
     # lifts m, and so must the comparison of the family members
@@ -1216,24 +1257,30 @@ def test_flow_failures_are_flow_errors():
             ((1,), ((0,), (1,)), 0, "steps must be >= 1"),
             ((1,), ((0,), (1,)), 2.5, "steps must be >= 1 and an int, got 2.5"),
             ((1,), ((0,), (1,)), "10", "steps must be >= 1 and an int, got '10'"),
+            ((1,), ((0,), (1,)), True, "steps must be >= 1 and an int, got True"),
             ((1,), ((0,),), 5, "need at least two waypoints"),
             ((1,), ((0,), (1, 2)), 5, "waypoint arity does not match parameters"),
             ((1,), ((0,), (0,)), 5, "consecutive waypoints must differ")]:
         with pytest.raises(FlowError, match=message):
             PathSpec(params, waypoints, steps)
-    with pytest.raises(AttributeError):
-        PathSpec((1,), ((0,), (1,)), 5).steps = 2
 
     result = run_pipeline(parse_model(ODD_GAUGE), stage="hj")
     sys, elab = result.hj_system, result.elaborated
     q, chi = elab.lookup("q"), elab.lookup("chi")
+    path = PathSpec((sys.t0, chi), ((0, 0), (1, 0)), 5)
+    with pytest.raises(AttributeError, match="read-only"):
+        path.steps = 2
+    # an odd parameter's value has no body: a path neither starts it off 0
+    # nor moves it
+    for waypoints, message in [
+            (((0, 0.5), (1, 0.5)), "chi assigned a value of the wrong grade"),
+            (((0, 0), (1, 0), (1, 1)), "odd free parameter chi cannot be moved")]:
+        with pytest.raises(FlowError, match=message):
+            PathSpec((sys.t0, chi), waypoints, 5)
     init = {q: GrassmannValue.body_value(1, 1.0), elab.lookup("p_q"): GrassmannValue(1),
             chi: GrassmannValue(1), elab.lookup("p_chi"): GrassmannValue(1)}
     with pytest.raises(FlowError, match="do not match"):
         integrate_flow(result.tds, PathSpec((sys.t0,), ((0,), (1,)), 5), init,
-                       report=result.closure)
-    with pytest.raises(FlowError, match="cannot be moved"):
-        integrate_flow(result.tds, PathSpec((sys.t0, chi), ((0, 0), (1, 1)), 5), init,
                        report=result.closure)
     out = integrate_flow(result.tds, PathSpec((sys.t0, chi), ((0, 0), (1, 0)), 50),
                          init, report=result.closure)
